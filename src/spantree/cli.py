@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
@@ -32,12 +32,14 @@ from .errors import (
     SpantreeError,
 )
 from .graph import Graph, PartitionShape, complete, complete_multipartite, ferrers_graph, parse_edge_list
+from .poly import MultiPoly
 from .recognition import (
     DEFAULT_SEARCH_LIMIT,
     FAMILY_FERRERS,
     FAMILY_SPECIAL_2_THRESHOLD,
     FAMILY_THRESHOLD,
     ConstructionOrder,
+    FerrersStructure,
     ferrers_structure,
     forbidden_witness,
     special_2_threshold_order,
@@ -47,6 +49,7 @@ from .weighted import (
     weighted_count_ferrers,
     weighted_count_special_2threshold,
     weighted_count_threshold,
+    weighted_matrix_tree_count,
     weighted_oracle,
     weighted_perturbation_count,
 )
@@ -100,11 +103,38 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
+def _bounded_int(low: int) -> Callable[[str], int]:
+    """argparse type for an integer of at least ``low``; anything else is a
+    usage error (exit 2) instead of a silently reinterpreted value."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _classify(g: Graph, search_limit: int) -> dict:
-    """Family memberships plus certificates; used by classify and count."""
+    """Family memberships plus certificates."""
     threshold_co = threshold_order(g)
-    found = special_2_threshold_order(g, max_vertices=search_limit)
     fs = ferrers_structure(g)
+    try:
+        found = special_2_threshold_order(g, max_vertices=search_limit)
+    except CapabilityExceededError:
+        # A recognized family already settles the U-search past its cap:
+        # U = V for threshold graphs, U = the columns for Ferrers graphs.
+        if threshold_co is not None:
+            found = (threshold_co.u_set, threshold_co)
+        elif fs is not None:
+            co = fs.construction_order()
+            found = (co.u_set, co)
+        else:
+            raise
     witnesses: list[tuple[str, object]] = []
     if threshold_co is None:
         w = forbidden_witness(g, FAMILY_THRESHOLD)
@@ -190,6 +220,35 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _recognize(
+    g: Graph, method: str, search_limit: int
+) -> tuple[str, ConstructionOrder, FerrersStructure | None] | None:
+    """First family that recognizes g, cheapest test first: (family, its
+    construction order, the Ferrers structure when the family is Ferrers),
+    or None.  Past its cap the U-search is skipped, unless ``method`` is
+    "formula", which also raises when no family applies."""
+    co = threshold_order(g)
+    if co is not None:
+        return FAMILY_THRESHOLD, co, None
+    fs = ferrers_structure(g)
+    if fs is not None:
+        return FAMILY_FERRERS, fs.construction_order(), fs
+    found = None
+    try:
+        found = special_2_threshold_order(g, max_vertices=search_limit)
+    except CapabilityExceededError:
+        if method == "formula":
+            raise
+    if found is not None:
+        return FAMILY_SPECIAL_2_THRESHOLD, found[1], None
+    if method == "formula":
+        raise ValueError(
+            "no family formula applies: graph is not threshold, ferrers, "
+            "or special 2-threshold"
+        )
+    return None
+
+
 def _count_graph(
     g: Graph, method: str, search_limit: int, jobs: int
 ) -> tuple[int, str, ConstructionOrder | None, dict | None]:
@@ -207,37 +266,17 @@ def _count_graph(
             None,
         )
 
-    co = threshold_order(g)
-    if co is not None:
-        return threshold_count(g, co), "formula:threshold", co, {"family": "threshold"}
-    fs = ferrers_structure(g)
-    if fs is not None:
-        return (
-            ferrers_count(fs),
-            "formula:ferrers",
-            fs.construction_order(),
-            {"family": "ferrers"},
-        )
-    found = None
-    try:
-        found = special_2_threshold_order(g, max_vertices=search_limit)
-    except CapabilityExceededError:
-        if method == "formula":
-            raise
-    if found is not None:
-        _, sco = found
-        return (
-            special_2_threshold_count(g, sco),
-            "formula:special-2-threshold",
-            sco,
-            {"family": "special-2-threshold"},
-        )
-    if method == "formula":
-        raise ValueError(
-            "no family formula applies: graph is not threshold, ferrers, "
-            "or special 2-threshold"
-        )
-    return matrix_tree_count(g), "matrix-tree", None, None
+    recognized = _recognize(g, method, search_limit)
+    if recognized is None:
+        return matrix_tree_count(g), "matrix-tree", None, None
+    family, co, fs = recognized
+    if family == FAMILY_THRESHOLD:
+        count = threshold_count(g, co)
+    elif family == FAMILY_FERRERS:
+        count = ferrers_count(fs)
+    else:
+        count = special_2_threshold_count(g, co)
+    return count, f"formula:{family}", co, {"family": family}
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -254,17 +293,18 @@ def cmd_count(args: argparse.Namespace) -> int:
 
     co = None
     classification = None
+    # a family flag's graph is built only if --verify asks for it
     if args.complete is not None:
         n = args.complete
         if n < 1:
             raise ValueError("--complete needs n >= 1")
         count, method = complete_count(n), "formula:complete"
-        g = complete(n) if args.verify else None
+        graph = lambda: complete(n)
         source = {"family": "complete", "n": n}
     elif args.ferrers is not None:
         shape = PartitionShape(_parse_parts(args.ferrers, "--ferrers"))
         count, method = ferrers_count(shape), "formula:ferrers"
-        g = ferrers_graph(shape) if args.verify else None
+        graph = lambda: ferrers_graph(shape)
         source = {"family": "ferrers", "shape": list(shape.parts)}
     elif args.multipartite is not None:
         sizes = _parse_parts(args.multipartite, "--multipartite")
@@ -272,10 +312,11 @@ def cmd_count(args: argparse.Namespace) -> int:
             count, method = bipartite_count(*sizes), "formula:bipartite"
         else:
             count, method = multipartite_count(sizes), "formula:multipartite"
-        g = complete_multipartite(sizes) if args.verify else None
+        graph = lambda: complete_multipartite(sizes)
         source = {"family": "multipartite", "sizes": sizes}
     else:
         g = _load_graph(args.file)
+        graph = lambda: g
         source = {
             "path": args.file,
             "vertices": g.n,
@@ -287,8 +328,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
     verified = None
     if args.verify:
-        assert g is not None
-        check = oracle_count(g, max_edges=_oracle_limit(), jobs=args.jobs)
+        check = oracle_count(graph(), max_edges=_oracle_limit(), jobs=args.jobs)
         if check != count:
             raise ExactnessError(
                 f"oracle disagrees: method {method} gave {count}, oracle {check}"
@@ -312,49 +352,34 @@ def cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+def _weighted_graph(
+    g: Graph, method: str, search_limit: int
+) -> tuple[MultiPoly, str, ConstructionOrder | None, dict | None]:
+    """Returns (enumerator, method used, construction order if any,
+    classification)."""
+    if method == "perturbation":
+        ones = [1] * g.n
+        return weighted_perturbation_count(g, ones, ones), "perturbation", None, None
+    if method == "oracle":
+        return weighted_oracle(g, max_edges=_oracle_limit()), "oracle", None, None
+    recognized = _recognize(g, method, search_limit)
+    if recognized is None:
+        return weighted_matrix_tree_count(g), "matrix-tree", None, None
+    family, co, fs = recognized
+    if family == FAMILY_THRESHOLD:
+        poly = weighted_count_threshold(g, co)
+    elif family == FAMILY_FERRERS:
+        poly = weighted_count_ferrers(fs)
+    else:
+        poly = weighted_count_special_2threshold(g, co)
+    return poly, f"formula:{family}", co, {"family": family}
+
+
 def cmd_weighted(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
-    method = args.method
-    poly = None
-    co = None
-    classification = None
-
-    if method in ("auto", "formula"):
-        co = threshold_order(g)
-        if co is not None:
-            poly, used = weighted_count_threshold(g, co), "formula:threshold"
-            classification = {"family": "threshold"}
-        else:
-            fs = ferrers_structure(g)
-            if fs is not None:
-                poly, used = weighted_count_ferrers(fs), "formula:ferrers"
-                co = fs.construction_order()
-                classification = {"family": "ferrers"}
-            else:
-                try:
-                    found = special_2_threshold_order(
-                        g, max_vertices=args.u_search_limit
-                    )
-                except CapabilityExceededError:
-                    if method == "formula":
-                        raise
-                    found = None
-                if found is not None:
-                    _, co = found
-                    poly = weighted_count_special_2threshold(g, co)
-                    used = "formula:special-2-threshold"
-                    classification = {"family": "special-2-threshold"}
-                elif method == "formula":
-                    raise ValueError(
-                        "no family formula applies: graph is not threshold, "
-                        "ferrers, or special 2-threshold"
-                    )
-    if poly is None and method in ("auto", "perturbation"):
-        ones = [1] * g.n
-        poly, used = weighted_perturbation_count(g, ones, ones), "perturbation"
-    if poly is None and method == "oracle":
-        poly, used = weighted_oracle(g, max_edges=_oracle_limit()), "oracle"
-    assert poly is not None
+    poly, used, co, classification = _weighted_graph(
+        g, args.method, args.u_search_limit
+    )
 
     payload = {
         "input": {
@@ -385,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--json", action="store_true")
     p_classify.add_argument(
         "--u-search-limit",
-        type=int,
+        type=_bounded_int(0),
         default=DEFAULT_SEARCH_LIMIT,
         help="vertex cap for the exponential U-search",
     )
@@ -400,12 +425,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument("--verify", action="store_true", help="cross-check with the oracle")
     p_count.add_argument("--json", action="store_true")
-    p_count.add_argument("--jobs", type=int, default=1, help="oracle worker processes")
+    p_count.add_argument(
+        "--jobs",
+        type=_bounded_int(1),
+        default=1,
+        help="oracle worker processes (at most the CPU count)",
+    )
     p_count.add_argument("--complete", type=int, metavar="N")
     p_count.add_argument("--ferrers", metavar="P1,P2,...")
     p_count.add_argument("--multipartite", metavar="N1,N2,...")
     p_count.add_argument(
-        "--u-search-limit", type=int, default=DEFAULT_SEARCH_LIMIT
+        "--u-search-limit", type=_bounded_int(0), default=DEFAULT_SEARCH_LIMIT
     )
     p_count.set_defaults(func=cmd_count)
 
@@ -418,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_weighted.add_argument("--json", action="store_true")
     p_weighted.add_argument(
-        "--u-search-limit", type=int, default=DEFAULT_SEARCH_LIMIT
+        "--u-search-limit", type=_bounded_int(0), default=DEFAULT_SEARCH_LIMIT
     )
     p_weighted.set_defaults(func=cmd_weighted)
 

@@ -9,6 +9,7 @@ violated a precondition (or there is a bug) and raises ExactnessError.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from itertools import combinations
 from math import prod
 from typing import Iterable, Iterator, Sequence
@@ -99,7 +100,7 @@ def oracle_count(g: Graph, *, max_edges: int | None = None, jobs: int = 1) -> in
 
     Deliberately independent of the linear-algebra routes so it can serve as
     their cross-check.  ``jobs > 1`` splits the enumeration by leading edge
-    across worker processes.
+    across worker processes, at most one per CPU.
     """
     limit = DEFAULT_ORACLE_LIMIT if max_edges is None else max_edges
     if g.n < 1:
@@ -109,6 +110,7 @@ def oracle_count(g: Graph, *, max_edges: int | None = None, jobs: int = 1) -> in
             f"oracle enumeration over {g.edge_count} edges exceeds the limit "
             f"of {limit}; raise max_edges to override"
         )
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and g.edge_count > g.n:
         tasks = [(g, first) for first in range(g.edge_count)]
         with multiprocessing.Pool(jobs) as pool:

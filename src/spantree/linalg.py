@@ -3,7 +3,9 @@
 The determinant uses fraction-free (Bareiss) elimination: every division is
 by the previous pivot and is exact in the underlying integral domain, so no
 rational arithmetic ever appears.  The elimination core is generic so the
-weighted module can reuse it over polynomial entries.
+weighted module can reuse it over polynomial entries.  A division-free
+expansion determinant serves small polynomial matrices, where an exact
+polynomial division costs more than the exponential number of minors.
 """
 
 from __future__ import annotations
@@ -112,6 +114,41 @@ def fraction_free_determinant(
         prev = pk
     det = a[n - 1][n - 1]
     return -det if negate else det
+
+
+def expansion_determinant(rows: Sequence[Sequence[T]], *, zero: T, one: T) -> T:
+    """Determinant of a square matrix over a commutative ring, division free.
+
+    Laplace expansion along the rows, memoised on the set of columns the
+    rows so far have taken: after row i, ``partial[S]`` is the signed sum of
+    the products choosing the columns S for rows 1..i.  Zero entries and
+    zero partial sums are skipped, so a sparse matrix reaches few sets; the
+    worst case is 2**n sets.  Entries must support ``*``, ``+`` and ``-`` and
+    be falsy exactly when zero.  The 0x0 determinant is one.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    partial = {0: one}
+    for row in rows:
+        grown: dict[int, T] = {}
+        for used, value in partial.items():
+            if not value:
+                continue
+            for j, entry in enumerate(row):
+                bit = 1 << j
+                if used & bit or not entry:
+                    continue
+                term = entry * value
+                key = used | bit
+                prev = grown.get(key)
+                # each used column right of j is one inversion
+                if (used >> j).bit_count() & 1:
+                    grown[key] = -term if prev is None else prev - term
+                else:
+                    grown[key] = term if prev is None else prev + term
+        partial = grown
+    return partial.get((1 << n) - 1, zero)
 
 
 def determinant(m: ExactMatrix) -> int:

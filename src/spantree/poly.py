@@ -9,6 +9,7 @@ is stable across runs.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ExactnessError
@@ -65,6 +66,15 @@ class MultiPoly:
     def monomial(cls, nvars: int, exps: Sequence[int], coeff: int = 1) -> "MultiPoly":
         return cls(nvars, {tuple(exps): coeff})
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[ExponentVector, int]) -> "MultiPoly":
+        """Result of a ring operation: the exponent tuples are already valid,
+        only zero coefficients are dropped."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p._terms = {e: c for e, c in terms.items() if c}
+        return p
+
     def _coerce(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, MultiPoly):
             if other.nvars != self.nvars:
@@ -85,12 +95,12 @@ class MultiPoly:
         terms = dict(self._terms)
         for exps, coeff in other._terms.items():
             terms[exps] = terms.get(exps, 0) + coeff
-        return MultiPoly(self.nvars, terms)
+        return MultiPoly._of(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = self._coerce(other)
@@ -108,9 +118,9 @@ class MultiPoly:
         terms: dict[ExponentVector, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 terms[key] = terms.get(key, 0) + c1 * c2
-        return MultiPoly(self.nvars, terms)
+        return MultiPoly._of(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -146,19 +156,19 @@ class MultiPoly:
         while rem:
             r_e = max(rem, key=_order_key)
             r_c = rem[r_e]
-            t_e = tuple(a - b for a, b in zip(r_e, lead_e))
+            t_e = tuple(map(sub, r_e, lead_e))
             if any(e < 0 for e in t_e) or r_c % lead_c:
                 raise ExactnessError("polynomial division left a remainder")
             t_c = r_c // lead_c
             quot[t_e] = quot.get(t_e, 0) + t_c
             for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(t_e, e2))
+                key = tuple(map(add, t_e, e2))
                 new = rem.get(key, 0) - t_c * c2
                 if new:
                     rem[key] = new
                 else:
                     rem.pop(key, None)
-        return MultiPoly(self.nvars, quot)
+        return MultiPoly._of(self.nvars, quot)
 
     # -- queries --------------------------------------------------------
 

@@ -139,6 +139,18 @@ def _peel(
     return removed, 0
 
 
+def _checked_order(
+    g: Graph, order: list[int], u_set: frozenset[int]
+) -> ConstructionOrder:
+    """A successful peel as a construction order, its roles re-derived."""
+    roles = derive_roles(g, order, u_set)
+    if roles is None:
+        raise OrderInconsistencyError(
+            "peeling produced an order that violates the construction condition"
+        )
+    return ConstructionOrder(tuple(order), u_set, tuple(roles))
+
+
 def u_threshold_order(
     g: Graph,
     u: Iterable[int],
@@ -156,9 +168,7 @@ def u_threshold_order(
     order, _ = _peel(g, g.full_mask(), u_mask, tie_break)
     if order is None:
         return None
-    roles = derive_roles(g, order, u_set)
-    assert roles is not None, "peeling produced an invalid order"
-    return ConstructionOrder(tuple(order), u_set, tuple(roles))
+    return _checked_order(g, order, u_set)
 
 
 def u_threshold_obstruction(g: Graph, u: Iterable[int]) -> frozenset[int] | None:
@@ -219,9 +229,7 @@ def special_2_threshold_order(
         order, _ = _peel(g, full, u_mask)
         if order is not None:
             u_set = frozenset(vertices_of(u_mask))
-            roles = derive_roles(g, order, u_set)
-            assert roles is not None
-            return u_set, ConstructionOrder(tuple(order), u_set, tuple(roles))
+            return u_set, _checked_order(g, order, u_set)
     return None
 
 

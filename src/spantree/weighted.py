@@ -13,7 +13,7 @@ from typing import Sequence
 from .counting import spanning_trees
 from .errors import TriangularityError
 from .graph import Graph, PartitionShape
-from .linalg import fraction_free_determinant
+from .linalg import expansion_determinant, fraction_free_determinant
 from .poly import MultiPoly, poly_prod, poly_sum
 from .recognition import (
     ROLE_U_DOMINATING,
@@ -122,6 +122,33 @@ def weighted_oracle(g: Graph, *, max_edges: int | None = None) -> MultiPoly:
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + 1
     return MultiPoly(g.n, terms)
+
+
+def weighted_matrix_tree_count(g: Graph) -> MultiPoly:
+    """Enumerator as the weighted Kirchhoff cofactor, without any division.
+
+    Row i of the weighted Laplacian is x_i times the linear row M_i with
+    M_ii the neighbor sum of i and M_ij = -x_j on edges, so the cofactor at
+    a vertex r is (prod_{i != r} x_i) * det(M without row and column r).
+    Deleting a highest-degree vertex (lowest label on ties) leaves the
+    sparsest matrix for the expansion determinant; every r gives the same
+    polynomial.  The expansion is exponential in n.
+    """
+    n = g.n
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    r = min(g.vertices, key=lambda v: (-g.degree(v), v))
+    rest = [v for v in g.vertices if v != r]
+    zero = MultiPoly.zero(n)
+    rows = [
+        [
+            _neighbor_sum(g, i) if i == j else (-_var(n, j) if g.has_edge(i, j) else zero)
+            for j in rest
+        ]
+        for i in rest
+    ]
+    det = expansion_determinant(rows, zero=zero, one=MultiPoly.const(n, 1))
+    return det * poly_prod(n, (_var(n, v) for v in rest))
 
 
 def _coerce_vector(n: int, vec: Sequence[MultiPoly | int]) -> list[MultiPoly]:

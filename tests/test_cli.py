@@ -1,12 +1,21 @@
 import json
 
+import pytest
+
 from spantree import (
     ConstructionOrder,
+    Graph,
+    PartitionShape,
+    complete,
+    ferrers_graph,
+    format_edge_list,
     parse_edge_list,
     threshold_order,
     weighted_count_threshold,
     weighted_oracle,
+    weighted_perturbation_count,
 )
+import spantree.counting
 from spantree.cli import main
 from sample_graphs import FIXTURES
 
@@ -77,6 +86,50 @@ def test_count_oracle_jobs(capsys):
         capsys, "count", fixture("k4.txt"), "--method", "oracle", "--jobs", "2", "--json"
     )
     assert payload["count"] == 16
+
+
+def test_count_oracle_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(spantree.counting.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(spantree.counting.os, "cpu_count", lambda: 3)
+    payload = run_json(
+        capsys, "count", fixture("k4.txt"), "--method", "oracle", "--jobs", "1000", "--json"
+    )
+    assert payload["count"] == 16
+    assert started == [3]
+
+
+def test_bad_jobs_and_search_limit_exit_2(capsys):
+    for argv in (
+        ("count", fixture("k4.txt"), "--method", "oracle", "--jobs", "0"),
+        ("count", fixture("k4.txt"), "--jobs", "-2"),
+        ("count", fixture("k4.txt"), "--jobs", "two"),
+        ("count", fixture("house_with_tail.txt"), "--u-search-limit", "-1"),
+        ("weighted", fixture("house_with_tail.txt"), "--u-search-limit", "-1"),
+        ("classify", fixture("k4.txt"), "--u-search-limit", "-1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2, argv
+        assert f"argument {argv[-2]}" in capsys.readouterr().err, argv
+    payload = run_json(
+        capsys, "count", fixture("house_with_tail.txt"), "--u-search-limit", "0", "--json"
+    )
+    assert payload["method"] == "matrix-tree"
 
 
 def test_count_verify(capsys):
@@ -187,10 +240,39 @@ def test_capability_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.startswith("16")
     monkeypatch.delenv("SPANTREE_ORACLE_LIMIT")
 
+    # K25 minus two disjoint edges: neither threshold nor Ferrers, so the
+    # U-search cap still refuses it
     big = tmp_path / "big.txt"
-    big.write_text("25 0\n")
+    edges = [e for e in complete(25).edges() if e not in ((1, 2), (3, 4))]
+    big.write_text(format_edge_list(Graph(25, edges)))
     assert run(capsys, "classify", str(big))[0] == 3
     assert run(capsys, "classify", str(big), "--u-search-limit", "25")[0] == 0
+
+
+def test_classify_recognized_members_past_the_search_cap(capsys, tmp_path):
+    # n > --u-search-limit, but recognized as threshold or Ferrers first
+    members = {
+        "k25": complete(25),
+        "edgeless25": Graph(25),
+        "ferrers30": ferrers_graph(
+            PartitionShape([15, 12, 12, 9, 7, 7, 4, 3, 1, 1, 1, 1, 1, 1, 1])
+        ),
+    }
+    for name, g in members.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(format_edge_list(g))
+        payload = run_json(capsys, "classify", str(path), "--json")
+        cls = payload["classification"]
+        assert cls["special_2_threshold"], name
+        assert cls["threshold"] == (name != "ferrers30"), name
+        assert cls["ferrers"] == (name == "ferrers30"), name
+        raw = payload["construction_order"]
+        co = ConstructionOrder(tuple(raw["order"]), frozenset(raw["u_set"]), tuple(raw["roles"]))
+        co.check(g)
+        assert raw["u_set"] == cls["u_set"], name
+    # below the cap the answer is the U-search's own, unchanged
+    payload = run_json(capsys, "classify", fixture("k4.txt"), "--json")
+    assert payload["classification"]["u_set"] == [1, 2, 3, 4]
 
 
 def test_exactness_exit_code(capsys, monkeypatch):
@@ -229,6 +311,17 @@ def test_weighted_cli_methods_agree(capsys):
     for method in ("auto", "perturbation", "oracle"):
         payload = run_json(capsys, "weighted", fixture("special5.txt"), "--method", method, "--json")
         assert payload["polynomial"] == expected, method
+
+
+def test_weighted_cli_auto_uses_the_weighted_cofactor_off_the_families(capsys):
+    for name in ("house_with_tail.txt", "c5.txt", "two_k2.txt"):
+        g = parse_edge_list((FIXTURES / name).read_text())
+        payload = run_json(capsys, "weighted", fixture(name), "--json")
+        assert payload["method"] == "matrix-tree", name
+        assert payload["classification"] is None and payload["construction_order"] is None
+        assert payload["polynomial"] == str(weighted_oracle(g)), name
+        assert payload["polynomial"] == str(weighted_perturbation_count(g, [1] * g.n, [1] * g.n))
+    assert run_json(capsys, "weighted", fixture("two_k2.txt"), "--json")["polynomial"] == "0"
 
 
 def test_weighted_cli_formula_rejects_generic_graphs(capsys):

@@ -6,6 +6,7 @@ from spantree import (
     CapabilityExceededError,
     ConstructionOrder,
     Graph,
+    OrderInconsistencyError,
     canonical_order,
     complete,
     complete_multipartite,
@@ -18,6 +19,7 @@ from spantree import (
     u_threshold_obstruction,
     u_threshold_order,
 )
+import spantree.recognition
 from spantree.recognition import FAMILY_PATTERNS, PATTERNS, derive_roles
 from sample_graphs import (
     C5,
@@ -371,3 +373,13 @@ def test_nesting_report_vacuous_on_edgeless():
 def test_nesting_report_requires_u_threshold_input():
     with pytest.raises(ValueError):
         nesting_report(TWO_K2, {1, 2})
+
+
+def test_peel_result_is_rechecked_without_assert(monkeypatch):
+    # a peel whose order fails the role re-derivation raises a real error,
+    # which python -O cannot strip
+    monkeypatch.setattr(spantree.recognition, "derive_roles", lambda g, order, u: None)
+    with pytest.raises(OrderInconsistencyError):
+        u_threshold_order(SPECIAL5, SPECIAL5_U)
+    with pytest.raises(OrderInconsistencyError):
+        special_2_threshold_order(SPECIAL5)

@@ -1,14 +1,20 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spantree import (
+    ExactMatrix,
     Graph,
     MultiPoly,
     complete,
+    expansion_determinant,
     ferrers_graph,
     ferrers_structure,
+    fraction_free_determinant,
     matrix_tree_count,
+    minor_determinant,
     oracle_count,
     perturbation_count,
     special_2_threshold_order,
@@ -21,9 +27,11 @@ from spantree import (
     weighted_count_threshold,
     weighted_degree,
     weighted_laplacian,
+    weighted_matrix_tree_count,
     weighted_oracle,
     weighted_perturbation_count,
 )
+from spantree.linalg import exact_int_div
 from spantree.poly import poly_prod
 from spantree.weighted import PolyMatrix
 from sample_graphs import (
@@ -247,3 +255,164 @@ def test_poly_matrix_validation():
     assert pm.entry(1, 1) == MultiPoly.const(1, 7)
     with pytest.raises(ValueError):
         pm.entry(2, 1)
+
+
+# -- the weighted Kirchhoff cofactor ----------------------------------------
+
+
+def _relabeled(g, perm):
+    """g with vertex v renamed perm[v - 1]."""
+    return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
+
+
+def _renamed_variables(poly, perm):
+    """poly with x_v renamed x_perm[v - 1]."""
+    terms = {}
+    for exps, coeff in poly.terms():
+        moved = [0] * poly.nvars
+        for v, e in enumerate(exps, 1):
+            moved[perm[v - 1] - 1] = e
+        terms[tuple(moved)] = coeff
+    return MultiPoly(poly.nvars, terms)
+
+
+def _value_at(poly, point):
+    total = 0
+    for exps, coeff in poly.terms():
+        for base, e in zip(point, exps):
+            coeff *= base**e
+        total += coeff
+    return total
+
+
+def test_weighted_matrix_tree_goldens():
+    assert weighted_matrix_tree_count(Graph(1)) == MultiPoly.const(1, 1)
+    assert weighted_matrix_tree_count(Graph(2)).is_zero()
+    assert weighted_matrix_tree_count(Graph(4, [(1, 2), (3, 4)])).is_zero()
+    k3 = complete(3)
+    assert weighted_matrix_tree_count(k3) == x(3, 1) * x(3, 2) * x(3, 3) * (
+        x(3, 1) + x(3, 2) + x(3, 3)
+    )
+    path = Graph(3, [(1, 2), (2, 3)])
+    assert weighted_matrix_tree_count(path) == x(3, 1) * x(3, 2) * x(3, 2) * x(3, 3)
+    with pytest.raises(ValueError):
+        weighted_matrix_tree_count(Graph(0))
+
+
+def test_weighted_matrix_tree_matches_oracle_and_perturbation():
+    # the perturbation's polynomial Bareiss takes seconds past ~8 edges
+    rng = random.Random(73)
+    graphs = [Graph(1), Graph(3), Graph(4, [(1, 2), (3, 4)]), HOUSE_TAIL]
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        pairs = list(combinations(range(1, n + 1), 2))
+        m = rng.randint(0, min(len(pairs), 8))
+        graphs.append(Graph(n, rng.sample(pairs, m)))
+    assert any(not g.edge_count for g in graphs[4:])
+    for g in graphs:
+        ones = [1] * g.n
+        poly = weighted_matrix_tree_count(g)
+        assert poly == weighted_oracle(g), g
+        assert poly == weighted_perturbation_count(g, ones, ones), g
+
+
+def test_weighted_matrix_tree_matches_oracle_on_every_graph_up_to_six():
+    for g in atlas_graphs(6):
+        assert weighted_matrix_tree_count(g) == weighted_oracle(g), g
+
+
+def test_weighted_matrix_tree_relabeling_permutes_variables():
+    rng = random.Random(79)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 8), 0.5)
+        perm = list(range(1, g.n + 1))
+        rng.shuffle(perm)
+        expected = _renamed_variables(weighted_matrix_tree_count(g), perm)
+        assert weighted_matrix_tree_count(_relabeled(g, perm)) == expected, (g, perm)
+
+
+def test_weighted_matrix_tree_specializes_to_counts():
+    rng = random.Random(83)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 9), 0.45)
+        assert weighted_matrix_tree_count(g).substitute_all_ones() == matrix_tree_count(g), g
+
+
+def test_weighted_matrix_tree_at_a_point_n10():
+    # beyond the oracle's reach: compare with the integer cofactor of the
+    # weighted Laplacian evaluated at a random point
+    rng = random.Random(89)
+    for p in (0.3, 0.5):
+        g = random_graph(rng, 10, p)
+        point = [rng.randint(1, 9) for _ in range(g.n)]
+        lap = ExactMatrix(
+            [
+                [
+                    point[i - 1] * sum(point[w - 1] for w in g.neighbors(i))
+                    if i == j
+                    else (-point[i - 1] * point[j - 1] if g.has_edge(i, j) else 0)
+                    for j in g.vertices
+                ]
+                for i in g.vertices
+            ]
+        )
+        poly = weighted_matrix_tree_count(g)
+        assert _value_at(poly, point) == minor_determinant(lap, 1, 1)
+        assert poly.substitute_all_ones() == matrix_tree_count(g)
+
+
+def test_expansion_determinant_goldens():
+    assert expansion_determinant([], zero=0, one=1) == 1
+    assert expansion_determinant([[0, 1], [1, 0]], zero=0, one=1) == -1
+    assert expansion_determinant([[0, 0, 2], [0, 3, 0], [5, 0, 0]], zero=0, one=1) == -30
+    assert expansion_determinant([[1, 2], [2, 4]], zero=0, one=1) == 0
+    with pytest.raises(ValueError):
+        expansion_determinant([[1, 2]], zero=0, one=1)
+
+
+def test_expansion_determinant_over_polynomials():
+    rng = random.Random(101)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        rows = [
+            [
+                MultiPoly(2, {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)})
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        zero, one = MultiPoly.zero(2), MultiPoly.const(2, 1)
+        assert expansion_determinant(rows, zero=zero, one=one) == PolyMatrix(rows).determinant()
+
+
+@st.composite
+def small_graphs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_weighted_matrix_tree_property(g):
+    poly = weighted_matrix_tree_count(g)
+    assert poly == weighted_oracle(g)
+    assert poly.substitute_all_ones() == matrix_tree_count(g)
+
+
+# zeros drawn often, so sparse matrices exercise the skipped entries
+_entries = st.one_of(st.just(0), st.integers(-9, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(_entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_expansion_determinant_matches_bareiss(rows):
+    expected = fraction_free_determinant(rows, zero=0, one=1, exact_div=exact_int_div)
+    assert expansion_determinant(rows, zero=0, one=1) == expected
