@@ -2,7 +2,8 @@
 fastest applicable method, and emit weighted enumerators.
 
 Exit codes: 0 success, 2 malformed input or inapplicable request, 3 a
-capability guard refused to run, 4 an internal exactness check failed.
+capability guard refused to run, 4 an internal check failed (an inexact
+division, an inconsistent order or a non-triangular perturbation).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .counting import (
     oracle_count,
     perturbation_count,
     special_2_threshold_count,
-    threshold_count,
 )
 from .errors import (
     CapabilityExceededError,
@@ -39,16 +39,14 @@ from .recognition import (
     FAMILY_SPECIAL_2_THRESHOLD,
     FAMILY_THRESHOLD,
     ConstructionOrder,
-    FerrersStructure,
     ferrers_structure,
     forbidden_witness,
+    route,
     special_2_threshold_order,
     threshold_order,
 )
 from .weighted import (
-    weighted_count_ferrers,
     weighted_count_special_2threshold,
-    weighted_count_threshold,
     weighted_matrix_tree_count,
     weighted_oracle,
     weighted_perturbation_count,
@@ -220,33 +218,27 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _recognize(
-    g: Graph, method: str, search_limit: int
-) -> tuple[str, ConstructionOrder, FerrersStructure | None] | None:
-    """First family that recognizes g, cheapest test first: (family, its
-    construction order, the Ferrers structure when the family is Ferrers),
-    or None.  Past its cap the U-search is skipped, unless ``method`` is
-    "formula", which also raises when no family applies."""
-    co = threshold_order(g)
-    if co is not None:
-        return FAMILY_THRESHOLD, co, None
-    fs = ferrers_structure(g)
-    if fs is not None:
-        return FAMILY_FERRERS, fs.construction_order(), fs
-    found = None
+def _routed(
+    g: Graph, method: str, search_limit: int, formula: Callable, cofactor: Callable
+) -> tuple[object, str, ConstructionOrder | None, dict | None]:
+    """The degree-product ``formula`` when ``route`` recognizes g, the
+    ``cofactor`` otherwise.  Past its cap the U-search is skipped, unless
+    ``method`` is "formula", which also raises when no family applies."""
     try:
-        found = special_2_threshold_order(g, max_vertices=search_limit)
+        routed = route(g, search_limit=search_limit)
     except CapabilityExceededError:
         if method == "formula":
             raise
-    if found is not None:
-        return FAMILY_SPECIAL_2_THRESHOLD, found[1], None
-    if method == "formula":
-        raise ValueError(
-            "no family formula applies: graph is not threshold, ferrers, "
-            "or special 2-threshold"
-        )
-    return None
+        routed = None
+    if routed is None:
+        if method == "formula":
+            raise ValueError(
+                "no family formula applies: graph is not threshold, ferrers, "
+                "or special 2-threshold"
+            )
+        return cofactor(g), "matrix-tree", None, None
+    family, co = routed
+    return formula(g, co), f"formula:{family}", co, {"family": family}
 
 
 def _count_graph(
@@ -265,18 +257,7 @@ def _count_graph(
             None,
             None,
         )
-
-    recognized = _recognize(g, method, search_limit)
-    if recognized is None:
-        return matrix_tree_count(g), "matrix-tree", None, None
-    family, co, fs = recognized
-    if family == FAMILY_THRESHOLD:
-        count = threshold_count(g, co)
-    elif family == FAMILY_FERRERS:
-        count = ferrers_count(fs)
-    else:
-        count = special_2_threshold_count(g, co)
-    return count, f"formula:{family}", co, {"family": family}
+    return _routed(g, method, search_limit, special_2_threshold_count, matrix_tree_count)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -362,17 +343,9 @@ def _weighted_graph(
         return weighted_perturbation_count(g, ones, ones), "perturbation", None, None
     if method == "oracle":
         return weighted_oracle(g, max_edges=_oracle_limit()), "oracle", None, None
-    recognized = _recognize(g, method, search_limit)
-    if recognized is None:
-        return weighted_matrix_tree_count(g), "matrix-tree", None, None
-    family, co, fs = recognized
-    if family == FAMILY_THRESHOLD:
-        poly = weighted_count_threshold(g, co)
-    elif family == FAMILY_FERRERS:
-        poly = weighted_count_ferrers(fs)
-    else:
-        poly = weighted_count_special_2threshold(g, co)
-    return poly, f"formula:{family}", co, {"family": family}
+    return _routed(
+        g, method, search_limit, weighted_count_special_2threshold, weighted_matrix_tree_count
+    )
 
 
 def cmd_weighted(args: argparse.Namespace) -> int:
@@ -466,12 +439,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapabilityExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ExactnessError as exc:
+    except SpantreeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except SpantreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Spanning-tree counting: a brute-force oracle, the Laplacian cofactor
-route, rank-one perturbations, and the closed-form family formulas.
+route, rank-one perturbations, and the closed-form formulas: the one
+degree-product formula over a construction order, and the complete,
+multipartite and shape-only Ferrers products.
 
 All divisions prescribed by the formulas are performed in exact integer
 arithmetic with a remainder check; a nonzero remainder means the input
@@ -21,16 +23,16 @@ from .linalg import (
     determinant,
     exact_int_div,
     is_upper_triangular,
+    laplacian,
     minor_determinant,
     rank_one_update,
 )
 from .recognition import (
+    DEFAULT_SEARCH_LIMIT,
     ROLE_U_DOMINATING,
     ConstructionOrder,
     FerrersStructure,
-    ferrers_structure,
-    special_2_threshold_order,
-    threshold_order,
+    route,
 )
 
 #: Default limit on the edge count of graphs fed to the subset-enumeration
@@ -57,6 +59,20 @@ def _tree_check(n: int, subset: Sequence[tuple[int, int]]) -> bool:
     return True
 
 
+def _oracle_edge_limit(g: Graph, max_edges: int | None) -> int:
+    """The oracle's edge limit (default DEFAULT_ORACLE_LIMIT), after
+    refusing graphs without vertices or with more edges than that."""
+    limit = DEFAULT_ORACLE_LIMIT if max_edges is None else max_edges
+    if g.n < 1:
+        raise ValueError("need at least one vertex")
+    if g.edge_count > limit:
+        raise CapabilityExceededError(
+            f"oracle enumeration over {g.edge_count} edges exceeds the limit "
+            f"of {limit}; raise max_edges to override"
+        )
+    return limit
+
+
 def spanning_trees(
     g: Graph, *, max_edges: int | None = None
 ) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -66,14 +82,7 @@ def spanning_trees(
     inputs; the guard refuses graphs with more than max_edges edges
     (default DEFAULT_ORACLE_LIMIT).
     """
-    limit = DEFAULT_ORACLE_LIMIT if max_edges is None else max_edges
-    if g.n < 1:
-        raise ValueError("need at least one vertex")
-    if g.edge_count > limit:
-        raise CapabilityExceededError(
-            f"oracle enumeration over {g.edge_count} edges exceeds the limit "
-            f"of {limit}; raise max_edges to override"
-        )
+    _oracle_edge_limit(g, max_edges)
     edges = g.edges()
     if g.n == 1:
         yield ()
@@ -102,14 +111,7 @@ def oracle_count(g: Graph, *, max_edges: int | None = None, jobs: int = 1) -> in
     their cross-check.  ``jobs > 1`` splits the enumeration by leading edge
     across worker processes, at most one per CPU.
     """
-    limit = DEFAULT_ORACLE_LIMIT if max_edges is None else max_edges
-    if g.n < 1:
-        raise ValueError("need at least one vertex")
-    if g.edge_count > limit:
-        raise CapabilityExceededError(
-            f"oracle enumeration over {g.edge_count} edges exceeds the limit "
-            f"of {limit}; raise max_edges to override"
-        )
+    limit = _oracle_edge_limit(g, max_edges)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and g.edge_count > g.n:
         tasks = [(g, first) for first in range(g.edge_count)]
@@ -123,16 +125,12 @@ def matrix_tree_count(g: Graph) -> int:
     determinant.  A single vertex counts one (empty) tree."""
     if g.n < 1:
         raise ValueError("need at least one vertex")
-    from .linalg import laplacian
-
     return minor_determinant(laplacian(g), 1, 1)
 
 
 def perturbation_count(g: Graph, a: Sequence[int], b: Sequence[int]) -> int:
     """det(L + a b^T) / (sum a * sum b) for any integer vectors with nonzero
     sums; the quotient is the spanning-tree count regardless of a and b."""
-    from .linalg import laplacian
-
     sa, sb = sum(a), sum(b)
     if sa == 0 or sb == 0:
         raise ValueError("vector sums must be nonzero for the perturbation count")
@@ -205,16 +203,11 @@ def multipartite_count(sizes: Iterable[int]) -> int:
 
 
 def threshold_count(g: Graph, co: ConstructionOrder) -> int:
-    """Degree-product formula for threshold graphs: dominating vertices
-    contribute deg+1, isolated vertices deg, divided by n; the initial
-    vertex contributes nothing."""
-    co.check(g)
+    """Merris' formula for threshold graphs: the degree-product formula on a
+    construction order with U = V."""
     if co.u_set != g.vertex_set():
         raise ValueError("threshold count needs a construction order with U = V")
-    numerator = prod(
-        g.degree(v) + 1 for v in co.u_dominating_vertices()
-    ) * prod(g.degree(v) for v in co.isolated_vertices())
-    return exact_int_div(numerator, g.n)
+    return special_2_threshold_count(g, co)
 
 
 def ferrers_count(shape: PartitionShape | FerrersStructure | Iterable[int]) -> int:
@@ -230,47 +223,46 @@ def ferrers_count(shape: PartitionShape | FerrersStructure | Iterable[int]) -> i
 
 
 def special_2_threshold_count(g: Graph, co: ConstructionOrder) -> int:
-    """Degree-product formula for a U-threshold presentation.
+    """The degree-product formula over a construction order, for every
+    special 2-threshold graph (threshold and Ferrers graphs included).
 
     Vertices that are u_dominating and inside U contribute deg+1, everything
-    else deg, divided by |D| * |U|.  When D or U is empty the graph is
-    edgeless and the formula is undefined; those inputs fall back to the
-    cofactor count.
+    else deg, and the product is divided by |D| * |U|, D the u_dominating
+    vertices.  Each denominator cancels one factor, and is divided out of
+    that factor with a remainder check: without isolated vertices, the
+    initial vertex is in U with exactly D as neighbors, so its factor is
+    |D|; and every U-vertex comes no later than the last u_dominating vertex
+    w, which no later vertex touches, so w's factor is |U|.  A zero factor
+    (an isolated vertex) means g is disconnected and counts 0.  Empty D or U
+    means g is edgeless: 1 for a single vertex, 0 otherwise.
     """
     co.check(g)
     dom = co.u_dominating_vertices()
     if not dom or not co.u_set:
-        return matrix_tree_count(g)
+        return 1 if g.n == 1 else 0
     bonus = dom & co.u_set
-    numerator = prod(
-        g.degree(v) + 1 if v in bonus else g.degree(v) for v in g.vertices
-    )
-    return exact_int_div(numerator, len(dom) * len(co.u_set))
+    factors = {v: g.degree(v) + 1 if v in bonus else g.degree(v) for v in g.vertices}
+    if 0 in factors.values():
+        return 0
+    first = exact_int_div(factors.pop(co.order[0]), len(dom))
+    last = exact_int_div(factors.pop(co.last_u_dominating_vertex()), len(co.u_set))
+    return first * last * prod(factors.values())
 
 
 def auto_count(
-    g: Graph, *, search_limit: int | None = None
+    g: Graph, *, search_limit: int = DEFAULT_SEARCH_LIMIT
 ) -> tuple[int, str]:
-    """Fastest applicable method: a family formula when the graph is
-    recognized, the Laplacian cofactor otherwise.  Returns (count, method).
+    """Fastest applicable method: the degree-product formula when ``route``
+    recognizes the graph, the Laplacian cofactor otherwise.  Returns (count,
+    method).
 
     The U-search is skipped (not failed) when the graph exceeds its cap.
     """
-    co = threshold_order(g)
-    if co is not None:
-        return threshold_count(g, co), "formula:threshold"
-    fs = ferrers_structure(g)
-    if fs is not None:
-        return ferrers_count(fs), "formula:ferrers"
     try:
-        found = (
-            special_2_threshold_order(g)
-            if search_limit is None
-            else special_2_threshold_order(g, max_vertices=search_limit)
-        )
+        routed = route(g, search_limit=search_limit)
     except CapabilityExceededError:
-        found = None
-    if found is not None:
-        _, co = found
-        return special_2_threshold_count(g, co), "formula:special-2-threshold"
-    return matrix_tree_count(g), "matrix-tree"
+        routed = None
+    if routed is None:
+        return matrix_tree_count(g), "matrix-tree"
+    family, co = routed
+    return special_2_threshold_count(g, co), f"formula:{family}"

@@ -55,6 +55,14 @@ class ConstructionOrder:
             v for v, r in zip(self.order, self.roles) if r == ROLE_U_DOMINATING
         )
 
+    def last_u_dominating_vertex(self) -> int:
+        """The u_dominating vertex that comes last in the order; ValueError
+        when there is none."""
+        for v, r in zip(reversed(self.order), reversed(self.roles)):
+            if r == ROLE_U_DOMINATING:
+                return v
+        raise ValueError("construction order has no u_dominating vertex")
+
     def isolated_vertices(self) -> frozenset[int]:
         """Vertices tagged isolated, the initial vertex excluded."""
         return frozenset(
@@ -495,6 +503,31 @@ def ferrers_structure(g: Graph) -> FerrersStructure | None:
             if shape.parts[i - 1] == j:
                 traversal.append(rows[i - 1])
     return FerrersStructure(tuple(rows), tuple(cols), shape, tuple(traversal))
+
+
+# ---------------------------------------------------------------------------
+# Routing
+
+
+def route(
+    g: Graph, *, search_limit: int = DEFAULT_SEARCH_LIMIT
+) -> tuple[Family, ConstructionOrder] | None:
+    """First family that recognizes g, cheapest test first, with a
+    construction order for the degree-product formula; None when g is in
+    none of them.
+
+    Threshold graphs get U = V, Ferrers graphs their staircase traversal
+    with U the columns, anything else the U-search, which raises
+    CapabilityExceededError when g has more than ``search_limit`` vertices.
+    """
+    co = threshold_order(g)
+    if co is not None:
+        return FAMILY_THRESHOLD, co
+    fs = ferrers_structure(g)
+    if fs is not None:
+        return FAMILY_FERRERS, fs.construction_order()
+    found = special_2_threshold_order(g, max_vertices=search_limit)
+    return None if found is None else (FAMILY_SPECIAL_2_THRESHOLD, found[1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ from typing import Sequence
 
 from .counting import spanning_trees
 from .errors import TriangularityError
-from .graph import Graph, PartitionShape
+from .graph import Graph, PartitionShape, ferrers_graph
 from .linalg import expansion_determinant, fraction_free_determinant
 from .poly import MultiPoly, poly_prod, poly_sum
 from .recognition import (
     ROLE_U_DOMINATING,
     ConstructionOrder,
     FerrersStructure,
+    ferrers_structure,
 )
 
 
@@ -230,73 +231,43 @@ def weighted_cayley_prufer(n: int) -> MultiPoly:
 
 
 def weighted_count_threshold(g: Graph, co: ConstructionOrder) -> MultiPoly:
-    """Closed form for threshold graphs: (prod x_v) times (x_v + neighbor
-    sum) over dominating vertices times neighbor sums over isolated
-    vertices, divided by the sum of all variables."""
-    co.check(g)
+    """Closed form for threshold graphs: the weighted degree-product formula
+    on a construction order with U = V."""
     if co.u_set != g.vertex_set():
         raise ValueError("threshold enumerator needs a construction order with U = V")
-    n = g.n
-    numerator = poly_prod(n, (_var(n, v) for v in g.vertices))
-    numerator *= poly_prod(
-        n,
-        (
-            _var(n, v) + _neighbor_sum(g, v)
-            for v in sorted(co.u_dominating_vertices())
-        ),
-    )
-    numerator *= poly_prod(
-        n, (_neighbor_sum(g, v) for v in sorted(co.isolated_vertices()))
-    )
-    return numerator.exact_div(poly_sum(n, (_var(n, v) for v in g.vertices)))
-
-
-def _identity_ferrers_structure(shape: PartitionShape) -> FerrersStructure:
-    """Structure matching ferrers_graph's labeling: rows 1..m, columns
-    m+1..m+cols."""
-    m = shape.rows
-    rows = tuple(range(1, m + 1))
-    cols = tuple(range(m + 1, m + shape.cols + 1))
-    traversal: list[int] = []
-    for j, c in enumerate(cols, 1):
-        traversal.append(c)
-        for i in range(m, 0, -1):
-            if shape.parts[i - 1] == j:
-                traversal.append(rows[i - 1])
-    return FerrersStructure(rows, cols, shape, tuple(traversal))
+    return weighted_count_special_2threshold(g, co)
 
 
 def weighted_count_ferrers(
     fs: FerrersStructure | PartitionShape | Sequence[int],
 ) -> MultiPoly:
-    """Division-free closed form for staircase graphs.
-
-    Product of all vertex variables, times for each row past the first the
-    sum of its columns' variables, times for each column past the first the
-    sum of its rows' variables.  A bare shape uses the constructor's
-    labeling (rows first, then columns).
-    """
-    if not isinstance(fs, FerrersStructure):
-        shape = fs if isinstance(fs, PartitionShape) else PartitionShape(fs)
-        fs = _identity_ferrers_structure(shape)
-    n = len(fs.row_order) + len(fs.col_order)
-    conj = fs.shape.conjugate()
-    result = poly_prod(n, (_var(n, v) for v in fs.row_order + fs.col_order))
-    for i in range(2, len(fs.row_order) + 1):
-        result *= poly_sum(
-            n, (_var(n, fs.col_order[k]) for k in range(fs.shape.parts[i - 1]))
+    """Closed form for staircase graphs: the weighted degree-product formula
+    on the staircase traversal.  A bare shape uses ferrers_graph's labeling
+    (rows first, then columns)."""
+    if isinstance(fs, FerrersStructure):
+        g = Graph(
+            len(fs.row_order) + len(fs.col_order),
+            (
+                (r, fs.col_order[k])
+                for r, length in zip(fs.row_order, fs.shape.parts)
+                for k in range(length)
+            ),
         )
-    for j in range(2, len(fs.col_order) + 1):
-        result *= poly_sum(
-            n, (_var(n, fs.row_order[k]) for k in range(conj.parts[j - 1]))
-        )
-    return result
+    else:
+        g = ferrers_graph(fs)
+        fs = ferrers_structure(g)
+    return weighted_count_special_2threshold(g, fs.construction_order())
 
 
 def weighted_count_special_2threshold(g: Graph, co: ConstructionOrder) -> MultiPoly:
-    """Closed form for a U-threshold presentation: vertices in both D and U
-    contribute (x_v + neighbor sum), all others their neighbor sum, the
-    whole product times prod x_v and divided by (sum over D)(sum over U).
+    """The weighted degree-product formula over a construction order.
+
+    Vertices in both D and U contribute (x_v + neighbor sum), all others
+    their neighbor sum, the whole product times prod x_v and divided by
+    (sum over D)(sum over U).  As in special_2_threshold_count, each sum is
+    divided exactly out of the one factor it cancels: the initial vertex's
+    neighbor sum is the sum over D, and the last u_dominating vertex's
+    factor is the sum over U.  A zero factor (an isolated vertex) gives 0.
 
     Empty D or U means the graph is edgeless; the enumerator is then 1 for a
     single vertex and 0 otherwise.
@@ -307,10 +278,17 @@ def weighted_count_special_2threshold(g: Graph, co: ConstructionOrder) -> MultiP
     if not dom or not co.u_set:
         return MultiPoly.const(n, 1 if n == 1 else 0)
     bonus = dom & co.u_set
-    numerator = poly_prod(n, (_var(n, v) for v in g.vertices))
-    for v in g.vertices:
-        base = _neighbor_sum(g, v)
-        numerator *= base + _var(n, v) if v in bonus else base
-    denom_d = poly_sum(n, (_var(n, v) for v in sorted(dom)))
-    denom_u = poly_sum(n, (_var(n, v) for v in sorted(co.u_set)))
-    return numerator.exact_div(denom_d).exact_div(denom_u)
+    factors = {
+        v: _neighbor_sum(g, v) + _var(n, v) if v in bonus else _neighbor_sum(g, v)
+        for v in g.vertices
+    }
+    if any(f.is_zero() for f in factors.values()):
+        return MultiPoly.zero(n)
+    first = factors.pop(co.order[0]).exact_div(
+        poly_sum(n, (_var(n, v) for v in sorted(dom)))
+    )
+    last = factors.pop(co.last_u_dominating_vertex()).exact_div(
+        poly_sum(n, (_var(n, v) for v in sorted(co.u_set)))
+    )
+    variables = poly_prod(n, (_var(n, v) for v in g.vertices))
+    return first * last * variables * poly_prod(n, factors.values())

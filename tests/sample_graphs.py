@@ -4,9 +4,20 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 from pathlib import Path
 
-from spantree import Graph
+from hypothesis import strategies as st
+
+from spantree import (
+    ConstructionOrder,
+    Graph,
+    ferrers_structure,
+    special_2_threshold_order,
+    threshold_order,
+    u_threshold_order,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -132,3 +143,64 @@ def partitions_up_to(total: int) -> list[tuple[int, ...]]:
 
     grow([], total, total)
     return out
+
+
+def merris_count(g: Graph, co: ConstructionOrder) -> int:
+    """Merris' threshold-graph count, written out on its own: dominating
+    vertices contribute deg+1, isolated ones deg, the initial vertex
+    nothing, and the product is divided by n."""
+    numerator = prod(g.degree(v) + 1 for v in co.u_dominating_vertices())
+    numerator *= prod(g.degree(v) for v in co.isolated_vertices())
+    if numerator % g.n:
+        raise ValueError(f"{numerator} is not divisible by n = {g.n}")
+    return numerator // g.n
+
+
+def relabeled(g: Graph, perm: list[int]) -> Graph:
+    """g with vertex v renamed perm[v - 1]."""
+    return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
+
+
+@st.composite
+def small_graphs(draw, max_n=7):
+    """Hypothesis strategy: a graph on 1..max_n vertices, each pair an edge
+    or not."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+@lru_cache(maxsize=None)
+def labelled_special_members(max_n: int) -> tuple[tuple[Graph, ConstructionOrder], ...]:
+    """Every labelled special 2-threshold graph on 1..max_n vertices, with
+    the U-search's construction order."""
+    out = []
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+            found = special_2_threshold_order(g)
+            if found is not None:
+                out.append((g, found[1]))
+    return tuple(out)
+
+
+def construction_orders(
+    g: Graph, co: ConstructionOrder, rng: random.Random
+) -> list[ConstructionOrder]:
+    """co plus the other construction orders the package builds for g: the
+    threshold order, the Ferrers traversal, and a peel with random
+    tie-breaks for co's U (and for U = V on threshold graphs)."""
+    orders = [co]
+    subsets = [co.u_set]
+    threshold = threshold_order(g)
+    if threshold is not None:
+        orders.append(threshold)
+        subsets.append(threshold.u_set)
+    fs = ferrers_structure(g)
+    if fs is not None:
+        orders.append(fs.construction_order())
+    for u in subsets:
+        orders.append(u_threshold_order(g, u, tie_break=rng.choice))
+    return orders

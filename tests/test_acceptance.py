@@ -49,6 +49,7 @@ from sample_graphs import (
     UTHRESHOLD8,
     UTHRESHOLD8_U,
     atlas_graphs,
+    merris_count,
     partitions_up_to,
     random_graph,
     random_u_threshold_instance,
@@ -248,12 +249,12 @@ def test_criterion_7_weighted_suite():
 def test_criterion_8_reduction_identities():
     for g in (THRESHOLD5, K4):
         co = threshold_order(g)
-        assert special_2_threshold_count(g, co) == threshold_count(g, co)
-        assert weighted_count_special_2threshold(g, co) == weighted_count_threshold(g, co)
+        assert special_2_threshold_count(g, co) == merris_count(g, co)
+        assert weighted_count_special_2threshold(g, co) == weighted_oracle(g)
     for g in (FERRERS3221, K23):
         fs = ferrers_structure(g)
         co = fs.construction_order()
-        assert special_2_threshold_count(g, co) == ferrers_count(fs)
-        assert weighted_count_special_2threshold(g, co) == weighted_count_ferrers(fs)
-    _passed(8, "U = V collapses to the threshold formula, U = columns to the "
-               "staircase formula, unweighted and weighted")
+        assert special_2_threshold_count(g, co) == ferrers_count(fs.shape)
+        assert weighted_count_special_2threshold(g, co) == weighted_oracle(g)
+    _passed(8, "U = V gives Merris' threshold count, U = columns the staircase "
+               "count, and both the weighted enumerator")

@@ -288,6 +288,15 @@ def test_exactness_exit_code(capsys, monkeypatch):
     assert "synthetic failure" in err
 
 
+def test_internal_check_exit_code(capsys, monkeypatch):
+    # a peel whose order fails its own re-check raises OrderInconsistencyError
+    monkeypatch.setattr("spantree.recognition.derive_roles", lambda *args: None)
+    code, out, err = run(capsys, "classify", fixture("k4.txt"))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: peeling produced an order")
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n1 1\n")

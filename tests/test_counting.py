@@ -1,9 +1,13 @@
 import random
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spantree import (
     CapabilityExceededError,
+    ConstructionOrder,
     ExactnessError,
     Graph,
     auto_count,
@@ -27,8 +31,11 @@ from spantree import (
     threshold_count,
     threshold_order,
     u_threshold_order,
+    weighted_count_special_2threshold,
+    weighted_matrix_tree_count,
 )
 from spantree.linalg import exact_int_div
+from spantree.recognition import derive_roles
 from sample_graphs import (
     FERRERS3221,
     HOUSE_TAIL,
@@ -40,8 +47,13 @@ from sample_graphs import (
     THRESHOLD5,
     TWO_K2,
     atlas_graphs,
+    construction_orders,
+    labelled_special_members,
+    merris_count,
     partitions_up_to,
     random_graph,
+    relabeled,
+    small_graphs,
     threshold_graph_from_bits,
 )
 
@@ -294,7 +306,7 @@ def test_special_count_goldens():
 
 def test_special_count_reductions():
     co = threshold_order(THRESHOLD5)
-    assert special_2_threshold_count(THRESHOLD5, co) == threshold_count(THRESHOLD5, co) == 8
+    assert special_2_threshold_count(THRESHOLD5, co) == merris_count(THRESHOLD5, co) == 8
     fs = ferrers_structure(FERRERS3221)
     assert special_2_threshold_count(FERRERS3221, fs.construction_order()) == ferrers_count(fs) == 12
 
@@ -327,6 +339,81 @@ def test_special_formula_agrees_with_matrix_tree():
     assert hits > 5
 
 
+# -- the one formula, in both rings -------------------------------------------------
+
+#: (degree-product formula, Kirchhoff cofactor) per ring.
+RINGS = {
+    "int": (special_2_threshold_count, matrix_tree_count),
+    "poly": (weighted_count_special_2threshold, weighted_matrix_tree_count),
+}
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_one_formula_on_every_labelled_member_up_to_five(ring):
+    formula, cofactor = RINGS[ring]
+    members = labelled_special_members(5)
+    assert len(members) == 774
+    for g, co in members:
+        assert formula(g, co) == cofactor(g), g
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_one_formula_does_not_depend_on_the_order(ring):
+    formula, _ = RINGS[ring]
+    rng = random.Random(107)
+    for g, co in labelled_special_members(5):
+        orders = construction_orders(g, co, rng)
+        assert len({formula(g, o) for o in orders}) == 1, (g, orders)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_one_formula_members_with_an_isolated_vertex_count_zero(ring):
+    formula, cofactor = RINGS[ring]
+    g = Graph(3, [(1, 2)])
+    # the isolated U-vertex 3 comes after the last u_dominating vertex 2, so
+    # 2's factor is deg + 1 = 2, not |U| = 3
+    late = ConstructionOrder(
+        (1, 2, 3), frozenset({1, 2, 3}), ("initial", "u_dominating", "isolated")
+    )
+    k4_plus = Graph(5, combinations(range(1, 5), 2))
+    for h, co in [
+        (g, late),
+        (g, threshold_order(g)),
+        (g, u_threshold_order(g, {1, 2})),
+        (k4_plus, threshold_order(k4_plus)),
+        (k4_plus, u_threshold_order(k4_plus, {1, 2, 3, 4}, tie_break=min)),
+    ]:
+        assert not formula(h, co), (h, co)
+        assert not cofactor(h)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_one_formula_rejects_tampered_orders(ring):
+    formula, _ = RINGS[ring]
+    for g, co in [
+        (SPECIAL5, u_threshold_order(SPECIAL5, SPECIAL5_U)),
+        (THRESHOLD5, threshold_order(THRESHOLD5)),
+        (FERRERS3221, ferrers_structure(FERRERS3221).construction_order()),
+    ]:
+        expected = formula(g, co)
+        tampered = []
+        for i, j in combinations(range(g.n), 2):
+            order = list(co.order)
+            order[i], order[j] = order[j], order[i]
+            swapped = replace(co, order=tuple(order))
+            if derive_roles(g, order, co.u_set) == list(co.roles):
+                assert formula(g, swapped) == expected  # still a valid order
+            else:
+                tampered.append(swapped)
+        for i in range(1, g.n):
+            flipped = "isolated" if co.roles[i] == "u_dominating" else "u_dominating"
+            tampered.append(replace(co, roles=co.roles[:i] + (flipped,) + co.roles[i + 1 :]))
+        assert len(tampered) > g.n
+        for bad in tampered:
+            with pytest.raises(ValueError):
+                formula(g, bad)
+
+
 # -- dispatch -----------------------------------------------------------------------
 
 
@@ -355,3 +442,29 @@ def test_auto_count_skips_oversized_search():
     path = Graph(30, [(i, i + 1) for i in range(1, 30)])
     count, method = auto_count(path)
     assert (count, method) == (1, "matrix-tree")
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(max_n=8), st.randoms(use_true_random=False))
+def test_auto_count_invariant_under_relabeling(g, rng):
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    assert auto_count(relabeled(g, perm)) == auto_count(g)
+
+
+_weights = st.integers(-5, 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    small_graphs(max_n=6).flatmap(
+        lambda g: st.tuples(
+            st.just(g),
+            st.lists(_weights, min_size=g.n, max_size=g.n).filter(sum),
+            st.lists(_weights, min_size=g.n, max_size=g.n).filter(sum),
+        )
+    )
+)
+def test_perturbation_count_does_not_depend_on_a_and_b(case):
+    g, a, b = case
+    assert perturbation_count(g, a, b) == matrix_tree_count(g)

@@ -1,6 +1,8 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spantree import (
     EdgeListParseError,
@@ -187,3 +189,22 @@ def test_parse_edge_list_rejects(text):
 def test_parse_edge_list_comments_and_blanks():
     g = parse_edge_list("# leading comment\n\n3 1  # header\n1 2 # edge\n")
     assert g.n == 3 and g.edges() == ((1, 2),)
+
+
+# Text near the format (digits, blanks, comment marks, signs) and any text.
+# Runs of five or more digits are left out: a header may ask for any vertex
+# count, and the graph is built with that many vertices.
+_edge_list_text = st.one_of(
+    st.text(alphabet="0123456789 \t\n#-+.x", max_size=60),
+    st.text(max_size=60),
+).filter(lambda text: not re.search(r"[\d_]{5,}", text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_list_text)
+def test_parse_edge_list_raises_only_its_own_error(text):
+    try:
+        g = parse_edge_list(text)
+    except EdgeListParseError:
+        return
+    assert_simple(g)

@@ -14,6 +14,7 @@ from spantree import (
     ferrers_structure,
     forbidden_witness,
     nesting_report,
+    route,
     special_2_threshold_order,
     threshold_order,
     u_threshold_obstruction,
@@ -383,3 +384,30 @@ def test_peel_result_is_rechecked_without_assert(monkeypatch):
         u_threshold_order(SPECIAL5, SPECIAL5_U)
     with pytest.raises(OrderInconsistencyError):
         special_2_threshold_order(SPECIAL5)
+
+
+# -- routing ------------------------------------------------------------------
+
+
+def test_route_tries_the_cheap_recognizers_before_the_capped_search():
+    assert route(THRESHOLD5) == ("threshold", threshold_order(THRESHOLD5))
+    assert route(FERRERS3221) == (
+        "ferrers", ferrers_structure(FERRERS3221).construction_order()
+    )
+    family, co = route(SPECIAL5)
+    assert family == "special-2-threshold"
+    co.check(SPECIAL5)
+    assert route(C5) is None
+    # past the cap the threshold and Ferrers recognizers still answer
+    assert route(Graph(30))[0] == "threshold"
+    assert route(ferrers_graph((20, 10)), search_limit=5)[0] == "ferrers"
+    with pytest.raises(CapabilityExceededError):
+        route(C5, search_limit=4)
+
+
+def test_last_u_dominating_vertex():
+    co = u_threshold_order(SPECIAL5, SPECIAL5_U)
+    last = max(i for i, r in enumerate(co.roles) if r == "u_dominating")
+    assert co.last_u_dominating_vertex() == co.order[last]
+    with pytest.raises(ValueError):
+        threshold_order(Graph(3)).last_u_dominating_vertex()

@@ -45,6 +45,8 @@ from sample_graphs import (
     atlas_graphs,
     partitions_up_to,
     random_graph,
+    relabeled,
+    small_graphs,
     threshold_graph_from_bits,
 )
 
@@ -206,15 +208,14 @@ def test_weighted_special_golden():
 
 
 def test_weighted_reductions():
-    # threshold inputs: the U = V form collapses to the threshold form
+    # threshold inputs: the U = V form gives the enumerator
     for g in (THRESHOLD5, K4):
         co = threshold_order(g)
-        assert weighted_count_special_2threshold(g, co) == weighted_count_threshold(g, co)
-    # staircase inputs: the U = columns form collapses to the division-free form
+        assert weighted_count_special_2threshold(g, co) == weighted_oracle(g)
+    # staircase inputs: so does the U = columns form
     for g in (FERRERS3221, K23):
-        fs = ferrers_structure(g)
-        co = fs.construction_order()
-        assert weighted_count_special_2threshold(g, co) == weighted_count_ferrers(fs)
+        co = ferrers_structure(g).construction_order()
+        assert weighted_count_special_2threshold(g, co) == weighted_oracle(g)
 
 
 def test_weighted_special_degenerate():
@@ -258,11 +259,6 @@ def test_poly_matrix_validation():
 
 
 # -- the weighted Kirchhoff cofactor ----------------------------------------
-
-
-def _relabeled(g, perm):
-    """g with vertex v renamed perm[v - 1]."""
-    return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
 
 
 def _renamed_variables(poly, perm):
@@ -328,7 +324,7 @@ def test_weighted_matrix_tree_relabeling_permutes_variables():
         perm = list(range(1, g.n + 1))
         rng.shuffle(perm)
         expected = _renamed_variables(weighted_matrix_tree_count(g), perm)
-        assert weighted_matrix_tree_count(_relabeled(g, perm)) == expected, (g, perm)
+        assert weighted_matrix_tree_count(relabeled(g, perm)) == expected, (g, perm)
 
 
 def test_weighted_matrix_tree_specializes_to_counts():
@@ -383,14 +379,6 @@ def test_expansion_determinant_over_polynomials():
         ]
         zero, one = MultiPoly.zero(2), MultiPoly.const(2, 1)
         assert expansion_determinant(rows, zero=zero, one=one) == PolyMatrix(rows).determinant()
-
-
-@st.composite
-def small_graphs(draw, max_n=7):
-    n = draw(st.integers(1, max_n))
-    pairs = list(combinations(range(1, n + 1), 2))
-    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
 
 
 @settings(max_examples=60, deadline=None)
