@@ -385,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--u-search-limit",
         type=_bounded_int(0),
         default=DEFAULT_SEARCH_LIMIT,
-        help="vertex cap for the exponential U-search",
+        help="vertex cap for the O(n^3) U-search; it keeps larger non-members "
+        "away from the O(n^6) forbidden-subgraph scan",
     )
     p_classify.set_defaults(func=cmd_classify)
 

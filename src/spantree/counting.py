@@ -61,8 +61,11 @@ def _tree_check(n: int, subset: Sequence[tuple[int, int]]) -> bool:
 
 def _oracle_edge_limit(g: Graph, max_edges: int | None) -> int:
     """The oracle's edge limit (default DEFAULT_ORACLE_LIMIT), after
-    refusing graphs without vertices or with more edges than that."""
+    refusing a negative limit, graphs without vertices and graphs with more
+    edges than that."""
     limit = DEFAULT_ORACLE_LIMIT if max_edges is None else max_edges
+    if limit < 0:
+        raise ValueError(f"oracle edge limit must be nonnegative, got {limit}")
     if g.n < 1:
         raise ValueError("need at least one vertex")
     if g.edge_count > limit:

@@ -246,11 +246,17 @@ def is_independent(g: Graph, s: Iterable[int]) -> bool:
     return all(g.neighbor_mask(v) & m == 0 for v in vs)
 
 
+#: Largest vertex count an edge-list header may declare; a graph is built
+#: with one neighbor set per vertex, so a short file must not ask for more.
+MAX_PARSED_VERTICES = 100_000
+
+
 def parse_edge_list(text: str, *, source: str = "<input>") -> Graph:
     """Parse the package's edge-list format.
 
-    Line 1 is "n m"; each of the following m lines is "u v" with
-    1 <= u < v <= n.  '#' starts a comment; blank lines are ignored.
+    Line 1 is "n m" with 1 <= n <= MAX_PARSED_VERTICES; each of the
+    following m lines is "u v" with 1 <= u < v <= n.  '#' starts a comment;
+    blank lines are ignored.
     Duplicate or loop edges, and any deviation from the format, raise
     :class:`EdgeListParseError`.
     """
@@ -275,6 +281,8 @@ def parse_edge_list(text: str, *, source: str = "<input>") -> Graph:
         raise fail(lineno, f"header must be two integers, got {' '.join(header)!r}")
     if n < 1 or m < 0:
         raise fail(lineno, f"need n >= 1 and m >= 0, got n={n} m={m}")
+    if n > MAX_PARSED_VERTICES:
+        raise fail(lineno, f"n={n} exceeds the limit of {MAX_PARSED_VERTICES} vertices")
     if len(rows) - 1 != m:
         raise EdgeListParseError(
             f"{source}: header promises {m} edges but {len(rows) - 1} edge lines found"

@@ -13,9 +13,10 @@ of removable vertex leads to success, so no backtracking is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
-from itertools import combinations
-from typing import Callable, Iterable, Iterator, Literal
+from functools import cache, cmp_to_key
+from itertools import combinations, permutations
+from types import MappingProxyType
+from typing import Callable, Iterable, Literal, Mapping
 
 from .errors import CapabilityExceededError, OrderInconsistencyError
 from .graph import Graph, PartitionShape, is_connected, mask_of, vertices_of
@@ -32,8 +33,9 @@ FAMILY_FERRERS = "ferrers"
 
 Family = Literal["threshold", "special-2-threshold", "ferrers"]
 
-#: Default cap on the exhaustive U-search; above this the search refuses to
-#: run rather than risk an unbounded enumeration.
+#: Default vertex cap on the U-search.  The search itself is O(n^3); the cap
+#: keeps large non-members away from the O(n^6) special-family witness scan
+#: that follows a failed search in ``classify``.
 DEFAULT_SEARCH_LIMIT = 24
 
 
@@ -199,32 +201,21 @@ def threshold_order(
     return u_threshold_order(g, g.vertices, tie_break)
 
 
-def _independent_set_masks(g: Graph) -> Iterator[int]:
-    """All independent-set masks, in increasing size and lexicographic vertex
-    order within a size.  The empty set comes first."""
-    yield 0
-    layer: list[tuple[int, int]] = [(0, 1)]  # (mask, next vertex to try)
-    while layer:
-        nxt: list[tuple[int, int]] = []
-        for mask, start in layer:
-            for v in range(start, g.n + 1):
-                if g.neighbor_mask(v) & mask == 0:
-                    grown = mask | (1 << (v - 1))
-                    yield grown
-                    nxt.append((grown, v + 1))
-        layer = nxt
-
-
 def special_2_threshold_order(
     g: Graph, *, max_vertices: int = DEFAULT_SEARCH_LIMIT
 ) -> tuple[frozenset[int], ConstructionOrder] | None:
-    """Search for a subset U such that g has a construction order for U.
+    """Find a subset U such that g has a construction order for U.
 
-    Candidates are exactly the subsets whose complement is independent (any
-    valid U has an independent complement, so nothing is missed), tried in
-    increasing complement size; the whole vertex set is tried first.  The
-    search is exponential in the worst case, hence the vertex cap; raise the
-    cap explicitly to go further.
+    Let w be the last u_dominating vertex of a construction order.  Every
+    later vertex enters isolated and gains no later neighbor, so it is
+    isolated in g, and N(w) is exactly the U-part before w.  So a valid U is
+    N(w) or N(w) + w, plus isolated vertices, or V when g is edgeless.  An
+    isolated vertex can always join U (move it to the end of the order), so
+    the U with the smallest complement, lexicographically first among those,
+    contains all of them.  That U is returned, found among at most 2n + 1
+    candidates with one O(n^2) peel each: O(n^3) in all.  The vertex cap
+    stays so that callers keep refusing large non-members before their
+    O(n^6) special-family witness scan; raise it explicitly to go further.
     """
     if g.n > max_vertices:
         raise CapabilityExceededError(
@@ -232,8 +223,20 @@ def special_2_threshold_order(
             f"pass max_vertices to override"
         )
     full = g.full_mask()
-    for s_mask in _independent_set_masks(g):
-        u_mask = full & ~s_mask
+    isolated = mask_of(v for v in g.vertices if g.neighbor_mask(v) == 0)
+    candidates = {full}
+    for w in g.vertices:
+        u_mask = g.neighbor_mask(w) | isolated
+        candidates.update((u_mask, u_mask | 1 << (w - 1)))
+
+    def complement_first(u_mask: int) -> tuple[int, list[int]]:
+        rest = vertices_of(full & ~u_mask)
+        return len(rest), rest
+
+    for u_mask in sorted(candidates, key=complement_first):
+        rest = full & ~u_mask
+        if any(g.neighbor_mask(v) & rest for v in vertices_of(rest)):
+            continue  # a valid U has an independent complement
         order, _ = _peel(g, full, u_mask)
         if order is not None:
             u_set = frozenset(vertices_of(u_mask))
@@ -318,43 +321,27 @@ def _local_adjacency(g: Graph, subset: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _isomorphic(adj_a: tuple[int, ...], adj_b: tuple[int, ...]) -> bool:
-    """Brute-force isomorphism test for graphs on at most ~7 vertices given
-    as adjacency-mask tuples."""
-    k = len(adj_a)
-    if k != len(adj_b):
-        return False
-    deg_a = [bin(m).count("1") for m in adj_a]
-    deg_b = [bin(m).count("1") for m in adj_b]
-    if sorted(deg_a) != sorted(deg_b):
-        return False
-
-    # map vertices of a onto vertices of b, matching degrees and adjacency
-    assigned = [-1] * k  # assigned[i] = image of vertex i of a
-    used = 0
-
-    def extend(i: int) -> bool:
-        nonlocal used
-        if i == k:
-            return True
-        for j in range(k):
-            if used >> j & 1 or deg_b[j] != deg_a[i]:
-                continue
-            ok = True
-            for prev in range(i):
-                if (adj_a[i] >> prev & 1) != (adj_b[j] >> assigned[prev] & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assigned[i] = j
-            used |= 1 << j
-            if extend(i + 1):
-                return True
-            used &= ~(1 << j)
-        return False
-
-    return extend(0)
+@cache
+def _witness_keys(
+    family: str,
+) -> tuple[tuple[int, Mapping[tuple[int, ...], str]], ...]:
+    """Per pattern size, in increasing order, every relabeling of the
+    family's patterns as a ``_local_adjacency`` tuple, mapped to the pattern
+    name.  A vertex subset induces a pattern exactly when its tuple is a
+    key; patterns of one size are pairwise non-isomorphic, so no key names
+    two.  Built on first use, not at import, and read-only since it is
+    shared."""
+    table: dict[int, dict[tuple[int, ...], str]] = {}
+    for name in FAMILY_PATTERNS[family]:
+        masks = PATTERNS[name]
+        k = len(masks)
+        keys = table.setdefault(k, {})
+        for perm in permutations(range(k)):
+            relabeled = [0] * k
+            for i, m in enumerate(masks):
+                relabeled[perm[i]] = sum(1 << perm[j] for j in range(k) if m >> j & 1)
+            keys[tuple(relabeled)] = name
+    return tuple((k, MappingProxyType(keys)) for k, keys in sorted(table.items()))
 
 
 def _is_bipartite(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -393,18 +380,13 @@ def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
             raise ValueError("ferrers obstruction check needs a connected graph")
         if _is_bipartite(g) is None:
             raise ValueError("ferrers obstruction check needs a bipartite graph")
-    names = FAMILY_PATTERNS[family]
-    by_size: dict[int, list[str]] = {}
-    for name in names:
-        by_size.setdefault(len(PATTERNS[name]), []).append(name)
-    for size in sorted(by_size):
+    for size, keys in _witness_keys(family):
         if size > g.n:
             break
         for subset in combinations(g.vertices, size):
-            local = _local_adjacency(g, subset)
-            for name in by_size[size]:
-                if _isomorphic(PATTERNS[name], local):
-                    return ForbiddenWitness(name, subset)
+            name = keys.get(_local_adjacency(g, subset))
+            if name is not None:
+                return ForbiddenWitness(name, subset)
     return None
 
 

@@ -171,6 +171,27 @@ def small_graphs(draw, max_n=7):
     return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
 
 
+def independent_complement_search(
+    g: Graph,
+) -> tuple[frozenset[int], ConstructionOrder] | None:
+    """Reference U-search: try every U whose complement is independent (any
+    valid U has one), smallest complement first and lexicographically first
+    within a size, and return the first that has a construction order."""
+    layer: list[tuple[tuple[int, ...], int]] = [((), 1)]  # (complement, next vertex)
+    while layer:
+        for complement, _ in layer:
+            co = u_threshold_order(g, g.vertex_set() - set(complement))
+            if co is not None:
+                return co.u_set, co
+        layer = [
+            (complement + (v,), v + 1)
+            for complement, start in layer
+            for v in range(start, g.n + 1)
+            if not any(g.has_edge(v, c) for c in complement)
+        ]
+    return None
+
+
 @lru_cache(maxsize=None)
 def labelled_special_members(max_n: int) -> tuple[tuple[Graph, ConstructionOrder], ...]:
     """Every labelled special 2-threshold graph on 1..max_n vertices, with

@@ -297,6 +297,14 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: peeling produced an order")
 
 
+def test_negative_oracle_limit_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("SPANTREE_ORACLE_LIMIT", "-5")
+    for cmd in ("count", "weighted"):
+        code, _, err = run(capsys, cmd, fixture("k4.txt"), "--method", "oracle")
+        assert code == 2
+        assert "nonnegative" in err
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n1 1\n")

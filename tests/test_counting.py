@@ -85,6 +85,14 @@ def test_oracle_guard():
     assert oracle_count(k8, max_edges=28) == 8**6
 
 
+def test_oracle_refuses_a_negative_limit():
+    # a negative limit is a bad value, not a graph that is too large
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle_count(Graph(1), max_edges=-5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(spanning_trees(Graph(1), max_edges=-5))
+
+
 def test_oracle_jobs_split():
     assert oracle_count(K4, jobs=2) == 16
     assert oracle_count(HOUSE_TAIL, jobs=3) == HOUSE_TAIL_TAU

@@ -18,6 +18,7 @@ from spantree import (
     is_independent,
     parse_edge_list,
 )
+import spantree.graph
 from sample_graphs import FIXTURES, HOUSE_TAIL, K4, TWO_K2, assert_simple, partitions_up_to
 
 
@@ -179,11 +180,19 @@ def test_parse_edge_list_round_trip():
         "3 1\n1 4\n",  # out of range
         "3 1\n1 x\n",  # non-integer
         "0 0\n",  # no vertices
+        "1000000000 0\n",  # more vertices than a header may declare
     ],
 )
 def test_parse_edge_list_rejects(text):
     with pytest.raises(EdgeListParseError):
         parse_edge_list(text)
+
+
+def test_parse_edge_list_vertex_cap(monkeypatch):
+    monkeypatch.setattr(spantree.graph, "MAX_PARSED_VERTICES", 5)
+    assert parse_edge_list("5 1\n4 5\n").n == 5
+    with pytest.raises(EdgeListParseError, match="exceeds the limit of 5 vertices"):
+        parse_edge_list("6 1\n4 5\n")
 
 
 def test_parse_edge_list_comments_and_blanks():
@@ -192,8 +201,8 @@ def test_parse_edge_list_comments_and_blanks():
 
 
 # Text near the format (digits, blanks, comment marks, signs) and any text.
-# Runs of five or more digits are left out: a header may ask for any vertex
-# count, and the graph is built with that many vertices.
+# Runs of five or more digits are left out: a header may ask for up to
+# 100,000 vertices, and the graph is built with that many.
 _edge_list_text = st.one_of(
     st.text(alphabet="0123456789 \t\n#-+.x", max_size=60),
     st.text(max_size=60),

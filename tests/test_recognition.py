@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -34,9 +35,11 @@ from sample_graphs import (
     UTHRESHOLD8,
     UTHRESHOLD8_U,
     atlas_graphs,
+    independent_complement_search,
     partitions_up_to,
     random_graph,
     random_u_threshold_instance,
+    relabeled,
 )
 
 
@@ -141,6 +144,47 @@ def test_special_search_returns_whole_vertex_set_for_threshold_inputs():
     assert found[0] == THRESHOLD5.vertex_set()
 
 
+def test_special_search_matches_the_independent_complement_reference():
+    for n in range(1, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
+            assert special_2_threshold_order(g) == independent_complement_search(g)
+    rng = random.Random(41)
+    members = 0
+    for i in range(300):
+        n = rng.randint(6, 14)
+        if i % 3:
+            g = random_graph(rng, n, rng.choice((0.15, 0.3, 0.5, 0.7)))
+        else:
+            # a member, with up to three isolated vertices placed anywhere
+            base, _ = random_u_threshold_instance(rng, n - rng.randint(0, 3))
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            g = relabeled(Graph(n, base.edges()), perm)
+        found = special_2_threshold_order(g)
+        assert found == independent_complement_search(g)
+        members += found is not None
+    assert members > 100
+
+
+def test_special_search_peels_at_most_2n_plus_1_candidates(monkeypatch):
+    # a sparse non-member: the reference tries every one of its thousands
+    # of independent complements
+    g = random_graph(random.Random(5), 18, 0.15)
+    calls = 0
+    peel = spantree.recognition._peel
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return peel(*args, **kwargs)
+
+    monkeypatch.setattr(spantree.recognition, "_peel", counted)
+    assert special_2_threshold_order(g) is None
+    assert calls <= 2 * g.n + 1
+
+
 def test_special_search_capability_guard():
     big = Graph(25)
     with pytest.raises(CapabilityExceededError):
@@ -206,8 +250,6 @@ def test_each_pattern_is_its_own_witness():
 
 
 def test_witness_subsets_induce_the_named_pattern():
-    from spantree.recognition import _isomorphic, _local_adjacency
-
     rng = random.Random(3)
     hits = 0
     for _ in range(200):
@@ -217,7 +259,20 @@ def test_witness_subsets_induce_the_named_pattern():
             if w is None:
                 continue
             hits += 1
-            assert _isomorphic(PATTERNS[w.pattern_name], _local_adjacency(g, w.vertices))
+            masks = PATTERNS[w.pattern_name]
+            k = len(masks)
+            pattern = {(i, j) for i in range(k) for j in range(k) if masks[i] >> j & 1}
+            induced = {
+                (i, j)
+                for i, u in enumerate(w.vertices)
+                for j, v in enumerate(w.vertices)
+                if g.has_edge(u, v)
+            }
+            # some bijection pattern vertex i -> w.vertices[p[i]] maps edges onto edges
+            assert any(
+                {(p[i], p[j]) for i, j in pattern} == induced
+                for p in permutations(range(k))
+            )
     assert hits > 50
 
 
