@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from typing import Callable, Sequence
 
 from .counting import (
@@ -31,7 +32,15 @@ from .errors import (
     ExactnessError,
     SpantreeError,
 )
-from .graph import Graph, PartitionShape, complete, complete_multipartite, ferrers_graph, parse_edge_list
+from .graph import (
+    MAX_PARSED_VERTICES,
+    Graph,
+    PartitionShape,
+    complete,
+    complete_multipartite,
+    ferrers_graph,
+    parse_edge_list,
+)
 from .poly import MultiPoly
 from .recognition import (
     DEFAULT_SEARCH_LIMIT,
@@ -117,22 +126,18 @@ def _bounded_int(low: int) -> Callable[[str], int]:
     return parse
 
 
-def _classify(g: Graph, search_limit: int) -> dict:
-    """Family memberships plus certificates."""
+def _classify(g: Graph, witness_limit: int) -> dict:
+    """Family memberships plus certificates.  A non-member with more than
+    ``witness_limit`` vertices is refused before the O(n^6) special-family
+    witness scan starts."""
     threshold_co = threshold_order(g)
     fs = ferrers_structure(g)
-    try:
-        found = special_2_threshold_order(g, max_vertices=search_limit)
-    except CapabilityExceededError:
-        # A recognized family already settles the U-search past its cap:
-        # U = V for threshold graphs, U = the columns for Ferrers graphs.
-        if threshold_co is not None:
-            found = (threshold_co.u_set, threshold_co)
-        elif fs is not None:
-            co = fs.construction_order()
-            found = (co.u_set, co)
-        else:
-            raise
+    found = special_2_threshold_order(g)
+    if found is None and g.n > witness_limit:
+        raise CapabilityExceededError(
+            f"not special 2-threshold; the forbidden-subgraph scan on {g.n} "
+            f"vertices exceeds the cap of {witness_limit}; raise --u-search-limit to run it"
+        )
     witnesses: list[tuple[str, object]] = []
     if threshold_co is None:
         w = forbidden_witness(g, FAMILY_THRESHOLD)
@@ -219,17 +224,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _routed(
-    g: Graph, method: str, search_limit: int, formula: Callable, cofactor: Callable
+    g: Graph, method: str, formula: Callable, cofactor: Callable
 ) -> tuple[object, str, ConstructionOrder | None, dict | None]:
     """The degree-product ``formula`` when ``route`` recognizes g, the
-    ``cofactor`` otherwise.  Past its cap the U-search is skipped, unless
-    ``method`` is "formula", which also raises when no family applies."""
-    try:
-        routed = route(g, search_limit=search_limit)
-    except CapabilityExceededError:
-        if method == "formula":
-            raise
-        routed = None
+    ``cofactor`` otherwise; ``method`` "formula" raises when no family
+    applies."""
+    routed = route(g)
     if routed is None:
         if method == "formula":
             raise ValueError(
@@ -242,7 +242,7 @@ def _routed(
 
 
 def _count_graph(
-    g: Graph, method: str, search_limit: int, jobs: int
+    g: Graph, method: str, jobs: int
 ) -> tuple[int, str, ConstructionOrder | None, dict | None]:
     """Returns (count, method used, construction order if any, classification)."""
     if method == "matrix-tree":
@@ -257,7 +257,16 @@ def _count_graph(
             None,
             None,
         )
-    return _routed(g, method, search_limit, special_2_threshold_count, matrix_tree_count)
+    return _routed(g, method, special_2_threshold_count, matrix_tree_count)
+
+
+def _check_family_size(flag: str, n: int) -> None:
+    """Refuse a family flag whose graph has more vertices than an edge-list
+    header may declare."""
+    if n > MAX_PARSED_VERTICES:
+        raise ValueError(
+            f"{flag} describes {n} vertices, more than the limit of {MAX_PARSED_VERTICES}"
+        )
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -279,16 +288,19 @@ def cmd_count(args: argparse.Namespace) -> int:
         n = args.complete
         if n < 1:
             raise ValueError("--complete needs n >= 1")
+        _check_family_size("--complete", n)
         count, method = complete_count(n), "formula:complete"
         graph = lambda: complete(n)
         source = {"family": "complete", "n": n}
     elif args.ferrers is not None:
         shape = PartitionShape(_parse_parts(args.ferrers, "--ferrers"))
+        _check_family_size("--ferrers", shape.rows + shape.parts[0])
         count, method = ferrers_count(shape), "formula:ferrers"
         graph = lambda: ferrers_graph(shape)
         source = {"family": "ferrers", "shape": list(shape.parts)}
     elif args.multipartite is not None:
         sizes = _parse_parts(args.multipartite, "--multipartite")
+        _check_family_size("--multipartite", sum(sizes))
         if len(sizes) == 2:
             count, method = bipartite_count(*sizes), "formula:bipartite"
         else:
@@ -303,9 +315,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             "vertices": g.n,
             "edges": [list(e) for e in g.edges()],
         }
-        count, method, co, classification = _count_graph(
-            g, args.method, args.u_search_limit, args.jobs
-        )
+        count, method, co, classification = _count_graph(g, args.method, args.jobs)
 
     verified = None
     if args.verify:
@@ -334,7 +344,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def _weighted_graph(
-    g: Graph, method: str, search_limit: int
+    g: Graph, method: str
 ) -> tuple[MultiPoly, str, ConstructionOrder | None, dict | None]:
     """Returns (enumerator, method used, construction order if any,
     classification)."""
@@ -343,16 +353,12 @@ def _weighted_graph(
         return weighted_perturbation_count(g, ones, ones), "perturbation", None, None
     if method == "oracle":
         return weighted_oracle(g, max_edges=_oracle_limit()), "oracle", None, None
-    return _routed(
-        g, method, search_limit, weighted_count_special_2threshold, weighted_matrix_tree_count
-    )
+    return _routed(g, method, weighted_count_special_2threshold, weighted_matrix_tree_count)
 
 
 def cmd_weighted(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
-    poly, used, co, classification = _weighted_graph(
-        g, args.method, args.u_search_limit
-    )
+    poly, used, co, classification = _weighted_graph(g, args.method)
 
     payload = {
         "input": {
@@ -385,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--u-search-limit",
         type=_bounded_int(0),
         default=DEFAULT_SEARCH_LIMIT,
-        help="vertex cap for the O(n^3) U-search; it keeps larger non-members "
-        "away from the O(n^6) forbidden-subgraph scan",
+        help="vertex cap for the O(n^6) forbidden-subgraph scan; larger "
+        "non-members are refused (exit 3)",
     )
     p_classify.set_defaults(func=cmd_classify)
 
@@ -408,9 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--complete", type=int, metavar="N")
     p_count.add_argument("--ferrers", metavar="P1,P2,...")
     p_count.add_argument("--multipartite", metavar="N1,N2,...")
-    p_count.add_argument(
-        "--u-search-limit", type=_bounded_int(0), default=DEFAULT_SEARCH_LIMIT
-    )
     p_count.set_defaults(func=cmd_count)
 
     p_weighted = sub.add_parser("weighted", help="weighted enumerator polynomial")
@@ -421,17 +424,22 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p_weighted.add_argument("--json", action="store_true")
-    p_weighted.add_argument(
-        "--u-search-limit", type=_bounded_int(0), default=DEFAULT_SEARCH_LIMIT
-    )
     p_weighted.set_defaults(func=cmd_weighted)
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later call."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # counts routinely exceed the default 4300-digit int-to-str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (EdgeListParseError, ValueError) as exc:

@@ -28,7 +28,6 @@ from .linalg import (
     rank_one_update,
 )
 from .recognition import (
-    DEFAULT_SEARCH_LIMIT,
     ROLE_U_DOMINATING,
     ConstructionOrder,
     FerrersStructure,
@@ -252,19 +251,11 @@ def special_2_threshold_count(g: Graph, co: ConstructionOrder) -> int:
     return first * last * prod(factors.values())
 
 
-def auto_count(
-    g: Graph, *, search_limit: int = DEFAULT_SEARCH_LIMIT
-) -> tuple[int, str]:
+def auto_count(g: Graph) -> tuple[int, str]:
     """Fastest applicable method: the degree-product formula when ``route``
     recognizes the graph, the Laplacian cofactor otherwise.  Returns (count,
-    method).
-
-    The U-search is skipped (not failed) when the graph exceeds its cap.
-    """
-    try:
-        routed = route(g, search_limit=search_limit)
-    except CapabilityExceededError:
-        routed = None
+    method)."""
+    routed = route(g)
     if routed is None:
         return matrix_tree_count(g), "matrix-tree"
     family, co = routed

@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from types import MappingProxyType
 from typing import Callable, Iterable, Literal, Mapping
 
-from .errors import CapabilityExceededError, OrderInconsistencyError
+from .errors import OrderInconsistencyError
 from .graph import Graph, PartitionShape, is_connected, mask_of, vertices_of
 
 Role = Literal["initial", "isolated", "u_dominating"]
@@ -33,9 +33,9 @@ FAMILY_FERRERS = "ferrers"
 
 Family = Literal["threshold", "special-2-threshold", "ferrers"]
 
-#: Default vertex cap on the U-search.  The search itself is O(n^3); the cap
-#: keeps large non-members away from the O(n^6) special-family witness scan
-#: that follows a failed search in ``classify``.
+#: Default vertex cap on ``classify``'s O(n^6) special-family witness scan,
+#: which runs only after the U-search has found no U.  Recognition itself
+#: has no cap.
 DEFAULT_SEARCH_LIMIT = 24
 
 
@@ -201,9 +201,7 @@ def threshold_order(
     return u_threshold_order(g, g.vertices, tie_break)
 
 
-def special_2_threshold_order(
-    g: Graph, *, max_vertices: int = DEFAULT_SEARCH_LIMIT
-) -> tuple[frozenset[int], ConstructionOrder] | None:
+def special_2_threshold_order(g: Graph) -> tuple[frozenset[int], ConstructionOrder] | None:
     """Find a subset U such that g has a construction order for U.
 
     Let w be the last u_dominating vertex of a construction order.  Every
@@ -213,15 +211,8 @@ def special_2_threshold_order(
     isolated vertex can always join U (move it to the end of the order), so
     the U with the smallest complement, lexicographically first among those,
     contains all of them.  That U is returned, found among at most 2n + 1
-    candidates with one O(n^2) peel each: O(n^3) in all.  The vertex cap
-    stays so that callers keep refusing large non-members before their
-    O(n^6) special-family witness scan; raise it explicitly to go further.
+    candidates with one O(n^2) peel each: O(n^3) in all.
     """
-    if g.n > max_vertices:
-        raise CapabilityExceededError(
-            f"U-search on {g.n} vertices exceeds the cap of {max_vertices}; "
-            f"pass max_vertices to override"
-        )
     full = g.full_mask()
     isolated = mask_of(v for v in g.vertices if g.neighbor_mask(v) == 0)
     candidates = {full}
@@ -229,14 +220,22 @@ def special_2_threshold_order(
         u_mask = g.neighbor_mask(w) | isolated
         candidates.update((u_mask, u_mask | 1 << (w - 1)))
 
+    def independent_complement(u_mask: int) -> bool:
+        # a valid U has an independent complement; stop at the first
+        # complement vertex with a neighbor there
+        rest = left = full & ~u_mask
+        while left:
+            low = left & -left
+            if g.neighbor_mask(low.bit_length()) & rest:
+                return False
+            left ^= low
+        return True
+
     def complement_first(u_mask: int) -> tuple[int, list[int]]:
         rest = vertices_of(full & ~u_mask)
         return len(rest), rest
 
-    for u_mask in sorted(candidates, key=complement_first):
-        rest = full & ~u_mask
-        if any(g.neighbor_mask(v) & rest for v in vertices_of(rest)):
-            continue  # a valid U has an independent complement
+    for u_mask in sorted(filter(independent_complement, candidates), key=complement_first):
         order, _ = _peel(g, full, u_mask)
         if order is not None:
             u_set = frozenset(vertices_of(u_mask))
@@ -491,16 +490,14 @@ def ferrers_structure(g: Graph) -> FerrersStructure | None:
 # Routing
 
 
-def route(
-    g: Graph, *, search_limit: int = DEFAULT_SEARCH_LIMIT
-) -> tuple[Family, ConstructionOrder] | None:
+def route(g: Graph) -> tuple[Family, ConstructionOrder] | None:
     """First family that recognizes g, cheapest test first, with a
     construction order for the degree-product formula; None when g is in
     none of them.
 
     Threshold graphs get U = V, Ferrers graphs their staircase traversal
-    with U the columns, anything else the U-search, which raises
-    CapabilityExceededError when g has more than ``search_limit`` vertices.
+    with U the columns, anything else the O(n^3) U-search.  Every step is
+    polynomial, so no input is refused.
     """
     co = threshold_order(g)
     if co is not None:
@@ -508,7 +505,7 @@ def route(
     fs = ferrers_structure(g)
     if fs is not None:
         return FAMILY_FERRERS, fs.construction_order()
-    found = special_2_threshold_order(g, max_vertices=search_limit)
+    found = special_2_threshold_order(g)
     return None if found is None else (FAMILY_SPECIAL_2_THRESHOLD, found[1])
 
 

@@ -39,6 +39,12 @@ SPECIAL5 = Graph(5, [(1, 2), (1, 4), (1, 5), (2, 5), (3, 4), (4, 5)])
 SPECIAL5_U = frozenset({1, 5, 3})
 SPECIAL5_TAU = 8
 
+# SPECIAL5 with pendants 6..26 on vertex 1: special 2-threshold but neither
+# threshold nor Ferrers, past 24 vertices, with a seven-term weighted
+# enumerator
+SPECIAL26 = Graph(26, list(SPECIAL5.edges()) + [(1, v) for v in range(6, 27)])
+SPECIAL26_TAU = 8
+
 FERRERS3221 = Graph(7, [(1, 4), (1, 5), (1, 6), (1, 7), (2, 4), (2, 5), (2, 6), (3, 4)])
 FERRERS3221_TAU = 12
 

@@ -9,15 +9,19 @@ from spantree import (
     complete,
     ferrers_graph,
     format_edge_list,
+    matrix_tree_count,
     parse_edge_list,
     threshold_order,
     weighted_count_threshold,
+    weighted_matrix_tree_count,
     weighted_oracle,
     weighted_perturbation_count,
 )
+import spantree.cli
 import spantree.counting
 from spantree.cli import main
-from sample_graphs import FIXTURES
+from spantree.graph import MAX_PARSED_VERTICES
+from sample_graphs import FIXTURES, SPECIAL26
 
 FAMILY_FIXTURES = {
     "k4.txt": 16,
@@ -118,18 +122,21 @@ def test_bad_jobs_and_search_limit_exit_2(capsys):
         ("count", fixture("k4.txt"), "--method", "oracle", "--jobs", "0"),
         ("count", fixture("k4.txt"), "--jobs", "-2"),
         ("count", fixture("k4.txt"), "--jobs", "two"),
-        ("count", fixture("house_with_tail.txt"), "--u-search-limit", "-1"),
-        ("weighted", fixture("house_with_tail.txt"), "--u-search-limit", "-1"),
         ("classify", fixture("k4.txt"), "--u-search-limit", "-1"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2, argv
         assert f"argument {argv[-2]}" in capsys.readouterr().err, argv
-    payload = run_json(
-        capsys, "count", fixture("house_with_tail.txt"), "--u-search-limit", "0", "--json"
-    )
-    assert payload["method"] == "matrix-tree"
+    # only classify has a search limit; count and weighted recognize uncapped
+    for command in ("count", "weighted"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, fixture("k4.txt"), "--u-search-limit", "5"])
+        assert exc.value.code == 2, command
+        assert "unrecognized arguments" in capsys.readouterr().err, command
+    # a member is answered whatever the limit: no witness scan is needed
+    payload = run_json(capsys, "classify", fixture("k4.txt"), "--u-search-limit", "0", "--json")
+    assert payload["classification"]["special_2_threshold"]
 
 
 def test_count_verify(capsys):
@@ -240,17 +247,71 @@ def test_capability_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.startswith("16")
     monkeypatch.delenv("SPANTREE_ORACLE_LIMIT")
 
-    # K25 minus two disjoint edges: neither threshold nor Ferrers, so the
-    # U-search cap still refuses it
+    # K25 minus three disjoint edges is not special 2-threshold (it holds
+    # an Octahedron), so classify refuses it before any witness scan
+    scans = []
+    scan = spantree.cli.forbidden_witness
+    monkeypatch.setattr(
+        spantree.cli, "forbidden_witness", lambda *a: scans.append(a) or scan(*a)
+    )
     big = tmp_path / "big.txt"
-    edges = [e for e in complete(25).edges() if e not in ((1, 2), (3, 4))]
+    edges = [e for e in complete(25).edges() if e not in ((1, 2), (3, 4), (5, 6))]
     big.write_text(format_edge_list(Graph(25, edges)))
-    assert run(capsys, "classify", str(big))[0] == 3
-    assert run(capsys, "classify", str(big), "--u-search-limit", "25")[0] == 0
+    code, out, err = run(capsys, "classify", str(big))
+    assert (code, out, scans) == (3, "", [])
+    assert "--u-search-limit" in err
+    payload = run_json(capsys, "classify", str(big), "--u-search-limit", "25", "--json")
+    assert {"family": "special-2-threshold", "pattern": "Octahedron",
+            "vertices": [1, 2, 3, 4, 5, 6]} in payload["witnesses"]
+
+
+def test_special_members_past_24_vertices_use_the_formula(capsys, tmp_path):
+    path = tmp_path / "special26.txt"
+    path.write_text(format_edge_list(SPECIAL26))
+    payload = run_json(capsys, "count", str(path), "--json")
+    assert payload["method"] == "formula:special-2-threshold"
+    assert payload["count"] == matrix_tree_count(SPECIAL26)
+    payload = run_json(capsys, "weighted", str(path), "--json")
+    assert payload["method"] == "formula:special-2-threshold"
+    assert payload["polynomial"] == str(weighted_matrix_tree_count(SPECIAL26))
+    # K25 minus two disjoint edges is a member, neither threshold nor Ferrers
+    big = tmp_path / "big.txt"
+    g = Graph(25, [e for e in complete(25).edges() if e not in ((1, 2), (3, 4))])
+    big.write_text(format_edge_list(g))
+    payload = run_json(capsys, "classify", str(big), "--json")
+    cls = payload["classification"]
+    assert (cls["threshold"], cls["special_2_threshold"], cls["ferrers"]) == (False, True, False)
+    raw = payload["construction_order"]
+    ConstructionOrder(tuple(raw["order"]), frozenset(raw["u_set"]), tuple(raw["roles"])).check(g)
+
+
+def test_count_prints_counts_past_4300_digits(capsys):
+    code, out, _ = run(capsys, "count", "--complete", "3000")
+    assert code == 0
+    assert out == f"{3000 ** 2998} (method: formula:complete)\n"
+
+
+def test_family_flags_past_the_vertex_limit_exit_2(capsys):
+    cap = MAX_PARSED_VERTICES
+    for flag, value in (
+        ("--complete", str(cap + 1)),
+        ("--complete", "10000000"),
+        ("--multipartite", f"{cap // 2},{cap // 2},1"),
+        # rows plus the first part: 1 + cap vertices
+        ("--ferrers", str(cap)),
+        ("--ferrers", "1000000000"),
+    ):
+        code, out, err = run(capsys, "count", flag, value)
+        assert (code, out) == (2, ""), (flag, value)
+        assert f"limit of {cap}" in err, (flag, value)
+    # at the limit the flags still answer: both are stars, with one tree
+    assert run(capsys, "count", "--ferrers", str(cap - 1))[1] == "1 (method: formula:ferrers)\n"
+    assert run(capsys, "count", "--multipartite", f"1,{cap - 1}")[1] == "1 (method: formula:bipartite)\n"
 
 
 def test_classify_recognized_members_past_the_search_cap(capsys, tmp_path):
-    # n > --u-search-limit, but recognized as threshold or Ferrers first
+    # n > --u-search-limit: members are answered, the cap only guards the
+    # witness scan of non-members
     members = {
         "k25": complete(25),
         "edgeless25": Graph(25),

@@ -44,6 +44,8 @@ from sample_graphs import (
     K23,
     SPECIAL5,
     SPECIAL5_U,
+    SPECIAL26,
+    SPECIAL26_TAU,
     THRESHOLD5,
     TWO_K2,
     atlas_graphs,
@@ -446,10 +448,14 @@ def test_auto_count_routes():
     assert auto_count(K23) == (12, "formula:ferrers")
 
 
-def test_auto_count_skips_oversized_search():
+def test_auto_count_runs_the_u_search_past_24_vertices():
+    assert auto_count(SPECIAL26) == (
+        matrix_tree_count(SPECIAL26), "formula:special-2-threshold"
+    )
+    assert auto_count(SPECIAL26)[0] == SPECIAL26_TAU
+    # the path contains 2K2: not a member, so the cofactor answers
     path = Graph(30, [(i, i + 1) for i in range(1, 30)])
-    count, method = auto_count(path)
-    assert (count, method) == (1, "matrix-tree")
+    assert auto_count(path) == (1, "matrix-tree")
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,7 +4,6 @@ from itertools import combinations, permutations
 import pytest
 
 from spantree import (
-    CapabilityExceededError,
     ConstructionOrder,
     Graph,
     OrderInconsistencyError,
@@ -30,6 +29,7 @@ from sample_graphs import (
     K4,
     SPECIAL5,
     SPECIAL5_U,
+    SPECIAL26,
     THRESHOLD5,
     TWO_K2,
     UTHRESHOLD8,
@@ -185,12 +185,13 @@ def test_special_search_peels_at_most_2n_plus_1_candidates(monkeypatch):
     assert calls <= 2 * g.n + 1
 
 
-def test_special_search_capability_guard():
-    big = Graph(25)
-    with pytest.raises(CapabilityExceededError):
-        special_2_threshold_order(big)
-    found = special_2_threshold_order(big, max_vertices=25)
-    assert found is not None  # edgeless is threshold
+def test_special_search_has_no_vertex_cap():
+    assert special_2_threshold_order(Graph(25))[0] == frozenset(range(1, 26))
+    u_set, co = special_2_threshold_order(SPECIAL26)
+    co.check(SPECIAL26)
+    assert co.u_set == u_set
+    # the path contains 2K2, so no U exists
+    assert special_2_threshold_order(Graph(30, [(i, i + 1) for i in range(1, 30)])) is None
 
 
 # -- forbidden subgraphs ------------------------------------------------------
@@ -444,7 +445,7 @@ def test_peel_result_is_rechecked_without_assert(monkeypatch):
 # -- routing ------------------------------------------------------------------
 
 
-def test_route_tries_the_cheap_recognizers_before_the_capped_search():
+def test_route_tries_the_cheap_recognizers_before_the_u_search():
     assert route(THRESHOLD5) == ("threshold", threshold_order(THRESHOLD5))
     assert route(FERRERS3221) == (
         "ferrers", ferrers_structure(FERRERS3221).construction_order()
@@ -453,11 +454,12 @@ def test_route_tries_the_cheap_recognizers_before_the_capped_search():
     assert family == "special-2-threshold"
     co.check(SPECIAL5)
     assert route(C5) is None
-    # past the cap the threshold and Ferrers recognizers still answer
+    # no vertex cap: every family is recognized past 24 vertices
     assert route(Graph(30))[0] == "threshold"
-    assert route(ferrers_graph((20, 10)), search_limit=5)[0] == "ferrers"
-    with pytest.raises(CapabilityExceededError):
-        route(C5, search_limit=4)
+    assert route(ferrers_graph((20, 10)))[0] == "ferrers"
+    family, co = route(SPECIAL26)
+    assert family == "special-2-threshold"
+    co.check(SPECIAL26)
 
 
 def test_last_u_dominating_vertex():

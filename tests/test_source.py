@@ -17,3 +17,35 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def _dead_imports(source: str) -> list[str]:
+    """Names bound by module-level imports that the module never loads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_dead_import_check_catches_an_unused_name():
+    assert _dead_imports("import os\nfrom sys import argv, path\nprint(path)\n") == [
+        "os (line 1)",
+        "argv (line 2)",
+    ]
+
+
+def test_package_modules_have_no_dead_imports():
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _dead_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, found
