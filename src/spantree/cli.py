@@ -12,8 +12,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
@@ -103,6 +104,22 @@ def _order_json(co: ConstructionOrder | None) -> dict | None:
     }
 
 
+@contextmanager
+def _unlimited_int_str() -> Iterator[None]:
+    """Lift CPython's 4300-digit int-to-str limit while counts and
+    polynomials are formatted, and restore it after: parsing input keeps
+    the guard against quadratic-time conversions."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -139,27 +156,19 @@ def _classify(g: Graph, witness_limit: int) -> dict:
             f"vertices exceeds the cap of {witness_limit}; raise --u-search-limit to run it"
         )
     witnesses: list[tuple[str, object]] = []
-    if threshold_co is None:
-        w = forbidden_witness(g, FAMILY_THRESHOLD)
-        if w is not None:
-            witnesses.append((FAMILY_THRESHOLD, w))
-    if found is None:
-        w = forbidden_witness(g, FAMILY_SPECIAL_2_THRESHOLD)
-        if w is not None:
-            witnesses.append((FAMILY_SPECIAL_2_THRESHOLD, w))
-    if fs is None:
+    for family, member in (
+        (FAMILY_THRESHOLD, threshold_co),
+        (FAMILY_SPECIAL_2_THRESHOLD, found),
+        (FAMILY_FERRERS, fs),
+    ):
         try:
-            w = forbidden_witness(g, FAMILY_FERRERS)
+            w = None if member else forbidden_witness(g, family)
         except ValueError:
-            w = None  # not connected bipartite; the check does not apply
+            w = None  # ferrers on a graph that is not connected bipartite
         if w is not None:
-            witnesses.append((FAMILY_FERRERS, w))
-    return {
-        "threshold_co": threshold_co,
-        "special": found,
-        "ferrers": fs,
-        "witnesses": witnesses,
-    }
+            witnesses.append((family, w))
+    return {"threshold_co": threshold_co, "special": found, "ferrers": fs,
+            "witnesses": witnesses}
 
 
 def _classification_json(info: dict) -> dict:
@@ -175,12 +184,16 @@ def _classification_json(info: dict) -> dict:
     }
 
 
+def _file_input(path: str, g: Graph) -> dict:
+    return {"path": path, "vertices": g.n, "edges": [list(e) for e in g.edges()]}
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
     info = _classify(g, args.u_search_limit)
     co = info["threshold_co"] or (info["special"][1] if info["special"] else None)
     payload = {
-        "input": {"path": args.file, "vertices": g.n, "edges": [list(e) for e in g.edges()]},
+        "input": _file_input(args.file, g),
         "classification": _classification_json(info),
         "method": None,
         "count": None,
@@ -196,14 +209,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     lines.append(f"threshold: {'yes' if info['threshold_co'] else 'no'}")
     if info["special"]:
         u_set, sco = info["special"]
-        lines.append(
-            "special-2-threshold: yes (U = {%s})" % ", ".join(map(str, sorted(u_set)))
-        )
-        lines.append("  order: " + " ".join(map(str, sco.order)))
-        lines.append(
-            "  roles: "
-            + " ".join(f"{v}:{r}" for v, r in zip(sco.order, sco.roles))
-        )
+        lines += [
+            "special-2-threshold: yes (U = {%s})" % ", ".join(map(str, sorted(u_set))),
+            "  order: " + " ".join(map(str, sco.order)),
+            "  roles: " + " ".join(f"{v}:{r}" for v, r in zip(sco.order, sco.roles)),
+        ]
     else:
         lines.append("special-2-threshold: no")
     if info["ferrers"]:
@@ -310,11 +320,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         g = _load_graph(args.file)
         graph = lambda: g
-        source = {
-            "path": args.file,
-            "vertices": g.n,
-            "edges": [list(e) for e in g.edges()],
-        }
+        source = _file_input(args.file, g)
         count, method, co, classification = _count_graph(g, args.method, args.jobs)
 
     verified = None
@@ -336,10 +342,11 @@ def cmd_count(args: argparse.Namespace) -> int:
         "construction_order": _order_json(co),
         "verified_against_oracle": verified is not None,
     }
-    lines = [f"{count} (method: {method})"]
-    if verified is not None:
-        lines.append(f"oracle check: {verified} ok")
-    _emit(payload, args.json, lines)
+    with _unlimited_int_str():
+        lines = [f"{count} (method: {method})"]
+        if verified is not None:
+            lines.append(f"oracle check: {verified} ok")
+        _emit(payload, args.json, lines)
     return 0
 
 
@@ -359,25 +366,26 @@ def _weighted_graph(
 def cmd_weighted(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
     poly, used, co, classification = _weighted_graph(g, args.method)
+    with _unlimited_int_str():
+        text = str(poly)
 
     payload = {
-        "input": {
-            "path": args.file,
-            "vertices": g.n,
-            "edges": [list(e) for e in g.edges()],
-        },
+        "input": _file_input(args.file, g),
         "classification": classification,
         "method": used,
         "count": None,
-        "polynomial": str(poly),
+        "polynomial": text,
         "witnesses": None,
         "construction_order": _order_json(co),
     }
-    _emit(payload, args.json, [f"{poly}", f"(method: {used})"])
+    _emit(payload, args.json, [text, f"(method: {used})"])
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; later calls, and every
+    ``main`` call, share it."""
     parser = argparse.ArgumentParser(
         prog="spantree",
         description="Exact spanning-tree counting and graph-family classification.",
@@ -429,17 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and reused by every later call."""
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    # counts routinely exceed the default 4300-digit int-to-str limit
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (EdgeListParseError, ValueError) as exc:

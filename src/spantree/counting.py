@@ -153,13 +153,7 @@ def build_perturbation(
     co.check(g)
     order = co.order
     lap = ExactMatrix(
-        [
-            [
-                g.degree(u) if u == v else (-1 if g.has_edge(u, v) else 0)
-                for v in order
-            ]
-            for u in order
-        ]
+        [[g.degree(u) if u == v else -int(g.has_edge(u, v)) for v in order] for u in order]
     )
     a = tuple(1 if r == ROLE_U_DOMINATING else 0 for r in co.roles)
     b = tuple(1 if v in co.u_set else 0 for v in order)

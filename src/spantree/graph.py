@@ -64,12 +64,9 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) pairs with u < v, sorted."""
-        out = []
-        for u in self.vertices:
-            for v in self._neighbors[u]:
-                if u < v:
-                    out.append((u, v))
-        return tuple(sorted(out))
+        return tuple(
+            sorted((u, v) for u in self.vertices for v in self._neighbors[u] if u < v)
+        )
 
     @property
     def edge_count(self) -> int:
@@ -146,10 +143,14 @@ class PartitionShape:
 
     def conjugate(self) -> "PartitionShape":
         """Transpose of the diagram: part j of the result counts rows with at
-        least j boxes."""
-        return PartitionShape(
-            tuple(sum(1 for p in self.parts if p >= j) for j in range(1, self.cols + 1))
-        )
+        least j boxes.  One walk up the weakly decreasing parts: O(rows +
+        cols)."""
+        rows, conj = self.rows, []
+        for j in range(1, self.cols + 1):
+            while self.parts[rows - 1] < j:
+                rows -= 1
+            conj.append(rows)
+        return PartitionShape(conj)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.parts)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cmp_to_key
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from types import MappingProxyType
 from typing import Callable, Iterable, Literal, Mapping
 
@@ -364,21 +364,55 @@ def _is_bipartite(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     return side0, g.vertex_set() - side0
 
 
+def _first_alternating_four(
+    g: Graph, partners: Callable[[int], int]
+) -> ForbiddenWitness | None:
+    """First 4-subset, lexicographically, with edges a-b, y-z and non-edges
+    b-y, z-a: a 2K2, P4 or C4.  Its corners a and y are opposite; b is any
+    neighbor of a outside N[y], z any of y outside N[a].  So the first such
+    subset has the smallest a with a partner y above it, and for each y the
+    smallest b and z: O(n^2) mask operations.  ``partners(a)`` masks the y
+    to try; a's color class in a bipartite graph yields exactly the 2K2s."""
+    full = g.full_mask()
+    for a in g.vertices:
+        above, na = full >> a << a, g.neighbor_mask(a)
+        quads = []
+        for y in vertices_of(partners(a) & above):
+            ny = g.neighbor_mask(y)
+            b, z = na & ~ny & ~(1 << (y - 1)) & above, ny & ~na & above
+            if b and z:
+                b, z = (b & -b).bit_length(), (z & -z).bit_length()
+                quads.append(tuple(sorted((a, y, b, z))))
+        if quads:
+            quad = min(quads)
+            edges = sum(g.has_edge(u, v) for u, v in combinations(quad, 2))
+            return ForbiddenWitness(("2K2", "P4", "C4")[edges - 2], quad)
+    return None
+
+
 def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
     """First induced obstruction for the family, or None when the graph is
-    clean.
-
-    Subsets are scanned in increasing size and lexicographic order, patterns
-    in a fixed order, so the witness is deterministic.  The ferrers
-    family is only defined on connected bipartite inputs and rejects others.
+    clean: the first subset, by size and then lexicographically, inducing
+    one of the family's patterns.  Threshold and ferrers patterns have four
+    vertices and take O(n^2) mask operations; the special 2-threshold scan
+    looks every subset of up to six vertices up in a table, O(n^6).  The
+    ferrers family is only defined on connected bipartite inputs and
+    rejects others.
     """
     if family not in FAMILY_PATTERNS:
         raise ValueError(f"unknown family {family!r}")
+    full = g.full_mask()
+    if family == FAMILY_THRESHOLD:
+        return _first_alternating_four(g, lambda a: full)
     if family == FAMILY_FERRERS:
         if not is_connected(g):
             raise ValueError("ferrers obstruction check needs a connected graph")
-        if _is_bipartite(g) is None:
+        sides = _is_bipartite(g)
+        if sides is None:
             raise ValueError("ferrers obstruction check needs a bipartite graph")
+        side = mask_of(sides[0])
+        other = full & ~side
+        return _first_alternating_four(g, lambda a: side if side >> (a - 1) & 1 else other)
     for size, keys in _witness_keys(family):
         if size > g.n:
             break
@@ -413,15 +447,8 @@ class FerrersStructure:
         """The traversal as a construction order with U the column side:
         rows are u_dominating, later columns isolated."""
         cols = frozenset(self.col_order)
-        roles: list[Role] = []
-        for i, v in enumerate(self.traversal):
-            if i == 0:
-                roles.append(ROLE_INITIAL)
-            elif v in cols:
-                roles.append(ROLE_ISOLATED)
-            else:
-                roles.append(ROLE_U_DOMINATING)
-        return ConstructionOrder(self.traversal, cols, tuple(roles))
+        roles = [ROLE_ISOLATED if v in cols else ROLE_U_DOMINATING for v in self.traversal]
+        return ConstructionOrder(self.traversal, cols, (ROLE_INITIAL, *roles[1:]))
 
 
 def _side_sorted(g: Graph, side: frozenset[int]) -> list[int] | None:
@@ -459,16 +486,11 @@ def ferrers_structure(g: Graph) -> FerrersStructure | None:
     def shape_of(rows: list[int]) -> tuple[int, ...]:
         return tuple(g.degree(v) for v in rows)
 
-    if len(a) != len(b):
-        rows, cols = (sorted_a, sorted_b) if len(a) > len(b) else (sorted_b, sorted_a)
-    elif shape_of(sorted_a) != shape_of(sorted_b):
-        rows, cols = (
-            (sorted_a, sorted_b)
-            if shape_of(sorted_a) > shape_of(sorted_b)
-            else (sorted_b, sorted_a)
-        )
-    else:
-        rows, cols = (sorted_a, sorted_b) if 1 in a else (sorted_b, sorted_a)
+    rows, cols = max(
+        (sorted_a, sorted_b),
+        (sorted_b, sorted_a),
+        key=lambda rc: (len(rc[0]), shape_of(rc[0]), 1 in rc[0]),
+    )
 
     shape = PartitionShape(shape_of(rows))
     # connectivity plus nesting makes this a staircase; verify anyway
@@ -673,15 +695,7 @@ def nesting_report(g: Graph, u: Iterable[int]) -> NestingReport:
     comp = sorted(g.vertex_set() - u_set)
     comp_mask = mask_of(comp)
 
-    bad = next(
-        (
-            (x, y)
-            for i, x in enumerate(comp)
-            for y in comp[i + 1 :]
-            if g.has_edge(x, y)
-        ),
-        None,
-    )
+    bad = next(((x, y) for x, y in combinations(comp, 2) if g.has_edge(x, y)), None)
     clause_a = ClauseReport(bad is None, bad)
 
     clause_b_pair = _nested_chain({v: g.neighbor_mask(v) for v in comp})
@@ -693,12 +707,8 @@ def nesting_report(g: Graph, u: Iterable[int]) -> NestingReport:
 
     ranks = _threshold_class_ranks(g, sorted(u_set))
     clause_d_pair = next(
-        (
-            (x, y)
-            for x in sorted(u_set)
-            for y in sorted(u_set)
-            if ranks[x] < ranks[y] and restricted[y] & ~restricted[x]
-        ),
+        ((x, y) for x, y in product(sorted(u_set), repeat=2)
+         if ranks[x] < ranks[y] and restricted[y] & ~restricted[x]),
         None,
     )
     clause_d = ClauseReport(clause_d_pair is None, clause_d_pair)

@@ -97,18 +97,13 @@ def weighted_laplacian(g: Graph) -> PolyMatrix:
     """Weighted degrees on the diagonal, -x_i*x_j on edges, zero elsewhere."""
     n = g.n
     zero = MultiPoly.zero(n)
-    rows = []
-    for i in g.vertices:
-        row = []
-        for j in g.vertices:
-            if i == j:
-                row.append(weighted_degree(g, i))
-            elif g.has_edge(i, j):
-                row.append(-(_var(n, i) * _var(n, j)))
-            else:
-                row.append(zero)
-        rows.append(row)
-    return PolyMatrix(rows)
+
+    def entry(i: int, j: int) -> MultiPoly:
+        if i == j:
+            return weighted_degree(g, i)
+        return -(_var(n, i) * _var(n, j)) if g.has_edge(i, j) else zero
+
+    return PolyMatrix([[entry(i, j) for j in g.vertices] for i in g.vertices])
 
 
 def weighted_oracle(g: Graph, *, max_edges: int | None = None) -> MultiPoly:

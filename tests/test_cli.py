@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 
 import pytest
 
@@ -286,9 +288,31 @@ def test_special_members_past_24_vertices_use_the_formula(capsys, tmp_path):
 
 
 def test_count_prints_counts_past_4300_digits(capsys):
+    limit = sys.get_int_max_str_digits()
     code, out, _ = run(capsys, "count", "--complete", "3000")
-    assert code == 0
-    assert out == f"{3000 ** 2998} (method: formula:complete)\n"
+    # the limit is lifted only while the count is printed
+    assert (code, sys.get_int_max_str_digits()) == (0, limit)
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = f"{3000 ** 2998} (method: formula:complete)\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == expected
+    code, out, _ = run(capsys, "count", "--complete", "3000", "--json")
+    assert (code, sys.get_int_max_str_digits()) == (0, limit)
+    assert f'"count": {expected.split()[0]},' in out
+
+
+def test_huge_integers_in_input_exit_2_at_once(capsys, tmp_path):
+    # the int-to-str guard stays on while input is parsed, so a
+    # 100,000-digit header fails fast instead of a quadratic conversion
+    path = tmp_path / "huge.txt"
+    path.write_text("9" * 100_000 + " 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", str(path))
+    assert (code, out) == (2, "")
+    assert "header must be two integers" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_family_flags_past_the_vertex_limit_exit_2(capsys):

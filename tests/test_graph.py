@@ -101,6 +101,11 @@ def test_conjugate_examples():
     assert conjugate(PartitionShape((5,))).parts == (1, 1, 1, 1, 1)
 
 
+def test_conjugate_of_a_wide_shape_walks_the_parts_once():
+    # rows x cols is 1.09e9 cells; the walk takes rows + cols steps
+    assert PartitionShape((50_000,) * 21_800).conjugate().parts == (21_800,) * 50_000
+
+
 @pytest.mark.parametrize("shape", partitions_up_to(10))
 def test_conjugate_is_an_involution(shape):
     ps = PartitionShape(shape)

@@ -13,6 +13,7 @@ from spantree import (
     ferrers_graph,
     ferrers_structure,
     forbidden_witness,
+    is_connected,
     nesting_report,
     route,
     special_2_threshold_order,
@@ -275,6 +276,62 @@ def test_witness_subsets_induce_the_named_pattern():
                 for p in permutations(range(k))
             )
     assert hits > 50
+
+
+def _first_subset_witness(g, family):
+    """The witness by definition: the first subset, by size and then
+    lexicographically, that induces one of the family's patterns."""
+    for name in FAMILY_PATTERNS[family]:
+        assert len(PATTERNS[name]) == 4
+    for subset in combinations(g.vertices, 4):
+        for name in FAMILY_PATTERNS[family]:
+            masks = PATTERNS[name]
+            if any(
+                all(
+                    g.has_edge(subset[p[i]], subset[p[j]]) == bool(masks[i] >> j & 1)
+                    for i in range(4)
+                    for j in range(i + 1, 4)
+                )
+                for p in permutations(range(4))
+            ):
+                return name, subset
+    return None
+
+
+def test_four_vertex_witnesses_are_the_first_subsets():
+    rng = random.Random(17)
+    hits = {"threshold": 0, "ferrers": 0}
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        side = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+        h = Graph(n, [
+            (u, v) for u, v in complete(n).edges() if side[u] != side[v] and rng.random() < 0.6
+        ])
+        cases = [(g, "threshold")] + ([(h, "ferrers")] if is_connected(h) else [])
+        for graph, family in cases:
+            w = forbidden_witness(graph, family)
+            expected = _first_subset_witness(graph, family)
+            assert (None if w is None else (w.pattern_name, w.vertices)) == expected
+            hits[family] += expected is not None
+    assert min(hits.values()) > 20
+
+
+def test_four_vertex_witnesses_scan_no_subsets(monkeypatch):
+    # SPECIAL5 on the highest labels with pendants on one of its vertices:
+    # the first P4 sits after ~n^3/6 pendant subsets
+    n = 60
+    off = n - 5
+    core = [(u + off, v + off) for u, v in SPECIAL5.edges()]
+    g = Graph(n, core + [(v, 1 + off) for v in range(1, off + 1)])
+    seen = []
+    local = spantree.recognition._local_adjacency
+    monkeypatch.setattr(
+        spantree.recognition, "_local_adjacency", lambda *a: seen.append(a) or local(*a)
+    )
+    w = forbidden_witness(g, "threshold")
+    assert (w.pattern_name, w.vertices) == ("P4", (1, off + 1, off + 3, off + 4))
+    assert seen == []
 
 
 # -- agreement of the characterizations ---------------------------------------
