@@ -25,6 +25,7 @@ from .counting import (
     multipartite_count,
     oracle_count,
     perturbation_count,
+    reduce_and_route,
     special_2_threshold_count,
 )
 from .errors import (
@@ -51,7 +52,6 @@ from .recognition import (
     ConstructionOrder,
     ferrers_structure,
     forbidden_witness,
-    route,
     special_2_threshold_order,
     threshold_order,
 )
@@ -234,21 +234,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _routed(
-    g: Graph, method: str, formula: Callable, cofactor: Callable
+    g: Graph, method: str, formula: Callable, cofactor: Callable, **ring
 ) -> tuple[object, str, ConstructionOrder | None, dict | None]:
-    """The degree-product ``formula`` when ``route`` recognizes g, the
-    ``cofactor`` otherwise; ``method`` "formula" raises when no family
-    applies."""
-    routed = route(g)
+    """``reduce_and_route`` over the ``ring`` keywords; ``method``
+    "formula" refuses a graph outside the families instead of splitting
+    it."""
+    value, used, routed = reduce_and_route(
+        g, formula, None if method == "formula" else cofactor, **ring
+    )
     if routed is None:
-        if method == "formula":
-            raise ValueError(
-                "no family formula applies: graph is not threshold, ferrers, "
-                "or special 2-threshold"
-            )
-        return cofactor(g), "matrix-tree", None, None
-    family, co = routed
-    return formula(g, co), f"formula:{family}", co, {"family": family}
+        return value, used, None, None
+    return value, used, routed[1], {"family": routed[0]}
 
 
 def _count_graph(
@@ -360,7 +356,14 @@ def _weighted_graph(
         return weighted_perturbation_count(g, ones, ones), "perturbation", None, None
     if method == "oracle":
         return weighted_oracle(g, max_edges=_oracle_limit()), "oracle", None, None
-    return _routed(g, method, weighted_count_special_2threshold, weighted_matrix_tree_count)
+    return _routed(
+        g,
+        method,
+        weighted_count_special_2threshold,
+        weighted_matrix_tree_count,
+        zero=MultiPoly.zero(g.n),
+        lift=lambda p, labels: p.lift(g.n, labels),
+    )
 
 
 def cmd_weighted(args: argparse.Namespace) -> int:

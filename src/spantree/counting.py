@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from functools import reduce
 from itertools import combinations
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CapabilityExceededError, TriangularityError
-from .graph import Graph, PartitionShape
+from .graph import Graph, PartitionShape, blocks
 from .linalg import (
     ExactMatrix,
     determinant,
@@ -30,9 +32,12 @@ from .linalg import (
 from .recognition import (
     ROLE_U_DOMINATING,
     ConstructionOrder,
+    Family,
     FerrersStructure,
     route,
 )
+
+T = TypeVar("T")
 
 #: Default limit on the edge count of graphs fed to the subset-enumeration
 #: oracle; C(m, n-1) grows too fast beyond this for a safety net.
@@ -245,12 +250,54 @@ def special_2_threshold_count(g: Graph, co: ConstructionOrder) -> int:
     return first * last * prod(factors.values())
 
 
-def auto_count(g: Graph) -> tuple[int, str]:
-    """Fastest applicable method: the degree-product formula when ``route``
-    recognizes the graph, the Laplacian cofactor otherwise.  Returns (count,
-    method)."""
+def reduce_and_route(
+    g: Graph,
+    formula: Callable[[Graph, ConstructionOrder], T],
+    cofactor: Callable[[Graph], T] | None,
+    *,
+    zero: T = 0,
+    lift: Callable[[T, tuple[int, ...]], T] = lambda value, labels: value,
+) -> tuple[T, str, tuple[Family, ConstructionOrder] | None]:
+    """Answer g in one ring, integers by default: the degree-product
+    ``formula`` when ``route`` recognizes g, else the product over g's
+    blocks (biconnected components), each block answered by the formula
+    when ``route`` recognizes it and by the ``cofactor`` when not.
+
+    tau(G) is the product of tau over the blocks, and with edge weights
+    x_i * x_j so is the enumerator, once ``lift(value, labels)`` has moved
+    each block's value to g's variables; a bridge is the block K2, whose
+    formula gives 1, or x_u * x_v lifted.  A disconnected g is ``zero``,
+    found without building a Laplacian.  Returns (value, method, route(g)),
+    method "formula:<family>", "matrix-tree" for a 2-connected non-member
+    or "blocks".  ``cofactor=None`` refuses non-members with ValueError.
+    """
     routed = route(g)
-    if routed is None:
-        return matrix_tree_count(g), "matrix-tree"
-    family, co = routed
-    return special_2_threshold_count(g, co), f"formula:{family}"
+    if routed is not None:
+        family, co = routed
+        return formula(g, co), f"formula:{family}", routed
+    if cofactor is None:
+        raise ValueError(
+            "no family formula applies: graph is not threshold, ferrers, "
+            "or special 2-threshold"
+        )
+    parts = blocks(g)
+    if parts is None:
+        return zero, "blocks", None
+    if len(parts) == 1:
+        return cofactor(g), "matrix-tree", None
+    # equal blocks (every bridge is K2 on 1, 2) are answered once
+    answers: dict[Graph, T] = {}
+    for block, _ in parts:
+        if block not in answers:
+            found = route(block)
+            answers[block] = cofactor(block) if found is None else formula(block, found[1])
+    product = reduce(mul, (lift(answers[block], labels) for block, labels in parts))
+    return product, "blocks", None
+
+
+def auto_count(g: Graph) -> tuple[int, str]:
+    """Fastest applicable method through ``reduce_and_route``: the
+    degree-product formula when ``route`` recognizes g, the product over
+    the blocks otherwise.  Returns (count, method)."""
+    count, method, _ = reduce_and_route(g, special_2_threshold_count, matrix_tree_count)
+    return count, method

@@ -35,7 +35,9 @@ class Graph:
     No loops, no parallel edges; adjacency is symmetric by construction.
     Instances are immutable values, safe to share; operations that look like
     mutation return new graphs.  Vertices are 1-indexed throughout the
-    package so worked examples keep their positional labels.
+    package so worked examples keep their positional labels.  The neighbor
+    bitmasks take O(n^2) bits on a sparse graph, so they are built on first
+    use: searches that only walk neighbor sets never pay for them.
     """
 
     __slots__ = ("n", "_neighbors", "_masks")
@@ -53,7 +55,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._neighbors = tuple(frozenset(s) for s in adj)
-        self._masks = tuple(mask_of(s) for s in adj)
+        self._masks: tuple[int, ...] | None = None
 
     @property
     def vertices(self) -> range:
@@ -91,7 +93,13 @@ class Graph:
 
     def neighbor_mask(self, v: int) -> int:
         self.check_vertex(v)
-        return self._masks[v]
+        return self.neighbor_masks()[v]
+
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Entry v is the bitmask of v's neighbors (entry 0 is unused)."""
+        if self._masks is None:
+            self._masks = tuple(mask_of(s) for s in self._neighbors)
+        return self._masks
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -236,6 +244,63 @@ def is_connected(g: Graph) -> bool:
         seen |= fresh
         frontier.extend(vertices_of(fresh))
     return seen == g.full_mask()
+
+
+def blocks(g: Graph) -> list[tuple[Graph, tuple[int, ...]]] | None:
+    """Biconnected components of a connected graph, or None when g is
+    disconnected.
+
+    Each block comes as (subgraph, labels) like ``induced_subgraph``: the
+    block relabeled 1..k, labels[i-1] the original vertex i.  A bridge is a
+    block with two vertices; a graph with one vertex is one block.  Tarjan's
+    depth-first search runs on an explicit stack, so deep graphs need no
+    recursion, and each block's edges are popped off the search's edge
+    stack: O(n + m) in all.
+    """
+    if g.n == 0:
+        return []
+    nbrs = g._neighbors
+    disc = [0] * (g.n + 1)
+    low = [0] * (g.n + 1)
+    disc[1] = low[1] = clock = 1
+    stack = [(1, 0, iter(nbrs[1]))]
+    edge_stack: list[tuple[int, int]] = []
+    found: list[list[tuple[int, int]]] = []
+    while stack:
+        v, parent, it = stack[-1]
+        for w in it:
+            if not disc[w]:
+                clock += 1
+                disc[w] = low[w] = clock
+                edge_stack.append((v, w))
+                stack.append((w, v, iter(nbrs[w])))
+                break
+            if w != parent and disc[w] < disc[v]:
+                edge_stack.append((v, w))  # back edge, pushed from below
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:  # u separates v's subtree: a block ends
+                    edges = []
+                    while True:
+                        e = edge_stack.pop()
+                        edges.append(e)
+                        if e == (u, v):
+                            break
+                    found.append(edges)
+    if clock < g.n:
+        return None
+    if not found:
+        return [(Graph(1), (1,))]
+    out = []
+    for edges in found:
+        keep = sorted({x for e in edges for x in e})
+        index = {x: i for i, x in enumerate(keep, 1)}
+        out.append((Graph(len(keep), [(index[a], index[b]) for a, b in edges]), tuple(keep)))
+    return out
 
 
 def is_independent(g: Graph, s: Iterable[int]) -> bool:

@@ -170,6 +170,21 @@ class MultiPoly:
                     rem.pop(key, None)
         return MultiPoly._of(self.nvars, quot)
 
+    def lift(self, nvars: int, labels: Sequence[int]) -> "MultiPoly":
+        """The same polynomial in nvars variables, x_i renamed
+        x_{labels[i-1]}; the labels must be distinct, in 1..nvars."""
+        if len(labels) != self.nvars:
+            raise ValueError(f"{len(labels)} labels for {self.nvars} variables")
+        if len(set(labels)) != len(labels) or not all(1 <= v <= nvars for v in labels):
+            raise ValueError(f"labels must be distinct and in 1..{nvars}")
+        terms = {}
+        for exps, coeff in self._terms.items():
+            full = [0] * nvars
+            for v, e in zip(labels, exps):
+                full[v - 1] = e
+            terms[tuple(full)] = coeff
+        return MultiPoly._of(nvars, terms)
+
     # -- queries --------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -71,13 +71,6 @@ class ConstructionOrder:
             v for v, r in zip(self.order, self.roles) if r == ROLE_ISOLATED
         )
 
-    def is_valid_for(self, g: Graph) -> bool:
-        try:
-            self.check(g)
-        except ValueError:
-            return False
-        return True
-
     def check(self, g: Graph) -> None:
         """Raise ValueError unless this is a valid construction order for g."""
         if sorted(self.order) != list(g.vertices):
@@ -132,12 +125,13 @@ def _peel(
     low labels appear earliest in the resulting order.
     """
     w = w_mask
+    masks = g.neighbor_masks()
     removed: list[int] = []
     while w:
         candidates = [
             v
             for v in vertices_of(w)
-            if (nb := g.neighbor_mask(v) & w) == 0
+            if (nb := masks[v] & w) == 0
             or nb == (w & ~(1 << (v - 1))) & u_mask
         ]
         if not candidates:

@@ -8,7 +8,7 @@ counts, which the tests exploit throughout.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .counting import spanning_trees
 from .errors import TriangularityError
@@ -84,8 +84,13 @@ def _var(n: int, v: int) -> MultiPoly:
     return MultiPoly.variable(n, v)
 
 
+def _var_sum(n: int, vertices: Iterable[int]) -> MultiPoly:
+    """x_v summed over distinct vertices, built as one term map."""
+    return MultiPoly(n, {tuple(int(i == v) for i in range(1, n + 1)): 1 for v in vertices})
+
+
 def _neighbor_sum(g: Graph, v: int) -> MultiPoly:
-    return poly_sum(g.n, (_var(g.n, w) for w in sorted(g.neighbors(v))))
+    return _var_sum(g.n, g.neighbors(v))
 
 
 def weighted_degree(g: Graph, v: int) -> MultiPoly:
@@ -144,7 +149,7 @@ def weighted_matrix_tree_count(g: Graph) -> MultiPoly:
         for i in rest
     ]
     det = expansion_determinant(rows, zero=zero, one=MultiPoly.const(n, 1))
-    return det * poly_prod(n, (_var(n, v) for v in rest))
+    return det * MultiPoly.monomial(n, [int(v != r) for v in g.vertices])
 
 
 def _coerce_vector(n: int, vec: Sequence[MultiPoly | int]) -> list[MultiPoly]:
@@ -274,16 +279,12 @@ def weighted_count_special_2threshold(g: Graph, co: ConstructionOrder) -> MultiP
         return MultiPoly.const(n, 1 if n == 1 else 0)
     bonus = dom & co.u_set
     factors = {
-        v: _neighbor_sum(g, v) + _var(n, v) if v in bonus else _neighbor_sum(g, v)
+        v: _var_sum(n, g.neighbors(v) | {v} if v in bonus else g.neighbors(v))
         for v in g.vertices
     }
     if any(f.is_zero() for f in factors.values()):
         return MultiPoly.zero(n)
-    first = factors.pop(co.order[0]).exact_div(
-        poly_sum(n, (_var(n, v) for v in sorted(dom)))
-    )
-    last = factors.pop(co.last_u_dominating_vertex()).exact_div(
-        poly_sum(n, (_var(n, v) for v in sorted(co.u_set)))
-    )
-    variables = poly_prod(n, (_var(n, v) for v in g.vertices))
-    return first * last * variables * poly_prod(n, factors.values())
+    first = factors.pop(co.order[0]).exact_div(_var_sum(n, dom))
+    last = factors.pop(co.last_u_dominating_vertex()).exact_div(_var_sum(n, co.u_set))
+    variables = MultiPoly.monomial(n, [1] * n)
+    return poly_prod(n, [first, last, variables, *factors.values()])

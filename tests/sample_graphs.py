@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spantree import (
     ConstructionOrder,
     Graph,
+    ferrers_graph,
     ferrers_structure,
     special_2_threshold_order,
     threshold_order,
@@ -175,6 +176,55 @@ def small_graphs(draw, max_n=7):
     pairs = list(combinations(range(1, n + 1), 2))
     chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+def _piece(draw, kind: str, k: int) -> Graph:
+    """A connected graph on 1..k of the given kind (k >= 2); a random piece
+    may be disconnected."""
+    if kind == "cycle" and k >= 3:
+        return Graph(k, [(i, i % k + 1) for i in range(1, k + 1)])
+    if kind == "clique":
+        return Graph(k, list(combinations(range(1, k + 1), 2)))
+    if kind == "threshold":
+        # the last vertex enters dominating, so the piece is connected
+        bits = draw(st.integers(0, (1 << (k - 2)) - 1)) | 1 << (k - 2)
+        return threshold_graph_from_bits(k, bits)
+    if kind == "ferrers":
+        cols = draw(st.integers(1, k - 1))
+        size = k - cols - 1
+        rest = draw(st.lists(st.integers(1, cols), min_size=size, max_size=size))
+        return ferrers_graph([cols] + sorted(rest, reverse=True))
+    if kind == "random":
+        pairs = list(combinations(range(1, k + 1), 2))
+        chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return Graph(k, [e for e, keep in zip(pairs, chosen) if keep])
+    return Graph(2, [(1, 2)])  # an edge: a bridge, or a pendant tree grown one leaf at a time
+
+
+@st.composite
+def glued_graphs(draw, max_n=9):
+    """Hypothesis strategy: a graph glued from pieces (edges, cycles,
+    cliques, threshold, Ferrers and random graphs) one at a time, each
+    sharing one vertex with what is already there, so the pieces' blocks
+    meet at cut vertices and the edges become bridges and pendant trees.
+    Now and then a piece starts a new component, and a random piece may
+    itself be disconnected.  The labels are shuffled at the end."""
+    n, edges = 1, []
+    while n < max_n and draw(st.integers(0, 3)):
+        kind = draw(st.sampled_from(("edge", "cycle", "clique", "threshold", "ferrers", "random")))
+        k = 2 if kind == "edge" else draw(st.integers(2, min(5, max_n - n + 1)))
+        piece = _piece(draw, kind, k)
+        pivot = draw(st.integers(1, k))
+        apart = draw(st.integers(0, 9)) == 0 and n + k <= max_n
+        glue = n + k if apart else draw(st.integers(1, n))
+        names = {}
+        fresh = iter(range(n + 1, n + k + 1))
+        for v in piece.vertices:
+            names[v] = glue if v == pivot else next(fresh)
+        n += k if apart else k - 1
+        edges += [(names[u], names[v]) for u, v in piece.edges()]
+    perm = draw(st.permutations(range(1, n + 1)))
+    return relabeled(Graph(n, edges), list(perm))
 
 
 def independent_complement_search(

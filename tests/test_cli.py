@@ -84,7 +84,7 @@ def test_count_formula_matches_matrix_tree_where_applicable(capsys):
 def test_count_human_output(capsys):
     code, out, err = run(capsys, "count", fixture("house_with_tail.txt"))
     assert code == 0
-    assert out.startswith("11 (method: matrix-tree)")
+    assert out.startswith("11 (method: blocks)")
 
 
 def test_count_oracle_jobs(capsys):
@@ -416,10 +416,13 @@ def test_weighted_cli_methods_agree(capsys):
 
 
 def test_weighted_cli_auto_uses_the_weighted_cofactor_off_the_families(capsys):
-    for name in ("house_with_tail.txt", "c5.txt", "two_k2.txt"):
+    # C5 is 2-connected; the house with a tail splits, two disjoint edges too
+    for name, method in (
+        ("house_with_tail.txt", "blocks"), ("c5.txt", "matrix-tree"), ("two_k2.txt", "blocks")
+    ):
         g = parse_edge_list((FIXTURES / name).read_text())
         payload = run_json(capsys, "weighted", fixture(name), "--json")
-        assert payload["method"] == "matrix-tree", name
+        assert payload["method"] == method, name
         assert payload["classification"] is None and payload["construction_order"] is None
         assert payload["polynomial"] == str(weighted_oracle(g)), name
         assert payload["polynomial"] == str(weighted_perturbation_count(g, [1] * g.n, [1] * g.n))

@@ -123,3 +123,14 @@ def test_display_is_stable_for_equal_polys():
     b = x(3) + x(2) * x(1)
     assert a == b
     assert str(a) == str(b)
+
+
+def test_lift_renames_variables_into_a_larger_ring():
+    p = x(1, 2) * x(1, 2) * x(2, 2) - 3 * x(2, 2) + 5
+    lifted = p.lift(4, (3, 1))
+    assert lifted == x(3, 4) * x(3, 4) * x(1, 4) - 3 * x(1, 4) + 5
+    assert p.lift(2, (1, 2)) == p
+    assert MultiPoly.zero(2).lift(5, (4, 2)) == MultiPoly.zero(5)
+    for labels in ((1,), (1, 1), (0, 2), (2, 5)):
+        with pytest.raises(ValueError):
+            p.lift(4, labels)
