@@ -1,9 +1,10 @@
 """Command-line front end: classify graphs, count spanning trees with the
 fastest applicable method, and emit weighted enumerators.
 
-Exit codes: 0 success, 2 malformed input or inapplicable request, 3 a
-capability guard refused to run, 4 an internal check failed (an inexact
-division, an inconsistent order or a non-triangular perturbation).
+Exit codes: 0 success, 2 malformed input or inapplicable request, 3 the
+oracle's edge guard refused to run, 4 an internal check failed (an inexact
+division, an inconsistent order or witness, or a non-triangular
+perturbation).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .graph import (
 )
 from .poly import MultiPoly
 from .recognition import (
-    DEFAULT_SEARCH_LIMIT,
     FAMILY_FERRERS,
     FAMILY_SPECIAL_2_THRESHOLD,
     FAMILY_THRESHOLD,
@@ -122,7 +122,7 @@ def _unlimited_int_str() -> Iterator[None]:
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         print("\n".join(lines))
 
@@ -143,18 +143,13 @@ def _bounded_int(low: int) -> Callable[[str], int]:
     return parse
 
 
-def _classify(g: Graph, witness_limit: int) -> dict:
-    """Family memberships plus certificates.  A non-member with more than
-    ``witness_limit`` vertices is refused before the O(n^6) special-family
-    witness scan starts."""
+def _classify(g: Graph) -> dict:
+    """Family memberships plus certificates: a construction order or
+    staircase for each family the graph is in, a forbidden induced subgraph
+    for each it is not.  Every step is polynomial, so no graph is refused."""
     threshold_co = threshold_order(g)
     fs = ferrers_structure(g)
     found = special_2_threshold_order(g)
-    if found is None and g.n > witness_limit:
-        raise CapabilityExceededError(
-            f"not special 2-threshold; the forbidden-subgraph scan on {g.n} "
-            f"vertices exceeds the cap of {witness_limit}; raise --u-search-limit to run it"
-        )
     witnesses: list[tuple[str, object]] = []
     for family, member in (
         (FAMILY_THRESHOLD, threshold_co),
@@ -190,7 +185,7 @@ def _file_input(path: str, g: Graph) -> dict:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
-    info = _classify(g, args.u_search_limit)
+    info = _classify(g)
     co = info["threshold_co"] or (info["special"][1] if info["special"] else None)
     payload = {
         "input": _file_input(args.file, g),
@@ -398,13 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="report family memberships")
     p_classify.add_argument("file", help="edge-list file")
     p_classify.add_argument("--json", action="store_true")
-    p_classify.add_argument(
-        "--u-search-limit",
-        type=_bounded_int(0),
-        default=DEFAULT_SEARCH_LIMIT,
-        help="vertex cap for the O(n^6) forbidden-subgraph scan; larger "
-        "non-members are refused (exit 3)",
-    )
     p_classify.set_defaults(func=cmd_classify)
 
     p_count = sub.add_parser("count", help="count spanning trees")

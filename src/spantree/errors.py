@@ -30,7 +30,7 @@ class TriangularityError(SpantreeError):
 
 
 class OrderInconsistencyError(SpantreeError):
-    """Vertex-class comparison produced contradictory results.
-
-    Means a graph that is not U-threshold slipped past a precondition check.
+    """A recognizer contradicted itself: vertex classes that do not compare
+    consistently, a peeled order that breaks the construction condition, or
+    a shrunk non-member that induces no forbidden pattern.
     """

@@ -18,14 +18,14 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def vertices_of(mask: int) -> list[int]:
-    """Unpack a bitmask into an ascending list of 1-indexed vertices."""
+    """Unpack a bitmask into an ascending list of 1-indexed vertices: one
+    step per set bit, highest first, each step shortening the mask."""
     out = []
-    v = 1
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        v = mask.bit_length()
+        out.append(v)
+        mask ^= 1 << (v - 1)
+    out.reverse()
     return out
 
 

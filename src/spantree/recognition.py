@@ -8,15 +8,19 @@ U exactly when every induced subgraph has a vertex whose neighborhood there
 is empty or the U-part of the rest; that equivalence is what makes the
 greedy peeling below complete: whenever the graph qualifies, *every* choice
 of removable vertex leads to success, so no backtracking is needed.
+
+Special 2-threshold graphs are hereditary, so a non-member shrinks to a
+minimal non-member, which is one of the family's forbidden patterns: that
+is how its witness is found, with no subset enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cmp_to_key
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from types import MappingProxyType
-from typing import Callable, Iterable, Literal, Mapping
+from typing import Callable, Iterable, Iterator, Literal, Mapping
 
 from .errors import OrderInconsistencyError
 from .graph import Graph, PartitionShape, is_connected, mask_of, vertices_of
@@ -32,11 +36,6 @@ FAMILY_SPECIAL_2_THRESHOLD = "special-2-threshold"
 FAMILY_FERRERS = "ferrers"
 
 Family = Literal["threshold", "special-2-threshold", "ferrers"]
-
-#: Default vertex cap on ``classify``'s O(n^6) special-family witness scan,
-#: which runs only after the U-search has found no U.  Recognition itself
-#: has no cap.
-DEFAULT_SEARCH_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -195,6 +194,29 @@ def threshold_order(
     return u_threshold_order(g, g.vertices, tie_break)
 
 
+def _u_candidates(g: Graph, w: int) -> Iterator[int]:
+    """The U candidates of the subgraph induced on the vertex mask w, lazily
+    and without repeats: w itself, then N(x) and N(x) + x within w, each
+    plus the isolated vertices, for every vertex x of w.  Only those whose
+    complement in w is independent are yielded, as a valid U has one."""
+    masks = g.neighbor_masks()
+    vs = vertices_of(w)
+    isolated = mask_of(v for v in vs if masks[v] & w == 0)
+    seen: set[int] = set()
+    for u in chain((w,), (masks[x] & w | isolated | bit for x in vs for bit in (0, 1 << (x - 1)))):
+        if u in seen:
+            continue
+        seen.add(u)
+        rest = left = w & ~u
+        while left:  # stop at the first complement vertex with a neighbor there
+            v = left.bit_length()
+            if masks[v] & rest:
+                break
+            left ^= 1 << (v - 1)
+        else:
+            yield u
+
+
 def special_2_threshold_order(g: Graph) -> tuple[frozenset[int], ConstructionOrder] | None:
     """Find a subset U such that g has a construction order for U.
 
@@ -208,28 +230,12 @@ def special_2_threshold_order(g: Graph) -> tuple[frozenset[int], ConstructionOrd
     candidates with one O(n^2) peel each: O(n^3) in all.
     """
     full = g.full_mask()
-    isolated = mask_of(v for v in g.vertices if g.neighbor_mask(v) == 0)
-    candidates = {full}
-    for w in g.vertices:
-        u_mask = g.neighbor_mask(w) | isolated
-        candidates.update((u_mask, u_mask | 1 << (w - 1)))
-
-    def independent_complement(u_mask: int) -> bool:
-        # a valid U has an independent complement; stop at the first
-        # complement vertex with a neighbor there
-        rest = left = full & ~u_mask
-        while left:
-            low = left & -left
-            if g.neighbor_mask(low.bit_length()) & rest:
-                return False
-            left ^= low
-        return True
 
     def complement_first(u_mask: int) -> tuple[int, list[int]]:
         rest = vertices_of(full & ~u_mask)
         return len(rest), rest
 
-    for u_mask in sorted(filter(independent_complement, candidates), key=complement_first):
+    for u_mask in sorted(_u_candidates(g, full), key=complement_first):
         order, _ = _peel(g, full, u_mask)
         if order is not None:
             u_set = frozenset(vertices_of(u_mask))
@@ -315,26 +321,22 @@ def _local_adjacency(g: Graph, subset: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @cache
-def _witness_keys(
-    family: str,
-) -> tuple[tuple[int, Mapping[tuple[int, ...], str]], ...]:
-    """Per pattern size, in increasing order, every relabeling of the
-    family's patterns as a ``_local_adjacency`` tuple, mapped to the pattern
-    name.  A vertex subset induces a pattern exactly when its tuple is a
-    key; patterns of one size are pairwise non-isomorphic, so no key names
-    two.  Built on first use, not at import, and read-only since it is
-    shared."""
-    table: dict[int, dict[tuple[int, ...], str]] = {}
+def _witness_keys(family: str) -> Mapping[tuple[int, ...], str]:
+    """Every relabeling of the family's patterns as a ``_local_adjacency``
+    tuple, mapped to the pattern name.  A vertex subset induces a pattern
+    exactly when its tuple is a key; patterns of one size are pairwise
+    non-isomorphic, so no key names two.  Built on first use, not at import,
+    and read-only since it is shared."""
+    keys: dict[tuple[int, ...], str] = {}
     for name in FAMILY_PATTERNS[family]:
         masks = PATTERNS[name]
         k = len(masks)
-        keys = table.setdefault(k, {})
         for perm in permutations(range(k)):
             relabeled = [0] * k
             for i, m in enumerate(masks):
                 relabeled[perm[i]] = sum(1 << perm[j] for j in range(k) if m >> j & 1)
             keys[tuple(relabeled)] = name
-    return tuple((k, MappingProxyType(keys)) for k, keys in sorted(table.items()))
+    return MappingProxyType(keys)
 
 
 def _is_bipartite(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -385,13 +387,20 @@ def _first_alternating_four(
 
 
 def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
-    """First induced obstruction for the family, or None when the graph is
-    clean: the first subset, by size and then lexicographically, inducing
-    one of the family's patterns.  Threshold and ferrers patterns have four
-    vertices and take O(n^2) mask operations; the special 2-threshold scan
-    looks every subset of up to six vertices up in a table, O(n^6).  The
-    ferrers family is only defined on connected bipartite inputs and
-    rejects others.
+    """An induced obstruction for the family, or None when the graph is
+    clean.  Threshold and ferrers patterns have four vertices: the witness
+    is the first such subset, by size and then lexicographically, found in
+    O(n^2) mask operations.  The ferrers family is only defined on connected
+    bipartite inputs and rejects others.
+
+    A special 2-threshold non-member is shrunk to a minimal non-member:
+    chunks of vertices, highest labels first, are deleted whenever what is
+    left is still a non-member, the chunk halving after each pass.  The
+    class is hereditary, so the last pass, one vertex at a time, leaves a
+    minimal one, which is one of the family's patterns.  Each trial is an
+    unsorted O(n^3) U-search, a few per halving; the whole graph is searched
+    only when no chunk can go.  A result that induces no pattern raises
+    OrderInconsistencyError.
     """
     if family not in FAMILY_PATTERNS:
         raise ValueError(f"unknown family {family!r}")
@@ -407,14 +416,25 @@ def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
         side = mask_of(sides[0])
         other = full & ~side
         return _first_alternating_four(g, lambda a: side if side >> (a - 1) & 1 else other)
-    for size, keys in _witness_keys(family):
-        if size > g.n:
-            break
-        for subset in combinations(g.vertices, size):
-            name = keys.get(_local_adjacency(g, subset))
-            if name is not None:
-                return ForbiddenWitness(name, subset)
-    return None
+
+    @cache
+    def member(w: int) -> bool:
+        return any(_peel(g, w, u)[0] is not None for u in _u_candidates(g, w))
+
+    w, size = full, max(g.n, 2)
+    while size > 1:
+        size = (size + 1) // 2
+        vs = vertices_of(w)
+        for top in range(len(vs), 0, -size):
+            if not member(trial := w & ~mask_of(vs[max(top - size, 0):top])):
+                w = trial
+        if w == full and member(full):  # nothing went, so g may be a member
+            return None
+    subset = tuple(vertices_of(w))
+    name = _witness_keys(family).get(_local_adjacency(g, subset))
+    if name is None:
+        raise OrderInconsistencyError(f"shrinking left {subset}, which induces no {family} pattern")
+    return ForbiddenWitness(name, subset)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import prod
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from spantree import (
     threshold_order,
     u_threshold_order,
 )
+from spantree.recognition import FAMILY_PATTERNS, PATTERNS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -281,3 +282,40 @@ def construction_orders(
     for u in subsets:
         orders.append(u_threshold_order(g, u, tie_break=rng.choice))
     return orders
+
+
+@lru_cache(maxsize=None)
+def _labelled_patterns(family: str) -> dict[tuple[int, frozenset], str]:
+    """(size, edge set) of every labelling of the family's patterns on
+    0..k-1, mapped to the pattern name."""
+    out = {}
+    for name in FAMILY_PATTERNS[family]:
+        masks = PATTERNS[name]
+        k = len(masks)
+        edges = [(i, j) for i, j in combinations(range(k), 2) if masks[i] >> j & 1]
+        for p in permutations(range(k)):
+            out[k, frozenset(frozenset((p[i], p[j])) for i, j in edges)] = name
+    return out
+
+
+def induced_pattern(g: Graph, subset: tuple[int, ...], family: str) -> str | None:
+    """The family pattern that g induces on subset, or None."""
+    edges = frozenset(
+        frozenset((i, j))
+        for i, j in combinations(range(len(subset)), 2)
+        if g.has_edge(subset[i], subset[j])
+    )
+    return _labelled_patterns(family).get((len(subset), edges))
+
+
+def first_subset_witness(g: Graph, family: str) -> tuple[str, tuple[int, ...]] | None:
+    """Reference witness by definition, written without the package's
+    recognizers: the first vertex subset, by size and then
+    lexicographically, that induces one of the family's patterns; None
+    exactly when g is in the family."""
+    for size in sorted({len(PATTERNS[name]) for name in FAMILY_PATTERNS[family]}):
+        for subset in combinations(g.vertices, size):
+            name = induced_pattern(g, subset, family)
+            if name is not None:
+                return name, subset
+    return None

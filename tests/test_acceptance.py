@@ -19,7 +19,6 @@ from spantree import (
     ferrers_count,
     ferrers_graph,
     ferrers_structure,
-    forbidden_witness,
     is_upper_triangular,
     laplacian,
     matrix_tree_count,
@@ -49,6 +48,7 @@ from sample_graphs import (
     UTHRESHOLD8,
     UTHRESHOLD8_U,
     atlas_graphs,
+    first_subset_witness,
     merris_count,
     partitions_up_to,
     random_graph,
@@ -159,7 +159,7 @@ def test_criterion_3_characterizations_agree_up_to_seven():
     assert len(graphs) == 996
     for g in graphs:
         by_search = special_2_threshold_order(g) is not None
-        by_patterns = forbidden_witness(g, "special-2-threshold") is None
+        by_patterns = first_subset_witness(g, "special-2-threshold") is None
         by_perturbation = _triangular_perturbation_exists(g)
         assert by_search == by_patterns == by_perturbation, g
     elapsed = time.perf_counter() - start

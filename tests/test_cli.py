@@ -19,8 +19,8 @@ from spantree import (
     weighted_oracle,
     weighted_perturbation_count,
 )
-import spantree.cli
 import spantree.counting
+import spantree.recognition
 from spantree.cli import main
 from spantree.graph import MAX_PARSED_VERTICES
 from sample_graphs import FIXTURES, SPECIAL26
@@ -124,21 +124,17 @@ def test_bad_jobs_and_search_limit_exit_2(capsys):
         ("count", fixture("k4.txt"), "--method", "oracle", "--jobs", "0"),
         ("count", fixture("k4.txt"), "--jobs", "-2"),
         ("count", fixture("k4.txt"), "--jobs", "two"),
-        ("classify", fixture("k4.txt"), "--u-search-limit", "-1"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2, argv
         assert f"argument {argv[-2]}" in capsys.readouterr().err, argv
-    # only classify has a search limit; count and weighted recognize uncapped
-    for command in ("count", "weighted"):
+    # no command has a search limit: recognition and witnesses are uncapped
+    for command in ("classify", "count", "weighted"):
         with pytest.raises(SystemExit) as exc:
             main([command, fixture("k4.txt"), "--u-search-limit", "5"])
         assert exc.value.code == 2, command
         assert "unrecognized arguments" in capsys.readouterr().err, command
-    # a member is answered whatever the limit: no witness scan is needed
-    payload = run_json(capsys, "classify", fixture("k4.txt"), "--u-search-limit", "0", "--json")
-    assert payload["classification"]["special_2_threshold"]
 
 
 def test_count_verify(capsys):
@@ -249,22 +245,41 @@ def test_capability_exit_codes(capsys, tmp_path, monkeypatch):
     assert code == 0 and out.startswith("16")
     monkeypatch.delenv("SPANTREE_ORACLE_LIMIT")
 
-    # K25 minus three disjoint edges is not special 2-threshold (it holds
-    # an Octahedron), so classify refuses it before any witness scan
-    scans = []
-    scan = spantree.cli.forbidden_witness
-    monkeypatch.setattr(
-        spantree.cli, "forbidden_witness", lambda *a: scans.append(a) or scan(*a)
-    )
+    # K25 minus three disjoint edges is not special 2-threshold: classify
+    # answers it with the Octahedron those edges leave, no guard refuses it
     big = tmp_path / "big.txt"
     edges = [e for e in complete(25).edges() if e not in ((1, 2), (3, 4), (5, 6))]
     big.write_text(format_edge_list(Graph(25, edges)))
-    code, out, err = run(capsys, "classify", str(big))
-    assert (code, out, scans) == (3, "", [])
-    assert "--u-search-limit" in err
-    payload = run_json(capsys, "classify", str(big), "--u-search-limit", "25", "--json")
+    payload = run_json(capsys, "classify", str(big), "--json")
     assert {"family": "special-2-threshold", "pattern": "Octahedron",
             "vertices": [1, 2, 3, 4, 5, 6]} in payload["witnesses"]
+
+
+@pytest.mark.parametrize("n", [25, 100])
+def test_classify_names_the_octahedron_at_any_size(capsys, tmp_path, n):
+    # K_n minus three disjoint edges on the six highest labels: its only
+    # forbidden induced subgraph is the Octahedron there
+    missing = ((n - 5, n - 4), (n - 3, n - 2), (n - 1, n))
+    path = tmp_path / "big.txt"
+    path.write_text(format_edge_list(Graph(n, [e for e in complete(n).edges() if e not in missing])))
+    payload = run_json(capsys, "classify", str(path), "--json")
+    assert payload["classification"]["special_2_threshold"] is False
+    assert {"family": "special-2-threshold", "pattern": "Octahedron",
+            "vertices": list(range(n - 5, n + 1))} in payload["witnesses"]
+
+
+def test_classify_exits_4_when_the_shrink_names_no_pattern(capsys, monkeypatch):
+    # a witness table without the 2K2 cannot name what two_k2 shrinks to:
+    # an internal error, never a silent answer
+    keys = spantree.recognition._witness_keys
+    monkeypatch.setattr(
+        spantree.recognition,
+        "_witness_keys",
+        lambda family: {k: name for k, name in keys(family).items() if name != "2K2"},
+    )
+    code, out, err = run(capsys, "classify", fixture("two_k2.txt"))
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error:")
 
 
 def test_special_members_past_24_vertices_use_the_formula(capsys, tmp_path):
@@ -334,8 +349,8 @@ def test_family_flags_past_the_vertex_limit_exit_2(capsys):
 
 
 def test_classify_recognized_members_past_the_search_cap(capsys, tmp_path):
-    # n > --u-search-limit: members are answered, the cap only guards the
-    # witness scan of non-members
+    # members past 24 vertices are answered by their own recognizers, with
+    # no forbidden-subgraph search
     members = {
         "k25": complete(25),
         "edgeless25": Graph(25),
@@ -355,7 +370,7 @@ def test_classify_recognized_members_past_the_search_cap(capsys, tmp_path):
         co = ConstructionOrder(tuple(raw["order"]), frozenset(raw["u_set"]), tuple(raw["roles"]))
         co.check(g)
         assert raw["u_set"] == cls["u_set"], name
-    # below the cap the answer is the U-search's own, unchanged
+    # a small member gets the U-search's own answer
     payload = run_json(capsys, "classify", fixture("k4.txt"), "--json")
     assert payload["classification"]["u_set"] == [1, 2, 3, 4]
 
@@ -439,6 +454,10 @@ def test_json_schema_keys(capsys):
         ("count", fixture("k4.txt"), "--json"),
         ("weighted", fixture("k4.txt"), "--json"),
     ):
-        payload = run_json(capsys, *argv)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        # compact: one line, keys sorted
+        assert out.count("\n") == 1 and out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+        payload = json.loads(out)
         for key in ("input", "classification", "method", "count", "polynomial", "witnesses", "construction_order"):
             assert key in payload, (argv[0], key)

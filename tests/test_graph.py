@@ -158,6 +158,14 @@ def test_connectivity_and_independence():
         is_independent(K4, {0})
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(1, 300)))
+def test_vertices_of_round_trips_mask_of(vertices):
+    mask = spantree.graph.mask_of(vertices)
+    assert spantree.graph.vertices_of(mask) == sorted(vertices)
+    assert spantree.graph.mask_of(spantree.graph.vertices_of(mask)) == mask
+
+
 def test_constructors_produce_valid_graphs():
     for g in (HOUSE_TAIL, K4, complete(6), complete_multipartite([2, 3, 1]), ferrers_graph((4, 2, 1))):
         assert_simple(g)

@@ -2,6 +2,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import assume, given, settings
 
 from spantree import (
     ConstructionOrder,
@@ -13,6 +14,7 @@ from spantree import (
     ferrers_graph,
     ferrers_structure,
     forbidden_witness,
+    induced_subgraph,
     is_connected,
     nesting_report,
     route,
@@ -36,11 +38,14 @@ from sample_graphs import (
     UTHRESHOLD8,
     UTHRESHOLD8_U,
     atlas_graphs,
+    first_subset_witness,
     independent_complement_search,
+    induced_pattern,
     partitions_up_to,
     random_graph,
     random_u_threshold_instance,
     relabeled,
+    small_graphs,
 )
 
 
@@ -212,6 +217,11 @@ def test_forbidden_witness_goldens():
     assert w.pattern_name == "2K2"
     assert w.vertices == (1, 2, 3, 4)
 
+    # the shrink deletes the highest labels first, so of 3K2's three 2K2s
+    # the lowest-labeled one is left
+    w = forbidden_witness(Graph(6, [(1, 2), (3, 4), (5, 6)]), "special-2-threshold")
+    assert (w.pattern_name, w.vertices) == ("2K2", (1, 2, 3, 4))
+
     w = forbidden_witness(HOUSE_TAIL, "special-2-threshold")
     assert w is not None
     assert w.pattern_name == "House"
@@ -278,26 +288,6 @@ def test_witness_subsets_induce_the_named_pattern():
     assert hits > 50
 
 
-def _first_subset_witness(g, family):
-    """The witness by definition: the first subset, by size and then
-    lexicographically, that induces one of the family's patterns."""
-    for name in FAMILY_PATTERNS[family]:
-        assert len(PATTERNS[name]) == 4
-    for subset in combinations(g.vertices, 4):
-        for name in FAMILY_PATTERNS[family]:
-            masks = PATTERNS[name]
-            if any(
-                all(
-                    g.has_edge(subset[p[i]], subset[p[j]]) == bool(masks[i] >> j & 1)
-                    for i in range(4)
-                    for j in range(i + 1, 4)
-                )
-                for p in permutations(range(4))
-            ):
-                return name, subset
-    return None
-
-
 def test_four_vertex_witnesses_are_the_first_subsets():
     rng = random.Random(17)
     hits = {"threshold": 0, "ferrers": 0}
@@ -311,7 +301,7 @@ def test_four_vertex_witnesses_are_the_first_subsets():
         cases = [(g, "threshold")] + ([(h, "ferrers")] if is_connected(h) else [])
         for graph, family in cases:
             w = forbidden_witness(graph, family)
-            expected = _first_subset_witness(graph, family)
+            expected = first_subset_witness(graph, family)
             assert (None if w is None else (w.pattern_name, w.vertices)) == expected
             hits[family] += expected is not None
     assert min(hits.values()) > 20
@@ -345,10 +335,14 @@ def test_threshold_agreement_exhaustive_up_to_seven():
 
 
 def test_special_agreement_exhaustive_up_to_seven():
+    # the U-search against the subset scan, and the shrink's witness against
+    # both: it exists exactly for non-members and induces its pattern
     for g in atlas_graphs(7):
         found = special_2_threshold_order(g) is not None
-        clean = forbidden_witness(g, "special-2-threshold") is None
-        assert found == clean, g
+        assert found == (first_subset_witness(g, "special-2-threshold") is None), g
+        w = forbidden_witness(g, "special-2-threshold")
+        assert (w is None) == found, g
+        assert found or induced_pattern(g, w.vertices, "special-2-threshold") == w.pattern_name
 
 
 def test_special_agreement_random_eight_vertex():
@@ -356,8 +350,20 @@ def test_special_agreement_random_eight_vertex():
     for _ in range(150):
         g = random_graph(rng, 8, rng.choice([0.2, 0.4, 0.6, 0.8]))
         found = special_2_threshold_order(g) is not None
-        clean = forbidden_witness(g, "special-2-threshold") is None
-        assert found == clean, g
+        assert found == (first_subset_witness(g, "special-2-threshold") is None), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=10))
+def test_special_witness_is_a_minimal_non_member(g):
+    w = forbidden_witness(g, "special-2-threshold")
+    assume(w is not None)
+    assert special_2_threshold_order(g) is None
+    assert induced_pattern(g, w.vertices, "special-2-threshold") == w.pattern_name
+    # minimal: deleting any one vertex leaves a member, by the reference
+    for v in w.vertices:
+        rest, _ = induced_subgraph(g, [u for u in w.vertices if u != v])
+        assert first_subset_witness(rest, "special-2-threshold") is None, (g, w, v)
 
 
 # -- Ferrers recognition -------------------------------------------------------
