@@ -266,10 +266,11 @@ def reduce_and_route(
     tau(G) is the product of tau over the blocks, and with edge weights
     x_i * x_j so is the enumerator, once ``lift(value, labels)`` has moved
     each block's value to g's variables; a bridge is the block K2, whose
-    formula gives 1, or x_u * x_v lifted.  A disconnected g is ``zero``,
-    found without building a Laplacian.  Returns (value, method, route(g)),
-    method "formula:<family>", "matrix-tree" for a 2-connected non-member
-    or "blocks".  ``cofactor=None`` refuses non-members with ValueError.
+    1 x 1 cofactor gives 1, or x_u * x_v lifted.  A disconnected g is
+    ``zero``, found without building a Laplacian.  Returns (value, method,
+    route(g)), method "formula:<family>", "matrix-tree" for a 2-connected
+    non-member or "blocks".  ``cofactor=None`` refuses non-members with
+    ValueError.
     """
     routed = route(g)
     if routed is not None:
@@ -285,11 +286,12 @@ def reduce_and_route(
         return zero, "blocks", None
     if len(parts) == 1:
         return cofactor(g), "matrix-tree", None
-    # equal blocks (every bridge is K2 on 1, 2) are answered once
+    # equal blocks (every bridge is the one K2) are answered once, a bridge
+    # by its 1 x 1 cofactor, which costs less than routing it
     answers: dict[Graph, T] = {}
     for block, _ in parts:
         if block not in answers:
-            found = route(block)
+            found = None if block.n == 2 else route(block)
             answers[block] = cofactor(block) if found is None else formula(block, found[1])
     product = reduce(mul, (lift(answers[block], labels) for block, labels in parts))
     return product, "blocks", None

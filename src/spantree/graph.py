@@ -246,16 +246,20 @@ def is_connected(g: Graph) -> bool:
     return seen == g.full_mask()
 
 
+#: The block of every bridge; graphs are immutable, so all bridges share it.
+_K2 = Graph(2, [(1, 2)])
+
+
 def blocks(g: Graph) -> list[tuple[Graph, tuple[int, ...]]] | None:
     """Biconnected components of a connected graph, or None when g is
     disconnected.
 
     Each block comes as (subgraph, labels) like ``induced_subgraph``: the
     block relabeled 1..k, labels[i-1] the original vertex i.  A bridge is a
-    block with two vertices; a graph with one vertex is one block.  Tarjan's
-    depth-first search runs on an explicit stack, so deep graphs need no
-    recursion, and each block's edges are popped off the search's edge
-    stack: O(n + m) in all.
+    block with two vertices, one shared K2 for all bridges; a graph with one
+    vertex is one block.  Tarjan's depth-first search runs on an explicit
+    stack, so deep graphs need no recursion, and each block's edges are
+    popped off the search's edge stack: O(n + m) in all.
     """
     if g.n == 0:
         return []
@@ -297,6 +301,9 @@ def blocks(g: Graph) -> list[tuple[Graph, tuple[int, ...]]] | None:
         return [(Graph(1), (1,))]
     out = []
     for edges in found:
+        if len(edges) == 1:  # a bridge
+            out.append((_K2, tuple(sorted(edges[0]))))
+            continue
         keep = sorted({x for e in edges for x in e})
         index = {x: i for i, x in enumerate(keep, 1)}
         out.append((Graph(len(keep), [(index[a], index[b]) for a, b in edges]), tuple(keep)))

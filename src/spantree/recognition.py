@@ -7,7 +7,9 @@ U-part of its predecessors ("u_dominating").  A graph admits one for a given
 U exactly when every induced subgraph has a vertex whose neighborhood there
 is empty or the U-part of the rest; that equivalence is what makes the
 greedy peeling below complete: whenever the graph qualifies, *every* choice
-of removable vertex leads to success, so no backtracking is needed.
+of removable vertex leads to success, so no backtracking is needed.  The
+peel never re-scans: it buckets the vertices once by their neighbor counts,
+and each deletion then shifts whole buckets, O(1) work per step.
 
 Special 2-threshold graphs are hereditary, so a non-member shrinks to a
 minimal non-member, which is one of the family's forbidden patterns: that
@@ -122,22 +124,65 @@ def _peel(
 
     The default tie-break deletes the highest-labeled candidate, which makes
     low labels appear earliest in the resulting order.
+
+    Nothing is re-scanned: one peel takes |W| popcounts, then O(1) work per
+    deletion.  A deletable vertex touches nothing left or exactly the other
+    U-vertices left, so deleting it shifts whole classes of counts at once:
+    a U-dominating U-vertex takes one from every U-vertex's count inside U,
+    a U-dominating vertex outside U one from every U-vertex's count outside
+    U, and the counts of vertices outside U never change (one with a
+    neighbor outside U can never go).  So the vertices are bucketed once by
+    their counts, each bucket ascending, and each step reads four buckets:
+    U-vertices with no neighbors left, U-vertices with none outside U and
+    k - 1 inside, and the others with 0 or k neighbors, k the U-vertices
+    left.  The highest candidate ends one of them.
     """
-    w = w_mask
     masks = g.neighbor_masks()
+    in_u, out_u = w_mask & u_mask, w_mask & ~u_mask
+    k = stride = in_u.bit_count()
+    # U-vertices keyed by their counts as out * k + in (in < k); the others,
+    # unless they have a neighbor outside U, by their count inside
+    u_buckets: dict[int, list[int]] = {}
+    other_buckets: dict[int, list[int]] = {}
+    for v in vertices_of(in_u):
+        nb = masks[v]
+        key = (nb & out_u).bit_count() * k + (nb & in_u).bit_count()
+        u_buckets.setdefault(key, []).append(v)
+    for v in vertices_of(out_u):
+        nb = masks[v]
+        if not nb & out_u:
+            other_buckets.setdefault((nb & in_u).bit_count(), []).append(v)
+    base = 0  # the key of a U-vertex with no neighbors left
+    empty: list[int] = []
     removed: list[int] = []
-    while w:
-        candidates = [
-            v
-            for v in vertices_of(w)
-            if (nb := masks[v] & w) == 0
-            or nb == (w & ~(1 << (v - 1))) & u_mask
-        ]
-        if not candidates:
-            return None, w
-        v = candidates[-1] if tie_break is None else tie_break(candidates)
+    for _ in range(w_mask.bit_count()):
+        buckets = (
+            u_buckets.get(base, empty),
+            u_buckets.get(base + k - 1, empty) if k > 1 else empty,
+            other_buckets.get(0, empty),
+            other_buckets.get(k, empty) if k else empty,
+        )
+        if tie_break is None:
+            v = 0
+            for i, bucket in enumerate(buckets):
+                if bucket and bucket[-1] > v:
+                    v, chosen = bucket[-1], i
+            if not v:
+                return None, w_mask & ~mask_of(removed)
+            buckets[chosen].pop()
+        else:
+            candidates = sorted(chain(*buckets))
+            if not candidates:
+                return None, w_mask & ~mask_of(removed)
+            v = tie_break(candidates)
+            chosen = next(i for i, bucket in enumerate(buckets) if v in bucket)
+            buckets[chosen].remove(v)
         removed.append(v)
-        w &= ~(1 << (v - 1))
+        if chosen < 2:  # a U-vertex, U-dominating if chosen is 1
+            k -= 1
+            base += chosen
+        elif chosen == 3:
+            base += stride
     removed.reverse()
     return removed, 0
 
@@ -227,7 +272,8 @@ def special_2_threshold_order(g: Graph) -> tuple[frozenset[int], ConstructionOrd
     isolated vertex can always join U (move it to the end of the order), so
     the U with the smallest complement, lexicographically first among those,
     contains all of them.  That U is returned, found among at most 2n + 1
-    candidates with one O(n^2) peel each: O(n^3) in all.
+    candidates with one peel of n popcounts each: O(n^2) mask operations in
+    all.
     """
     full = g.full_mask()
 
@@ -398,9 +444,9 @@ def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
     left is still a non-member, the chunk halving after each pass.  The
     class is hereditary, so the last pass, one vertex at a time, leaves a
     minimal one, which is one of the family's patterns.  Each trial is an
-    unsorted O(n^3) U-search, a few per halving; the whole graph is searched
-    only when no chunk can go.  A result that induces no pattern raises
-    OrderInconsistencyError.
+    unsorted U-search of O(n^2) mask operations, a few per halving; the
+    whole graph is searched only when no chunk can go.  A result that
+    induces no pattern raises OrderInconsistencyError.
     """
     if family not in FAMILY_PATTERNS:
         raise ValueError(f"unknown family {family!r}")
@@ -532,8 +578,8 @@ def route(g: Graph) -> tuple[Family, ConstructionOrder] | None:
     none of them.
 
     Threshold graphs get U = V, Ferrers graphs their staircase traversal
-    with U the columns, anything else the O(n^3) U-search.  Every step is
-    polynomial, so no input is refused.
+    with U the columns, anything else the U-search, O(n^2) mask operations.
+    Every step is polynomial, so no input is refused.
     """
     co = threshold_order(g)
     if co is not None:

@@ -7,6 +7,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import prod
 from pathlib import Path
+from typing import Callable
 
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from spantree import (
     threshold_order,
     u_threshold_order,
 )
+from spantree.graph import vertices_of
 from spantree.recognition import FAMILY_PATTERNS, PATTERNS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -71,6 +73,39 @@ def assert_simple(g: Graph) -> None:
         assert v not in g.neighbors(v)
         for w in g.neighbors(v):
             assert v in g.neighbors(w)
+
+
+def scan_peel(
+    g: Graph,
+    w_mask: int,
+    u_mask: int,
+    tie_break: Callable[[list[int]], int] | None = None,
+) -> tuple[list[int] | None, int]:
+    """Reference for ``recognition._peel``, by definition: every step
+    re-scans the remaining vertices for those whose remaining neighborhood
+    is empty or exactly the remaining U-part, O(n^2) mask operations per
+    peel.  Returns (order, 0) on success with the deletions reversed into a
+    construction order, or (None, stuck) where stuck is the vertex mask on
+    which no deletion was possible.  The default tie-break deletes the
+    highest-labeled candidate.
+    """
+    w = w_mask
+    masks = g.neighbor_masks()
+    removed: list[int] = []
+    while w:
+        candidates = [
+            v
+            for v in vertices_of(w)
+            if (nb := masks[v] & w) == 0
+            or nb == (w & ~(1 << (v - 1))) & u_mask
+        ]
+        if not candidates:
+            return None, w
+        v = candidates[-1] if tie_break is None else tie_break(candidates)
+        removed.append(v)
+        w &= ~(1 << (v - 1))
+    removed.reverse()
+    return removed, 0
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

@@ -93,6 +93,7 @@ def test_blocks_of_a_long_path_need_no_recursion():
     assert len(parts) == n - 1
     assert sorted(labels for _, labels in parts) == [(i, i + 1) for i in range(1, n)]
     assert all(b.edge_count == 1 for b, _ in parts)
+    assert all(b is parts[0][0] for b, _ in parts)  # one shared K2
 
 
 def test_reduce_and_route_without_a_cofactor_answers_members_only():
@@ -130,11 +131,15 @@ def test_chain_of_triangles_needs_no_cofactor(monkeypatch):
     assert auto_count(g) == (3**k, "blocks")
 
 
-def test_weighted_tree_is_the_degree_monomial():
+def test_weighted_tree_is_the_degree_monomial(monkeypatch):
     rng = random.Random(7)
     tree = Graph(200, [(v, rng.randint(1, v - 1)) for v in range(2, 201)])
+    routed = []
+    whole = spantree.counting.route
+    monkeypatch.setattr(spantree.counting, "route", lambda g: routed.append(g.n) or whole(g))
     poly, method = weighted_auto(tree)
     assert method == "blocks"
+    assert routed == [200]  # every block is a bridge, answered by its 1 x 1 cofactor
     assert poly == MultiPoly.monomial(200, [tree.degree(v) for v in tree.vertices])
 
 

@@ -255,7 +255,7 @@ def test_capability_exit_codes(capsys, tmp_path, monkeypatch):
             "vertices": [1, 2, 3, 4, 5, 6]} in payload["witnesses"]
 
 
-@pytest.mark.parametrize("n", [25, 100])
+@pytest.mark.parametrize("n", [25, 100, 200])
 def test_classify_names_the_octahedron_at_any_size(capsys, tmp_path, n):
     # K_n minus three disjoint edges on the six highest labels: its only
     # forbidden induced subgraph is the Octahedron there

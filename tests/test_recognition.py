@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spantree import (
     ConstructionOrder,
@@ -24,6 +25,7 @@ from spantree import (
     u_threshold_order,
 )
 import spantree.recognition
+from spantree.graph import mask_of
 from spantree.recognition import FAMILY_PATTERNS, PATTERNS, derive_roles
 from sample_graphs import (
     C5,
@@ -45,6 +47,7 @@ from sample_graphs import (
     random_graph,
     random_u_threshold_instance,
     relabeled,
+    scan_peel,
     small_graphs,
 )
 
@@ -67,6 +70,20 @@ def test_threshold_order_failures_and_trivia():
         co = threshold_order(complete(n))
         assert co is not None
         co.check(complete(n))
+
+
+def test_threshold_order_at_20000_vertices():
+    # six dominating vertices spaced out over isolated ones, about 105k
+    # edges: a peel that re-scanned every remaining vertex per step would
+    # take minutes here
+    n = 20_000
+    dominating = range(n - 5000, n + 1, 1000)
+    g = Graph(n, [(u, v) for v in dominating for u in range(1, v)])
+    co = threshold_order(g)
+    assert co is not None
+    co.check(g)
+    assert co.order == tuple(g.vertices)
+    assert co.u_dominating_vertices() == frozenset(dominating)
 
 
 def test_u_threshold_order_golden():
@@ -100,6 +117,40 @@ def test_u_threshold_obstruction():
             inside = TWO_K2.neighbors(v) & stuck
             assert inside and inside != (stuck - {v}) & u
     assert u_threshold_obstruction(SPECIAL5, SPECIAL5_U) is None
+
+
+@st.composite
+def peel_instances(draw, max_n=12):
+    """(g, W, U) for the peel, W and U as masks: a random graph with a
+    random U, or a graph built from a construction order for U with one
+    pair sometimes toggled, so that peels both finish and get stuck after
+    some deletions.  Labels are shuffled; W is all of g or random."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    in_u = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = {e for e, keep in zip(pairs, chosen) if keep}
+    else:
+        dominating = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        edges = {(u, v) for u, v in pairs if dominating[v - 1] and in_u[u - 1]}
+        if pairs and draw(st.booleans()):
+            edges ^= {draw(st.sampled_from(pairs))}
+    perm = draw(st.permutations(range(1, n + 1)))
+    g = relabeled(Graph(n, edges), list(perm))
+    u = mask_of(perm[v - 1] for v in g.vertices if in_u[v - 1])
+    w = draw(st.one_of(st.just(g.full_mask()), st.integers(0, g.full_mask())))
+    return g, w, u
+
+
+@settings(max_examples=400, deadline=None)
+@given(peel_instances())
+def test_peel_matches_the_scan_reference(instance):
+    # the scan deletes by definition; the counters must delete the same
+    # vertices in the same order and stop on the same stuck set
+    g, w, u = instance
+    for tie_break in (None, lambda c: c[len(c) // 2]):
+        assert spantree.recognition._peel(g, w, u, tie_break) == scan_peel(g, w, u, tie_break)
 
 
 def test_greedy_confluence_under_random_tie_breaks():
