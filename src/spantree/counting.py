@@ -22,9 +22,11 @@ from .errors import CapabilityExceededError, TriangularityError
 from .graph import Graph, PartitionShape, blocks
 from .linalg import (
     ExactMatrix,
+    _is_upper_triangular,
+    _laplacian_rows,
+    _rank_one_rows,
     determinant,
     exact_int_div,
-    is_upper_triangular,
     laplacian,
     minor_determinant,
     rank_one_update,
@@ -145,29 +147,39 @@ def perturbation_count(g: Graph, a: Sequence[int], b: Sequence[int]) -> int:
     return exact_int_div(det, sa * sb)
 
 
-def build_perturbation(
-    g: Graph, co: ConstructionOrder
-) -> tuple[tuple[int, ...], tuple[int, ...], ExactMatrix]:
-    """Relabel the Laplacian along the construction order and add the outer
-    product of the u_dominating and U indicator vectors.
+def _perturbed_rows(
+    g: Graph, co: ConstructionOrder, weight: Callable[[int], T], zero: T
+) -> tuple[tuple[T, ...], tuple[T, ...], list[list[T]]]:
+    """L(G; w) relabeled along the construction order plus a b^T, over any
+    ring: a is w(v) on the u_dominating vertices, b is w(v) on U, both zero
+    elsewhere.
 
     The result is upper triangular for every valid construction order; a
     non-triangular result raises TriangularityError and means ``co`` was not
-    valid for g.  Returns (a, b, perturbed matrix).
+    valid for g.  Returns (a, b, rows).
     """
     co.check(g)
     order = co.order
-    lap = ExactMatrix(
-        [[g.degree(u) if u == v else -int(g.has_edge(u, v)) for v in order] for u in order]
+    a = tuple(
+        weight(v) if r == ROLE_U_DOMINATING else zero for v, r in zip(order, co.roles)
     )
-    a = tuple(1 if r == ROLE_U_DOMINATING else 0 for r in co.roles)
-    b = tuple(1 if v in co.u_set else 0 for v in order)
-    perturbed = rank_one_update(lap, a, b)
-    if not is_upper_triangular(perturbed):
+    b = tuple(weight(v) if v in co.u_set else zero for v in order)
+    rows = _rank_one_rows(_laplacian_rows(g, order, weight, zero), a, b)
+    if not _is_upper_triangular(rows):
         raise TriangularityError(
             "perturbed Laplacian is not upper triangular; construction order invalid"
         )
-    return a, b, perturbed
+    return a, b, rows
+
+
+def build_perturbation(
+    g: Graph, co: ConstructionOrder
+) -> tuple[tuple[int, ...], tuple[int, ...], ExactMatrix]:
+    """The Laplacian along the construction order plus the outer product of
+    the u_dominating and U indicator vectors (w = 1), upper triangular;
+    raises TriangularityError otherwise.  Returns (a, b, perturbed matrix)."""
+    a, b, rows = _perturbed_rows(g, co, lambda v: 1, 0)
+    return a, b, ExactMatrix(rows)
 
 
 def complete_count(n: int) -> int:

@@ -2,10 +2,12 @@
 
 The determinant uses fraction-free (Bareiss) elimination: every division is
 by the previous pivot and is exact in the underlying integral domain, so no
-rational arithmetic ever appears.  The elimination core is generic so the
-weighted module can reuse it over polynomial entries.  A division-free
-expansion determinant serves small polynomial matrices, where an exact
-polynomial division costs more than the exponential number of minors.
+rational arithmetic ever appears.  The package runs it over the integers
+only.  Polynomial matrices take the division-free expansion determinant,
+since an exact polynomial division costs more than the exponential number of
+minors at the sizes where either finishes.  The Laplacian rows and the
+rank-one update are generic over the ring, so the weighted module builds
+L(G; w) + a b^T with the same code as the integer routes.
 """
 
 from __future__ import annotations
@@ -179,9 +181,12 @@ def is_upper_triangular(m: ExactMatrix) -> bool:
     """True when every entry strictly below the diagonal is zero."""
     if not m.is_square:
         raise ValueError(f"triangularity needs a square matrix, got {m.rows}x{m.cols}")
-    return all(
-        m._data[i][j] == 0 for i in range(1, m.rows) for j in range(i)
-    )
+    return _is_upper_triangular(m._data)
+
+
+def _is_upper_triangular(rows: Sequence[Sequence[T]]) -> bool:
+    """True when no entry strictly below the diagonal is nonzero, any ring."""
+    return not any(rows[i][j] for i in range(1, len(rows)) for j in range(i))
 
 
 def rank_one_update(m: ExactMatrix, a: Sequence[int], b: Sequence[int]) -> ExactMatrix:
@@ -190,18 +195,44 @@ def rank_one_update(m: ExactMatrix, a: Sequence[int], b: Sequence[int]) -> Exact
         raise ValueError(
             f"vector lengths {len(a)}, {len(b)} do not match {m.rows}x{m.cols}"
         )
-    return ExactMatrix(
-        [[x + ai * bj for x, bj in zip(row, b)] for row, ai in zip(m._data, a)]
-    )
+    return ExactMatrix(_rank_one_rows(m._data, a, b))
+
+
+def _rank_one_rows(
+    rows: Sequence[Sequence[T]], a: Sequence[T], b: Sequence[T]
+) -> list[list[T]]:
+    """rows plus the outer product a b^T, over any ring."""
+    return [[x + ai * bj for x, bj in zip(row, b)] for row, ai in zip(rows, a)]
+
+
+def _laplacian_rows(
+    g: Graph,
+    order: Sequence[int],
+    weight: Callable[[int], T],
+    zero: T,
+    *,
+    row_factors: bool = True,
+) -> list[list[T]]:
+    """Rows and columns of L(G; w) for the vertices of ``order``, over any
+    ring: entry (u, u) is w(u) times the sum of w(v) over N(u), entry (u, v)
+    is -w(u) w(v) on an edge.  Leaving vertices out of ``order`` gives a
+    principal submatrix; ``row_factors=False`` divides row u by w(u)."""
+    w = {v: weight(v) for v in g.vertices}
+    pos = {v: j for j, v in enumerate(order)}
+    rows = []
+    for u in order:
+        nbrs = g.neighbors(u)
+        row = [zero] * len(order)
+        for v in nbrs:
+            if v in pos:
+                row[pos[v]] = -(w[u] * w[v]) if row_factors else -w[v]
+        total = sum((w[v] for v in nbrs), zero)
+        row[pos[u]] = w[u] * total if row_factors else total
+        rows.append(row)
+    return rows
 
 
 def laplacian(g: Graph) -> ExactMatrix:
     """Degree matrix minus adjacency matrix: entry (i, i) is deg(i), entry
-    (i, j) is -1 iff {i, j} is an edge."""
-    data = []
-    for i in g.vertices:
-        nbrs = g.neighbors(i)
-        data.append(
-            [len(nbrs) if i == j else (-1 if j in nbrs else 0) for j in g.vertices]
-        )
-    return ExactMatrix(data)
+    (i, j) is -1 iff {i, j} is an edge.  L(G; w) with w = 1."""
+    return ExactMatrix(_laplacian_rows(g, g.vertices, lambda v: 1, 0))

@@ -2,13 +2,14 @@
 coefficients.
 
 Terms map exponent tuples (one entry per variable) to nonzero coefficients.
-Display and leading-term selection use graded lexicographic order: higher
-total degree first, then lexicographically larger exponent tuple, so output
-is stable across runs.
+Display uses graded lexicographic order: higher total degree first, then
+lexicographically larger exponent tuple, so output is stable across runs.
+Exact division picks leading terms in an order of its own (see exact_div).
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -143,31 +144,40 @@ class MultiPoly:
         Single-divisor division: repeatedly cancel the leading term.  Over an
         integral domain the leading term of a product is the product of the
         leading terms, so the quotient is reconstructed term by term and any
-        failure to divide (monomial or coefficient) proves inexactness.
+        failure to divide (monomial or coefficient) proves inexactness.  Any
+        monomial order gives the same quotient; this one ranks higher degree
+        first, then the lexicographically smaller exponents, so the leading
+        term is the least (-degree, exponents) key, and a min-heap yields
+        each in turn.  Each step creates only terms below the one it
+        cancels, so the heap takes each key once.
         """
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return MultiPoly.zero(self.nvars)
-        lead_e, lead_c = other._leading_term()
+        lead_e = min(other._terms, key=lambda e: (-sum(e), e))
+        lead_c = other._terms[lead_e]
+        tail = [(e, c) for e, c in other._terms.items() if e != lead_e]
         rem = dict(self._terms)
+        heap = [(-sum(e), e) for e in rem]
+        heapify(heap)
         quot: dict[ExponentVector, int] = {}
-        while rem:
-            r_e = max(rem, key=_order_key)
-            r_c = rem[r_e]
+        while heap:
+            r_e = heappop(heap)[1]
+            r_c = rem.pop(r_e)
+            if not r_c:
+                continue  # cancelled by an earlier step
             t_e = tuple(map(sub, r_e, lead_e))
             if any(e < 0 for e in t_e) or r_c % lead_c:
                 raise ExactnessError("polynomial division left a remainder")
             t_c = r_c // lead_c
-            quot[t_e] = quot.get(t_e, 0) + t_c
-            for e2, c2 in other._terms.items():
+            quot[t_e] = t_c
+            for e2, c2 in tail:
                 key = tuple(map(add, t_e, e2))
-                new = rem.get(key, 0) - t_c * c2
-                if new:
-                    rem[key] = new
-                else:
-                    rem.pop(key, None)
+                if key not in rem:
+                    heappush(heap, (-sum(key), key))
+                rem[key] = rem.get(key, 0) - t_c * c2
         return MultiPoly._of(self.nvars, quot)
 
     def lift(self, nvars: int, labels: Sequence[int]) -> "MultiPoly":
@@ -202,10 +212,6 @@ class MultiPoly:
 
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self._terms.items())))
-
-    def _leading_term(self) -> tuple[ExponentVector, int]:
-        exps = max(self._terms, key=_order_key)
-        return exps, self._terms[exps]
 
     def terms(self) -> tuple[tuple[ExponentVector, int], ...]:
         """Terms in graded-lex descending order."""

@@ -8,19 +8,19 @@ counts, which the tests exploit throughout.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Sequence
 
-from .counting import spanning_trees
-from .errors import TriangularityError
+from .counting import _perturbed_rows, spanning_trees
 from .graph import Graph, PartitionShape, ferrers_graph
-from .linalg import expansion_determinant, fraction_free_determinant
-from .poly import MultiPoly, poly_prod, poly_sum
-from .recognition import (
-    ROLE_U_DOMINATING,
-    ConstructionOrder,
-    FerrersStructure,
-    ferrers_structure,
+from .linalg import (
+    _is_upper_triangular,
+    _laplacian_rows,
+    _rank_one_rows,
+    expansion_determinant,
 )
+from .poly import MultiPoly, poly_prod, poly_sum
+from .recognition import ConstructionOrder, FerrersStructure, ferrers_structure
 
 
 class PolyMatrix:
@@ -51,24 +51,15 @@ class PolyMatrix:
         return tuple(self._data[i][i] for i in range(self.size))
 
     def is_upper_triangular(self) -> bool:
-        return all(
-            self._data[i][j].is_zero()
-            for i in range(1, self.size)
-            for j in range(i)
-        )
+        return _is_upper_triangular(self._data)
 
     def determinant(self) -> MultiPoly:
-        """Diagonal product when triangular, fraction-free elimination in the
-        polynomial ring otherwise."""
-        if self.size == 0:
-            return MultiPoly.const(self.nvars, 1)
+        """Diagonal product when triangular, the division-free expansion
+        determinant otherwise (exponential in the size)."""
         if self.is_upper_triangular():
             return poly_prod(self.nvars, self.diagonal())
-        return fraction_free_determinant(
-            self._data,
-            zero=MultiPoly.zero(self.nvars),
-            one=MultiPoly.const(self.nvars, 1),
-            exact_div=lambda p, q: p.exact_div(q),
+        return expansion_determinant(
+            self._data, zero=MultiPoly.zero(self.nvars), one=MultiPoly.const(self.nvars, 1)
         )
 
     def __eq__(self, other: object) -> bool:
@@ -89,26 +80,16 @@ def _var_sum(n: int, vertices: Iterable[int]) -> MultiPoly:
     return MultiPoly(n, {tuple(int(i == v) for i in range(1, n + 1)): 1 for v in vertices})
 
 
-def _neighbor_sum(g: Graph, v: int) -> MultiPoly:
-    return _var_sum(g.n, g.neighbors(v))
-
-
 def weighted_degree(g: Graph, v: int) -> MultiPoly:
     """Sum of x_v * x_w over the neighbors w of v."""
-    return _var(g.n, v) * _neighbor_sum(g, v)
+    return _var(g.n, v) * _var_sum(g.n, g.neighbors(v))
 
 
 def weighted_laplacian(g: Graph) -> PolyMatrix:
-    """Weighted degrees on the diagonal, -x_i*x_j on edges, zero elsewhere."""
-    n = g.n
-    zero = MultiPoly.zero(n)
-
-    def entry(i: int, j: int) -> MultiPoly:
-        if i == j:
-            return weighted_degree(g, i)
-        return -(_var(n, i) * _var(n, j)) if g.has_edge(i, j) else zero
-
-    return PolyMatrix([[entry(i, j) for j in g.vertices] for i in g.vertices])
+    """Weighted degrees on the diagonal, -x_i*x_j on edges, zero elsewhere:
+    L(G; w) with w = x_v."""
+    zero = MultiPoly.zero(g.n)
+    return PolyMatrix(_laplacian_rows(g, g.vertices, partial(_var, g.n), zero))
 
 
 def weighted_oracle(g: Graph, *, max_edges: int | None = None) -> MultiPoly:
@@ -141,13 +122,7 @@ def weighted_matrix_tree_count(g: Graph) -> MultiPoly:
     r = min(g.vertices, key=lambda v: (-g.degree(v), v))
     rest = [v for v in g.vertices if v != r]
     zero = MultiPoly.zero(n)
-    rows = [
-        [
-            _neighbor_sum(g, i) if i == j else (-_var(n, j) if g.has_edge(i, j) else zero)
-            for j in rest
-        ]
-        for i in rest
-    ]
+    rows = _laplacian_rows(g, rest, partial(_var, n), zero, row_factors=False)
     det = expansion_determinant(rows, zero=zero, one=MultiPoly.const(n, 1))
     return det * MultiPoly.monomial(n, [int(v != r) for v in g.vertices])
 
@@ -174,12 +149,7 @@ def weighted_perturbation_count(
     sb = poly_sum(n, bv)
     if sa.is_zero() or sb.is_zero():
         raise ValueError("vector sums must be nonzero for the perturbation count")
-    lap = weighted_laplacian(g)
-    rows = [
-        [lap.entry(i, j) + av[i - 1] * bv[j - 1] for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    det = PolyMatrix(rows).determinant()
+    det = PolyMatrix(_rank_one_rows(weighted_laplacian(g)._data, av, bv)).determinant()
     return det.exact_div(sa).exact_div(sb)
 
 
@@ -188,34 +158,10 @@ def weighted_build_perturbation(
 ) -> tuple[tuple[MultiPoly, ...], tuple[MultiPoly, ...], PolyMatrix]:
     """Weighted Laplacian relabeled along the construction order, perturbed
     by the outer product of a (x_v on u_dominating vertices) and b (x_v on
-    U-vertices).  Triangular for every valid order; raises otherwise."""
-    co.check(g)
-    n = g.n
-    zero = MultiPoly.zero(n)
-    order = co.order
-    a = tuple(
-        _var(n, v) if r == ROLE_U_DOMINATING else zero
-        for v, r in zip(order, co.roles)
-    )
-    b = tuple(_var(n, v) if v in co.u_set else zero for v in order)
-    rows = []
-    for i, u in enumerate(order):
-        row = []
-        for j, v in enumerate(order):
-            if u == v:
-                entry = weighted_degree(g, u)
-            elif g.has_edge(u, v):
-                entry = -(_var(n, u) * _var(n, v))
-            else:
-                entry = zero
-            row.append(entry + a[i] * b[j])
-        rows.append(row)
-    perturbed = PolyMatrix(rows)
-    if not perturbed.is_upper_triangular():
-        raise TriangularityError(
-            "weighted perturbation is not upper triangular; construction order invalid"
-        )
-    return a, b, perturbed
+    U-vertices): the perturbation with w = x_v.  Triangular for every valid
+    order; raises TriangularityError otherwise."""
+    a, b, rows = _perturbed_rows(g, co, partial(_var, g.n), MultiPoly.zero(g.n))
+    return a, b, PolyMatrix(rows)
 
 
 def weighted_cayley_prufer(n: int) -> MultiPoly:

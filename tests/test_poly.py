@@ -3,6 +3,7 @@ import random
 import pytest
 
 from spantree import ExactnessError, MultiPoly
+from spantree.poly import poly_sum
 
 
 def x(i, n=3):
@@ -87,6 +88,13 @@ def test_exact_div_round_trip():
             continue
         assert (p * q).exact_div(q) == p
         done += 1
+    # thousands of terms over a multi-term divisor, in both directions
+    p = poly_sum(6, [x(1, 6), 2 * x(2, 6), -x(3, 6), x(4, 6), 3 * x(5, 6), -x(6, 6), 1]) ** 7
+    q = poly_sum(6, [x(i, 6) for i in range(1, 7)]) - 2
+    product = p * q
+    assert len(product.terms()) > 2000
+    assert product.exact_div(q) == p
+    assert product.exact_div(p) == q
 
 
 def test_exact_div_detects_remainders():
@@ -95,6 +103,8 @@ def test_exact_div_detects_remainders():
         (x1 + 1).exact_div(x2)
     with pytest.raises(ExactnessError):
         (x1 * 3 + 1).exact_div(x1 * 2)  # coefficient not divisible
+    with pytest.raises(ExactnessError):
+        (x1 * 3).exact_div(x1 * 2)  # only the coefficient check can see this
     with pytest.raises(ZeroDivisionError):
         x1.exact_div(MultiPoly.zero(2))
 

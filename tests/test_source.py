@@ -49,3 +49,39 @@ def test_package_modules_have_no_dead_imports():
         for name in _dead_imports(path.read_text(encoding="utf-8"))
     ]
     assert not found, found
+
+
+def _names(tree: ast.AST, *, skip_module: str | None = None) -> set[str]:
+    """Every name a module loads, binds, reads as an attribute or imports,
+    leaving out imports from the sibling module ``skip_module``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module != skip_module:
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_names_check_sees_imports_attributes_and_calls():
+    tree = ast.parse("from .linalg import a\nfrom .poly import b\nlinalg.c(d)\n")
+    assert _names(tree) == {"a", "b", "c", "d", "linalg"}
+    assert _names(tree, skip_module="linalg") == {"b", "c", "d", "linalg"}
+
+
+def test_bareiss_is_named_only_by_linalg():
+    # polynomial determinants take the expansion, so Bareiss runs over the
+    # integers only, inside linalg; the package root may re-export it
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py"
+        and "fraction_free_determinant"
+        in _names(
+            ast.parse(path.read_text(encoding="utf-8")),
+            skip_module="linalg" if path.name == "__init__.py" else None,
+        )
+    ]
+    assert not found, found
