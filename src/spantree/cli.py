@@ -44,7 +44,7 @@ from .graph import (
     ferrers_graph,
     parse_edge_list,
 )
-from .poly import MultiPoly
+from .linalg import INTEGERS, Ring, polynomial_ring
 from .recognition import (
     FAMILY_FERRERS,
     FAMILY_SPECIAL_2_THRESHOLD,
@@ -85,13 +85,12 @@ def _load_graph(path: str) -> Graph:
 
 
 def _parse_parts(raw: str, flag: str) -> list[int]:
+    """The integers of a comma-separated list; an empty field is an error,
+    not a field to skip."""
     try:
-        parts = [int(x) for x in raw.split(",") if x.strip() != ""]
+        return [int(x) for x in raw.split(",")]
     except ValueError:
         raise EdgeListParseError(f"{flag} expects comma-separated integers, got {raw!r}")
-    if not parts:
-        raise EdgeListParseError(f"{flag} expects at least one integer")
-    return parts
 
 
 def _order_json(co: ConstructionOrder | None) -> dict | None:
@@ -120,11 +119,12 @@ def _unlimited_int_str() -> Iterator[None]:
         sys.set_int_max_str_digits(saved)
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
+def _emit(payload: dict, as_json: bool, lines: Callable[[], list[str]]) -> None:
+    """Print the payload as JSON, or else build and print ``lines()``."""
     if as_json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print("\n".join(lines))
+        print("\n".join(lines()))
 
 
 def _bounded_int(low: int) -> Callable[[str], int]:
@@ -224,41 +224,36 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "witness against %s: %s on vertices {%s}"
             % (w_json["family"], w_json["pattern"], ", ".join(map(str, w_json["vertices"])))
         )
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda: lines)
     return 0
 
 
-def _routed(
-    g: Graph, method: str, formula: Callable, cofactor: Callable, **ring
+def _answer(
+    g: Graph,
+    method: str,
+    ring: Ring,
+    routes: tuple[Callable, Callable, Callable],
+    oracle: Callable[[Graph], object],
 ) -> tuple[object, str, ConstructionOrder | None, dict | None]:
-    """``reduce_and_route`` over the ``ring`` keywords; ``method``
+    """Answer g in ``ring`` by ``method``, through the ring's public
+    (formula, cofactor, perturbation count) ``routes`` and its ``oracle``.
     "formula" refuses a graph outside the families instead of splitting
-    it."""
+    it.  Returns (value, method used, construction order if any,
+    classification)."""
+    formula, cofactor, perturbation = routes
+    if method == "oracle":
+        return oracle(g), "oracle", None, None
+    if method == "matrix-tree":
+        return cofactor(g), "matrix-tree", None, None
+    if method == "perturbation":
+        ones = [1] * g.n
+        return perturbation(g, ones, ones), "perturbation", None, None
     value, used, routed = reduce_and_route(
-        g, formula, None if method == "formula" else cofactor, **ring
+        g, formula, None if method == "formula" else cofactor, ring=ring
     )
     if routed is None:
         return value, used, None, None
     return value, used, routed[1], {"family": routed[0]}
-
-
-def _count_graph(
-    g: Graph, method: str, jobs: int
-) -> tuple[int, str, ConstructionOrder | None, dict | None]:
-    """Returns (count, method used, construction order if any, classification)."""
-    if method == "matrix-tree":
-        return matrix_tree_count(g), "matrix-tree", None, None
-    if method == "perturbation":
-        ones = [1] * g.n
-        return perturbation_count(g, ones, ones), "perturbation", None, None
-    if method == "oracle":
-        return (
-            oracle_count(g, max_edges=_oracle_limit(), jobs=jobs),
-            "oracle",
-            None,
-            None,
-        )
-    return _routed(g, method, special_2_threshold_count, matrix_tree_count)
 
 
 def _check_family_size(flag: str, n: int) -> None:
@@ -312,7 +307,13 @@ def cmd_count(args: argparse.Namespace) -> int:
         g = _load_graph(args.file)
         graph = lambda: g
         source = _file_input(args.file, g)
-        count, method, co, classification = _count_graph(g, args.method, args.jobs)
+        count, method, co, classification = _answer(
+            g,
+            args.method,
+            INTEGERS,
+            (special_2_threshold_count, matrix_tree_count, perturbation_count),
+            lambda g: oracle_count(g, max_edges=_oracle_limit(), jobs=args.jobs),
+        )
 
     verified = None
     if args.verify:
@@ -333,37 +334,25 @@ def cmd_count(args: argparse.Namespace) -> int:
         "construction_order": _order_json(co),
         "verified_against_oracle": verified is not None,
     }
+
+    def lines() -> list[str]:
+        check = [] if verified is None else [f"oracle check: {verified} ok"]
+        return [f"{count} (method: {method})", *check]
+
     with _unlimited_int_str():
-        lines = [f"{count} (method: {method})"]
-        if verified is not None:
-            lines.append(f"oracle check: {verified} ok")
         _emit(payload, args.json, lines)
     return 0
 
 
-def _weighted_graph(
-    g: Graph, method: str
-) -> tuple[MultiPoly, str, ConstructionOrder | None, dict | None]:
-    """Returns (enumerator, method used, construction order if any,
-    classification)."""
-    if method == "perturbation":
-        ones = [1] * g.n
-        return weighted_perturbation_count(g, ones, ones), "perturbation", None, None
-    if method == "oracle":
-        return weighted_oracle(g, max_edges=_oracle_limit()), "oracle", None, None
-    return _routed(
-        g,
-        method,
-        weighted_count_special_2threshold,
-        weighted_matrix_tree_count,
-        zero=MultiPoly.zero(g.n),
-        lift=lambda p, labels: p.lift(g.n, labels),
-    )
-
-
 def cmd_weighted(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
-    poly, used, co, classification = _weighted_graph(g, args.method)
+    poly, used, co, classification = _answer(
+        g,
+        args.method,
+        polynomial_ring(g.n),
+        (weighted_count_special_2threshold, weighted_matrix_tree_count, weighted_perturbation_count),
+        lambda g: weighted_oracle(g, max_edges=_oracle_limit()),
+    )
     with _unlimited_int_str():
         text = str(poly)
 
@@ -376,7 +365,7 @@ def cmd_weighted(args: argparse.Namespace) -> int:
         "witnesses": None,
         "construction_order": _order_json(co),
     }
-    _emit(payload, args.json, [text, f"(method: {used})"])
+    _emit(payload, args.json, lambda: [text, f"(method: {used})"])
     return 0
 
 

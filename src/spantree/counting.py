@@ -3,9 +3,12 @@ route, rank-one perturbations, and the closed-form formulas: the one
 degree-product formula over a construction order, and the complete,
 multipartite and shape-only Ferrers products.
 
-All divisions prescribed by the formulas are performed in exact integer
-arithmetic with a remainder check; a nonzero remainder means the input
-violated a precondition (or there is a bug) and raises ExactnessError.
+The degree-product formula, the cofactor and the perturbation count are
+each written once over a ``linalg.Ring``; the integer names here and the
+weighted names in ``weighted`` call them with w = 1 and w = x_v.  Every
+prescribed division is exact with a remainder check; a nonzero remainder
+means the input violated a precondition (or there is a bug) and raises
+ExactnessError.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from .errors import CapabilityExceededError, TriangularityError
 from .graph import Graph, PartitionShape, blocks
 from .linalg import (
+    INTEGERS,
     ExactMatrix,
+    Ring,
     _is_upper_triangular,
     _laplacian_rows,
     _rank_one_rows,
-    determinant,
     exact_int_div,
-    laplacian,
-    minor_determinant,
-    rank_one_update,
 )
 from .recognition import (
     ROLE_U_DOMINATING,
@@ -129,26 +130,45 @@ def oracle_count(g: Graph, *, max_edges: int | None = None, jobs: int = 1) -> in
     return sum(1 for _ in spanning_trees(g, max_edges=limit))
 
 
-def matrix_tree_count(g: Graph) -> int:
-    """Cofactor of the Laplacian: delete row 1 and column 1, take the
-    determinant.  A single vertex counts one (empty) tree."""
+def _cofactor(g: Graph, ring: Ring[T]) -> T:
+    """Kirchhoff's cofactor at a highest-degree vertex r (lowest label on
+    ties; every r gives the same value).  Row i of L(G; w) is w(i) times a
+    row with -w(j) on edges, so the cofactor is prod_{i != r} w(i) times
+    the determinant of those rows without r (L without r when w = 1), and
+    no weight is divided out.  A single vertex counts one (empty) tree."""
     if g.n < 1:
         raise ValueError("need at least one vertex")
-    return minor_determinant(laplacian(g), 1, 1)
+    r = min(g.vertices, key=lambda v: (-g.degree(v), v))
+    rest = [v for v in g.vertices if v != r]
+    rows = _laplacian_rows(g, rest, ring, row_factors=False)
+    return ring.det(rows) * ring.weight_product(rest)
+
+
+def matrix_tree_count(g: Graph) -> int:
+    """Number of spanning trees as the Laplacian cofactor."""
+    return _cofactor(g, INTEGERS)
+
+
+def _perturbation(g: Graph, a: Sequence[T | int], b: Sequence[T | int], ring: Ring[T]) -> T:
+    """det(L(G; w) + a b^T) divided exactly by (sum a)(sum b), for any
+    vectors of length n with nonzero sums; the quotient is the count
+    whatever a and b are.  Integer entries mix with ring elements."""
+    if len(a) != g.n or len(b) != g.n:
+        raise ValueError(f"vector lengths {len(a)}, {len(b)} do not match n={g.n}")
+    sa, sb = sum(a, ring.zero), sum(b, ring.zero)
+    if not sa or not sb:
+        raise ValueError("vector sums must be nonzero for the perturbation count")
+    rows = _rank_one_rows(_laplacian_rows(g, g.vertices, ring), a, b)
+    return ring.div(ring.det(rows), sa * sb)
 
 
 def perturbation_count(g: Graph, a: Sequence[int], b: Sequence[int]) -> int:
-    """det(L + a b^T) / (sum a * sum b) for any integer vectors with nonzero
-    sums; the quotient is the spanning-tree count regardless of a and b."""
-    sa, sb = sum(a), sum(b)
-    if sa == 0 or sb == 0:
-        raise ValueError("vector sums must be nonzero for the perturbation count")
-    det = determinant(rank_one_update(laplacian(g), a, b))
-    return exact_int_div(det, sa * sb)
+    """det(L + a b^T) / (sum a * sum b): the count, for any nonzero sums."""
+    return _perturbation(g, a, b, INTEGERS)
 
 
 def _perturbed_rows(
-    g: Graph, co: ConstructionOrder, weight: Callable[[int], T], zero: T
+    g: Graph, co: ConstructionOrder, ring: Ring[T]
 ) -> tuple[tuple[T, ...], tuple[T, ...], list[list[T]]]:
     """L(G; w) relabeled along the construction order plus a b^T, over any
     ring: a is w(v) on the u_dominating vertices, b is w(v) on U, both zero
@@ -161,10 +181,11 @@ def _perturbed_rows(
     co.check(g)
     order = co.order
     a = tuple(
-        weight(v) if r == ROLE_U_DOMINATING else zero for v, r in zip(order, co.roles)
+        ring.weight(v) if r == ROLE_U_DOMINATING else ring.zero
+        for v, r in zip(order, co.roles)
     )
-    b = tuple(weight(v) if v in co.u_set else zero for v in order)
-    rows = _rank_one_rows(_laplacian_rows(g, order, weight, zero), a, b)
+    b = tuple(ring.weight(v) if v in co.u_set else ring.zero for v in order)
+    rows = _rank_one_rows(_laplacian_rows(g, order, ring), a, b)
     if not _is_upper_triangular(rows):
         raise TriangularityError(
             "perturbed Laplacian is not upper triangular; construction order invalid"
@@ -178,7 +199,7 @@ def build_perturbation(
     """The Laplacian along the construction order plus the outer product of
     the u_dominating and U indicator vectors (w = 1), upper triangular;
     raises TriangularityError otherwise.  Returns (a, b, perturbed matrix)."""
-    a, b, rows = _perturbed_rows(g, co, lambda v: 1, 0)
+    a, b, rows = _perturbed_rows(g, co, INTEGERS)
     return a, b, ExactMatrix(rows)
 
 
@@ -235,31 +256,42 @@ def ferrers_count(shape: PartitionShape | FerrersStructure | Iterable[int]) -> i
     return exact_int_div(numerator, shape.rows * conj.rows)
 
 
-def special_2_threshold_count(g: Graph, co: ConstructionOrder) -> int:
-    """The degree-product formula over a construction order, for every
-    special 2-threshold graph (threshold and Ferrers graphs included).
+def _degree_product(g: Graph, co: ConstructionOrder, ring: Ring[T]) -> T:
+    """The degree-product formula over a construction order, in any ring.
 
-    Vertices that are u_dominating and inside U contribute deg+1, everything
-    else deg, and the product is divided by |D| * |U|, D the u_dominating
-    vertices.  Each denominator cancels one factor, and is divided out of
-    that factor with a remainder check: without isolated vertices, the
-    initial vertex is in U with exactly D as neighbors, so its factor is
-    |D|; and every U-vertex comes no later than the last u_dominating vertex
-    w, which no later vertex touches, so w's factor is |U|.  A zero factor
-    (an isolated vertex) means g is disconnected and counts 0.  Empty D or U
-    means g is edgeless: 1 for a single vertex, 0 otherwise.
+    Vertex v contributes the sum of w over its neighbors, plus w(v) when v
+    is u_dominating and inside U; the product, times prod w, is divided by
+    (sum of w over D)(sum of w over U), D the u_dominating vertices.  Each
+    denominator cancels one factor, and is divided out of that factor with
+    a remainder check: without isolated vertices, the initial vertex is in
+    U with exactly D as neighbors, so its factor is the sum over D; and
+    every U-vertex comes no later than the last u_dominating vertex z,
+    which no later vertex touches, so z's factor is the sum over U.  A zero
+    factor (an isolated vertex) means g is disconnected and counts zero.
+    Empty D or U means g is edgeless: one for a single vertex, else zero.
     """
     co.check(g)
     dom = co.u_dominating_vertices()
     if not dom or not co.u_set:
-        return 1 if g.n == 1 else 0
+        return ring.one if g.n == 1 else ring.zero
     bonus = dom & co.u_set
-    factors = {v: g.degree(v) + 1 if v in bonus else g.degree(v) for v in g.vertices}
-    if 0 in factors.values():
-        return 0
-    first = exact_int_div(factors.pop(co.order[0]), len(dom))
-    last = exact_int_div(factors.pop(co.last_u_dominating_vertex()), len(co.u_set))
-    return first * last * prod(factors.values())
+    factors = {}
+    for v in g.vertices:
+        f = ring.weight_sum(g.neighbors(v))
+        factors[v] = f + ring.weight(v) if v in bonus else f
+    if not all(factors.values()):
+        return ring.zero
+    first = ring.div(factors.pop(co.order[0]), ring.weight_sum(dom))
+    last = ring.div(factors.pop(co.last_u_dominating_vertex()), ring.weight_sum(co.u_set))
+    # prod w is a monomial: cheapest to multiply in while the product is small
+    return prod(factors.values(), start=first * last * ring.weight_product(g.vertices))
+
+
+def special_2_threshold_count(g: Graph, co: ConstructionOrder) -> int:
+    """The degree-product formula with w = 1, for every special 2-threshold
+    graph (threshold and Ferrers graphs included): deg(v) + 1 for v in both
+    D and U, deg(v) otherwise, over |D| * |U|."""
+    return _degree_product(g, co, INTEGERS)
 
 
 def reduce_and_route(
@@ -267,19 +299,18 @@ def reduce_and_route(
     formula: Callable[[Graph, ConstructionOrder], T],
     cofactor: Callable[[Graph], T] | None,
     *,
-    zero: T = 0,
-    lift: Callable[[T, tuple[int, ...]], T] = lambda value, labels: value,
+    ring: Ring[T] = INTEGERS,
 ) -> tuple[T, str, tuple[Family, ConstructionOrder] | None]:
-    """Answer g in one ring, integers by default: the degree-product
+    """Answer g in ``ring``, integers by default: the degree-product
     ``formula`` when ``route`` recognizes g, else the product over g's
     blocks (biconnected components), each block answered by the formula
     when ``route`` recognizes it and by the ``cofactor`` when not.
 
     tau(G) is the product of tau over the blocks, and with edge weights
-    x_i * x_j so is the enumerator, once ``lift(value, labels)`` has moved
-    each block's value to g's variables; a bridge is the block K2, whose
-    1 x 1 cofactor gives 1, or x_u * x_v lifted.  A disconnected g is
-    ``zero``, found without building a Laplacian.  Returns (value, method,
+    x_i * x_j so is the enumerator, once ``ring.lift`` has moved each
+    block's value to g's variables; a bridge is the block K2, whose 1 x 1
+    cofactor gives 1, or x_u * x_v lifted.  A disconnected g is
+    ``ring.zero``, found without building a Laplacian.  Returns (value, method,
     route(g)), method "formula:<family>", "matrix-tree" for a 2-connected
     non-member or "blocks".  ``cofactor=None`` refuses non-members with
     ValueError.
@@ -295,7 +326,7 @@ def reduce_and_route(
         )
     parts = blocks(g)
     if parts is None:
-        return zero, "blocks", None
+        return ring.zero, "blocks", None
     if len(parts) == 1:
         return cofactor(g), "matrix-tree", None
     # equal blocks (every bridge is the one K2) are answered once, a bridge
@@ -305,7 +336,7 @@ def reduce_and_route(
         if block not in answers:
             found = None if block.n == 2 else route(block)
             answers[block] = cofactor(block) if found is None else formula(block, found[1])
-    product = reduce(mul, (lift(answers[block], labels) for block, labels in parts))
+    product = reduce(mul, (ring.lift(answers[block], labels) for block, labels in parts))
     return product, "blocks", None
 
 

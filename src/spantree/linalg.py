@@ -1,21 +1,25 @@
-"""Exact dense linear algebra over Python's arbitrary-precision integers.
+"""Exact dense linear algebra, and the ring every count lives in.
 
-The determinant uses fraction-free (Bareiss) elimination: every division is
-by the previous pivot and is exact in the underlying integral domain, so no
-rational arithmetic ever appears.  The package runs it over the integers
-only.  Polynomial matrices take the division-free expansion determinant,
-since an exact polynomial division costs more than the exponential number of
-minors at the sizes where either finishes.  The Laplacian rows and the
-rank-one update are generic over the ring, so the weighted module builds
-L(G; w) + a b^T with the same code as the integer routes.
+A ``Ring`` holds what the generic routes need: zero, one, the vertex
+weight w(v) with its sums and products, exact division, the determinant
+and the lift of a block's value.  ``INTEGERS`` is w = 1 and ``polynomial_ring(n)`` is
+w = x_v, so the Laplacian, the formula, the cofactor and the perturbation
+count are each written once.  The integer determinant is fraction-free
+(Bareiss) elimination, every division exact; polynomial matrices take the
+triangular shortcut or the division-free expansion, since exact
+polynomial division costs more than the exponential number of minors at
+the sizes where either finishes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from dataclasses import dataclass
+from math import prod
+from typing import Callable, Collection, Generic, Sequence, TypeVar
 
 from .errors import ExactnessError
 from .graph import Graph
+from .poly import MultiPoly
 
 T = TypeVar("T")
 
@@ -157,7 +161,7 @@ def determinant(m: ExactMatrix) -> int:
     """Exact determinant; raises ValueError on non-square input."""
     if not m.is_square:
         raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    return fraction_free_determinant(m._data, zero=0, one=1, exact_div=exact_int_div)
+    return _bareiss(m._data)
 
 
 def minor_determinant(m: ExactMatrix, i: int, j: int) -> int:
@@ -174,7 +178,7 @@ def minor_determinant(m: ExactMatrix, i: int, j: int) -> int:
         for ii, row in enumerate(m._data, 1)
         if ii != i
     ]
-    return fraction_free_determinant(rows, zero=0, one=1, exact_div=exact_int_div)
+    return _bareiss(rows)
 
 
 def is_upper_triangular(m: ExactMatrix) -> bool:
@@ -206,27 +210,22 @@ def _rank_one_rows(
 
 
 def _laplacian_rows(
-    g: Graph,
-    order: Sequence[int],
-    weight: Callable[[int], T],
-    zero: T,
-    *,
-    row_factors: bool = True,
+    g: Graph, order: Sequence[int], ring: Ring[T], *, row_factors: bool = True
 ) -> list[list[T]]:
     """Rows and columns of L(G; w) for the vertices of ``order``, over any
     ring: entry (u, u) is w(u) times the sum of w(v) over N(u), entry (u, v)
     is -w(u) w(v) on an edge.  Leaving vertices out of ``order`` gives a
     principal submatrix; ``row_factors=False`` divides row u by w(u)."""
-    w = {v: weight(v) for v in g.vertices}
+    w = {v: ring.weight(v) for v in g.vertices}
     pos = {v: j for j, v in enumerate(order)}
     rows = []
     for u in order:
         nbrs = g.neighbors(u)
-        row = [zero] * len(order)
+        row = [ring.zero] * len(order)
         for v in nbrs:
             if v in pos:
                 row[pos[v]] = -(w[u] * w[v]) if row_factors else -w[v]
-        total = sum((w[v] for v in nbrs), zero)
+        total = ring.weight_sum(nbrs)
         row[pos[u]] = w[u] * total if row_factors else total
         rows.append(row)
     return rows
@@ -235,4 +234,64 @@ def _laplacian_rows(
 def laplacian(g: Graph) -> ExactMatrix:
     """Degree matrix minus adjacency matrix: entry (i, i) is deg(i), entry
     (i, j) is -1 iff {i, j} is an edge.  L(G; w) with w = 1."""
-    return ExactMatrix(_laplacian_rows(g, g.vertices, lambda v: 1, 0))
+    return ExactMatrix(_laplacian_rows(g, g.vertices, INTEGERS))
+
+
+@dataclass(frozen=True)
+class Ring(Generic[T]):
+    """The ring of a count: ``weight(v)`` is w(v), ``weight_sum`` and
+    ``weight_product`` add and multiply w over distinct vertices, ``div``
+    divides exactly or raises ExactnessError, ``det`` is the determinant of
+    a list of square rows, and ``lift(value, labels)`` moves a block's
+    value to the whole graph, block vertex i renamed labels[i-1]."""
+
+    zero: T
+    one: T
+    weight: Callable[[int], T]
+    weight_sum: Callable[[Collection[int]], T]
+    weight_product: Callable[[Collection[int]], T]
+    div: Callable[[T, T], T]
+    det: Callable[[Sequence[Sequence[T]]], T]
+    lift: Callable[[T, Sequence[int]], T]
+
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Bareiss over the integers, looking fraction_free_determinant up when
+    called, so a wrapper installed on the module sees every call."""
+    return fraction_free_determinant(rows, zero=0, one=1, exact_div=exact_int_div)
+
+
+#: The integers, w = 1: weight sums are set sizes, products are one, and
+#: blocks need no lift.
+INTEGERS: Ring[int] = Ring(
+    0, 1, lambda v: 1, len, lambda vertices: 1, exact_int_div, _bareiss,
+    lambda value, labels: value,
+)
+
+
+def polynomial_ring(n: int) -> Ring[MultiPoly]:
+    """The polynomials in x_1..x_n, w(v) = x_v.  The determinant is the
+    diagonal product of a triangular matrix, the expansion otherwise."""
+    zero, one = MultiPoly.zero(n), MultiPoly.const(n, 1)
+
+    # both build one term map of exponent tuples valid by construction,
+    # not a chain of additions or products
+    def weight_sum(vertices: Collection[int]) -> MultiPoly:
+        units = (tuple(int(i == v) for i in range(1, n + 1)) for v in vertices)
+        return MultiPoly._of(n, dict.fromkeys(units, 1))
+
+    def weight_product(vertices: Collection[int]) -> MultiPoly:
+        exps = [0] * n
+        for v in vertices:
+            exps[v - 1] = 1
+        return MultiPoly._of(n, {tuple(exps): 1})
+
+    def det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+        if _is_upper_triangular(rows):
+            return prod((row[i] for i, row in enumerate(rows)), start=one)
+        return expansion_determinant(rows, zero=zero, one=one)
+
+    return Ring(
+        zero, one, lambda v: MultiPoly.variable(n, v), weight_sum, weight_product,
+        lambda p, q: p.exact_div(q), det, lambda p, labels: p.lift(n, labels),
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ExactnessError
 
@@ -133,8 +133,9 @@ class MultiPoly:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:  # no square past the top bit
+                base = base * base
         return result
 
     def exact_div(self, other: "MultiPoly | int") -> "MultiPoly":
@@ -260,16 +261,3 @@ class MultiPoly:
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self._terms!r})"
 
-
-def poly_sum(nvars: int, polys: Iterable[MultiPoly | int]) -> MultiPoly:
-    total = MultiPoly.zero(nvars)
-    for p in polys:
-        total = total + p
-    return total
-
-
-def poly_prod(nvars: int, polys: Iterable[MultiPoly | int]) -> MultiPoly:
-    total = MultiPoly.const(nvars, 1)
-    for p in polys:
-        total = total * p
-    return total

@@ -4,22 +4,19 @@ Every edge {i, j} carries the weight x_i * x_j, one variable per vertex, and
 the enumerator of a graph is the sum over its spanning trees of the product
 of their edge weights.  Setting every variable to 1 recovers the plain
 counts, which the tests exploit throughout.
+
+The formula, the cofactor and the perturbation count are the generic
+bodies of ``counting`` over ``polynomial_ring(n)``, w(v) = x_v.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .counting import _perturbed_rows, spanning_trees
+from .counting import _cofactor, _degree_product, _perturbation, _perturbed_rows, spanning_trees
 from .graph import Graph, PartitionShape, ferrers_graph
-from .linalg import (
-    _is_upper_triangular,
-    _laplacian_rows,
-    _rank_one_rows,
-    expansion_determinant,
-)
-from .poly import MultiPoly, poly_prod, poly_sum
+from .linalg import _is_upper_triangular, _laplacian_rows, polynomial_ring
+from .poly import MultiPoly
 from .recognition import ConstructionOrder, FerrersStructure, ferrers_structure
 
 
@@ -56,11 +53,7 @@ class PolyMatrix:
     def determinant(self) -> MultiPoly:
         """Diagonal product when triangular, the division-free expansion
         determinant otherwise (exponential in the size)."""
-        if self.is_upper_triangular():
-            return poly_prod(self.nvars, self.diagonal())
-        return expansion_determinant(
-            self._data, zero=MultiPoly.zero(self.nvars), one=MultiPoly.const(self.nvars, 1)
-        )
+        return polynomial_ring(self.nvars).det(self._data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -71,25 +64,16 @@ class PolyMatrix:
         return f"PolyMatrix(size={self.size}, nvars={self.nvars})"
 
 
-def _var(n: int, v: int) -> MultiPoly:
-    return MultiPoly.variable(n, v)
-
-
-def _var_sum(n: int, vertices: Iterable[int]) -> MultiPoly:
-    """x_v summed over distinct vertices, built as one term map."""
-    return MultiPoly(n, {tuple(int(i == v) for i in range(1, n + 1)): 1 for v in vertices})
-
-
 def weighted_degree(g: Graph, v: int) -> MultiPoly:
     """Sum of x_v * x_w over the neighbors w of v."""
-    return _var(g.n, v) * _var_sum(g.n, g.neighbors(v))
+    ring = polynomial_ring(g.n)
+    return ring.weight(v) * ring.weight_sum(g.neighbors(v))
 
 
 def weighted_laplacian(g: Graph) -> PolyMatrix:
     """Weighted degrees on the diagonal, -x_i*x_j on edges, zero elsewhere:
     L(G; w) with w = x_v."""
-    zero = MultiPoly.zero(g.n)
-    return PolyMatrix(_laplacian_rows(g, g.vertices, partial(_var, g.n), zero))
+    return PolyMatrix(_laplacian_rows(g, g.vertices, polynomial_ring(g.n)))
 
 
 def weighted_oracle(g: Graph, *, max_edges: int | None = None) -> MultiPoly:
@@ -107,50 +91,17 @@ def weighted_oracle(g: Graph, *, max_edges: int | None = None) -> MultiPoly:
 
 
 def weighted_matrix_tree_count(g: Graph) -> MultiPoly:
-    """Enumerator as the weighted Kirchhoff cofactor, without any division.
-
-    Row i of the weighted Laplacian is x_i times the linear row M_i with
-    M_ii the neighbor sum of i and M_ij = -x_j on edges, so the cofactor at
-    a vertex r is (prod_{i != r} x_i) * det(M without row and column r).
-    Deleting a highest-degree vertex (lowest label on ties) leaves the
-    sparsest matrix for the expansion determinant; every r gives the same
-    polynomial.  The expansion is exponential in n.
-    """
-    n = g.n
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    r = min(g.vertices, key=lambda v: (-g.degree(v), v))
-    rest = [v for v in g.vertices if v != r]
-    zero = MultiPoly.zero(n)
-    rows = _laplacian_rows(g, rest, partial(_var, n), zero, row_factors=False)
-    det = expansion_determinant(rows, zero=zero, one=MultiPoly.const(n, 1))
-    return det * MultiPoly.monomial(n, [int(v != r) for v in g.vertices])
-
-
-def _coerce_vector(n: int, vec: Sequence[MultiPoly | int]) -> list[MultiPoly]:
-    out = []
-    for x in vec:
-        out.append(x if isinstance(x, MultiPoly) else MultiPoly.const(n, x))
-        if out[-1].nvars != n:
-            raise ValueError("vector entry disagrees on the variable count")
-    return out
+    """Enumerator as the weighted Kirchhoff cofactor, without any division:
+    prod_{i != r} x_i times the expansion determinant of the rows divided
+    by their x_i, exponential in n."""
+    return _cofactor(g, polynomial_ring(g.n))
 
 
 def weighted_perturbation_count(
     g: Graph, a: Sequence[MultiPoly | int], b: Sequence[MultiPoly | int]
 ) -> MultiPoly:
     """det(L(G; w) + a b^T) divided exactly by (sum a)(sum b)."""
-    n = g.n
-    if len(a) != n or len(b) != n:
-        raise ValueError(f"vector lengths {len(a)}, {len(b)} do not match n={n}")
-    av = _coerce_vector(n, a)
-    bv = _coerce_vector(n, b)
-    sa = poly_sum(n, av)
-    sb = poly_sum(n, bv)
-    if sa.is_zero() or sb.is_zero():
-        raise ValueError("vector sums must be nonzero for the perturbation count")
-    det = PolyMatrix(_rank_one_rows(weighted_laplacian(g)._data, av, bv)).determinant()
-    return det.exact_div(sa).exact_div(sb)
+    return _perturbation(g, a, b, polynomial_ring(g.n))
 
 
 def weighted_build_perturbation(
@@ -160,7 +111,7 @@ def weighted_build_perturbation(
     by the outer product of a (x_v on u_dominating vertices) and b (x_v on
     U-vertices): the perturbation with w = x_v.  Triangular for every valid
     order; raises TriangularityError otherwise."""
-    a, b, rows = _perturbed_rows(g, co, partial(_var, g.n), MultiPoly.zero(g.n))
+    a, b, rows = _perturbed_rows(g, co, polynomial_ring(g.n))
     return a, b, PolyMatrix(rows)
 
 
@@ -170,10 +121,8 @@ def weighted_cayley_prufer(n: int) -> MultiPoly:
         raise ValueError(f"need at least one vertex, got {n}")
     if n == 1:
         return MultiPoly.const(1, 1)
-    all_vars = [_var(n, k) for k in range(1, n + 1)]
-    if n == 2:
-        return poly_prod(n, all_vars)
-    return poly_prod(n, all_vars) * poly_sum(n, all_vars) ** (n - 2)
+    ring, everyone = polynomial_ring(n), range(1, n + 1)
+    return ring.weight_product(everyone) * ring.weight_sum(everyone) ** (n - 2)
 
 
 def weighted_count_threshold(g: Graph, co: ConstructionOrder) -> MultiPoly:
@@ -206,31 +155,7 @@ def weighted_count_ferrers(
 
 
 def weighted_count_special_2threshold(g: Graph, co: ConstructionOrder) -> MultiPoly:
-    """The weighted degree-product formula over a construction order.
-
-    Vertices in both D and U contribute (x_v + neighbor sum), all others
-    their neighbor sum, the whole product times prod x_v and divided by
-    (sum over D)(sum over U).  As in special_2_threshold_count, each sum is
-    divided exactly out of the one factor it cancels: the initial vertex's
-    neighbor sum is the sum over D, and the last u_dominating vertex's
-    factor is the sum over U.  A zero factor (an isolated vertex) gives 0.
-
-    Empty D or U means the graph is edgeless; the enumerator is then 1 for a
-    single vertex and 0 otherwise.
-    """
-    co.check(g)
-    n = g.n
-    dom = co.u_dominating_vertices()
-    if not dom or not co.u_set:
-        return MultiPoly.const(n, 1 if n == 1 else 0)
-    bonus = dom & co.u_set
-    factors = {
-        v: _var_sum(n, g.neighbors(v) | {v} if v in bonus else g.neighbors(v))
-        for v in g.vertices
-    }
-    if any(f.is_zero() for f in factors.values()):
-        return MultiPoly.zero(n)
-    first = factors.pop(co.order[0]).exact_div(_var_sum(n, dom))
-    last = factors.pop(co.last_u_dominating_vertex()).exact_div(_var_sum(n, co.u_set))
-    variables = MultiPoly.monomial(n, [1] * n)
-    return poly_prod(n, [first, last, variables, *factors.values()])
+    """The degree-product formula with w = x_v: the neighbor sum of each
+    vertex (plus x_v in both D and U), times prod x_v, over (sum over D)
+    (sum over U)."""
+    return _degree_product(g, co, polynomial_ring(g.n))

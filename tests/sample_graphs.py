@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import prod
+from math import comb, prod
 from pathlib import Path
 from typing import Callable
 
@@ -202,6 +202,21 @@ def merris_count(g: Graph, co: ConstructionOrder) -> int:
 def relabeled(g: Graph, perm: list[int]) -> Graph:
     """g with vertex v renamed perm[v - 1]."""
     return Graph(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges()])
+
+
+def oracle_fits(g: Graph) -> bool:
+    # the oracle's default edge limit, and few enough (n-1)-subsets to be quick
+    return g.edge_count <= 24 and comb(g.edge_count, g.n - 1) <= 20_000
+
+
+@st.composite
+def gnp_graphs(draw, max_n=9):
+    """Hypothesis strategy: G(n, p) on 1..max_n vertices, each pair an edge
+    with probability p, for a p from sparse to complete."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.sampled_from((0.2, 0.35, 0.5, 0.65, 0.8, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
 
 
 @st.composite

@@ -3,7 +3,6 @@
 cofactor, in both rings."""
 
 import random
-from math import comb
 
 import networkx as nx
 import pytest
@@ -19,6 +18,7 @@ from spantree import (
     matrix_tree_count,
     oracle_count,
     perturbation_count,
+    polynomial_ring,
     reduce_and_route,
     route,
     special_2_threshold_count,
@@ -27,7 +27,16 @@ from spantree import (
     weighted_oracle,
     weighted_perturbation_count,
 )
-from sample_graphs import C5, HOUSE_TAIL, K4, TWO_K2, glued_graphs, relabeled, small_graphs
+from sample_graphs import (
+    C5,
+    HOUSE_TAIL,
+    K4,
+    TWO_K2,
+    glued_graphs,
+    oracle_fits,
+    relabeled,
+    small_graphs,
+)
 
 
 def weighted_auto(g: Graph) -> tuple[MultiPoly, str]:
@@ -35,15 +44,9 @@ def weighted_auto(g: Graph) -> tuple[MultiPoly, str]:
         g,
         weighted_count_special_2threshold,
         weighted_matrix_tree_count,
-        zero=MultiPoly.zero(g.n),
-        lift=lambda p, labels: p.lift(g.n, labels),
+        ring=polynomial_ring(g.n),
     )
     return poly, method
-
-
-def oracle_fits(g: Graph) -> bool:
-    # the oracle's default edge limit, and few enough (n-1)-subsets to be quick
-    return g.edge_count <= 24 and comb(g.edge_count, g.n - 1) <= 20_000
 
 
 def expected_method(g: Graph) -> str:
@@ -104,10 +107,10 @@ def test_reduce_and_route_without_a_cofactor_answers_members_only():
 
 
 def test_disconnected_graphs_count_zero_without_a_laplacian(monkeypatch):
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("no Laplacian for a disconnected graph")
 
-    monkeypatch.setattr(spantree.counting, "laplacian", refuse)
+    monkeypatch.setattr(spantree.counting, "_laplacian_rows", refuse)
     monkeypatch.setattr(spantree.counting, "matrix_tree_count", refuse)
     for g in (TWO_K2, Graph(7, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6)])):
         assert auto_count(g) == (0, "blocks")

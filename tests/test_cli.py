@@ -19,6 +19,7 @@ from spantree import (
     weighted_oracle,
     weighted_perturbation_count,
 )
+import spantree.cli
 import spantree.counting
 import spantree.recognition
 from spantree.cli import main
@@ -162,6 +163,47 @@ def test_count_flag_misuse(capsys):
     assert run(capsys, "count", "--ferrers", "2,3")[0] == 2  # not weakly decreasing
     assert run(capsys, "count", "--multipartite", "0,2")[0] == 2
     assert run(capsys, "count", fixture("no_such_file.txt"))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "flag, raw",
+    [
+        ("--ferrers", "3,,2"),
+        ("--ferrers", "3,2,"),
+        ("--ferrers", ""),
+        ("--ferrers", " "),
+        ("--multipartite", ",2,,2,"),
+        ("--multipartite", "2, ,2"),
+    ],
+)
+def test_count_family_flag_refuses_an_empty_field(capsys, flag, raw):
+    code, out, err = run(capsys, "count", flag, raw)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} expects comma-separated integers, got {raw!r}\n"
+
+
+def test_count_converts_the_count_to_decimal_once(capsys, monkeypatch):
+    # --json prints the count through json alone; the text line is built
+    # only in text mode
+    conversions = []
+
+    class Count(int):
+        def __format__(self, spec):
+            conversions.append(spec)
+            return format(int(self), spec)
+
+        def __str__(self):
+            conversions.append("str")
+            return int.__repr__(self)
+
+        __repr__ = __str__
+
+    monkeypatch.setattr(spantree.cli, "complete_count", lambda n: Count(n ** (n - 2)))
+    assert run_json(capsys, "count", "--complete", "30", "--json")["count"] == 30**28
+    assert conversions == []
+    text = f"{30**28} (method: formula:complete)\n"
+    assert run(capsys, "count", "--complete", "30") == (0, text, "")
+    assert conversions == [""]
 
 
 def test_classify_special5(capsys):

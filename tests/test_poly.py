@@ -3,7 +3,6 @@ import random
 import pytest
 
 from spantree import ExactnessError, MultiPoly
-from spantree.poly import poly_sum
 
 
 def x(i, n=3):
@@ -77,6 +76,24 @@ def test_pow():
         s ** (-1)
 
 
+def test_pow_squares_only_up_to_the_top_bit(monkeypatch):
+    # square-and-multiply needs no square after the exponent's top bit;
+    # one more squares the largest power, the costliest product of all
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    s = x(1) + x(2) + x(3)
+    for exponent, expected in ((8, 4), (1, 1), (5, 4), (0, 0)):
+        calls.clear()
+        s**exponent
+        assert len(calls) == expected, exponent
+
+
 def test_exact_div_round_trip():
     rng = random.Random(201)
     done = 0
@@ -89,8 +106,8 @@ def test_exact_div_round_trip():
         assert (p * q).exact_div(q) == p
         done += 1
     # thousands of terms over a multi-term divisor, in both directions
-    p = poly_sum(6, [x(1, 6), 2 * x(2, 6), -x(3, 6), x(4, 6), 3 * x(5, 6), -x(6, 6), 1]) ** 7
-    q = poly_sum(6, [x(i, 6) for i in range(1, 7)]) - 2
+    p = (x(1, 6) + 2 * x(2, 6) - x(3, 6) + x(4, 6) + 3 * x(5, 6) - x(6, 6) + 1) ** 7
+    q = sum((x(i, 6) for i in range(1, 7)), MultiPoly.zero(6)) - 2
     product = p * q
     assert len(product.terms()) > 2000
     assert product.exact_div(q) == p

@@ -71,17 +71,30 @@ def test_names_check_sees_imports_attributes_and_calls():
     assert _names(tree, skip_module="linalg") == {"b", "c", "d", "linalg"}
 
 
-def test_bareiss_is_named_only_by_linalg():
-    # polynomial determinants take the expansion, so Bareiss runs over the
-    # integers only, inside linalg; the package root may re-export it
-    found = [
+def _modules_naming(name: str) -> list[str]:
+    """Package modules other than linalg that name ``name``; the package
+    root may re-export it from linalg."""
+    return [
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "linalg.py"
-        and "fraction_free_determinant"
+        and name
         in _names(
             ast.parse(path.read_text(encoding="utf-8")),
             skip_module="linalg" if path.name == "__init__.py" else None,
         )
     ]
+
+
+def test_bareiss_is_named_only_by_linalg():
+    # polynomial determinants take the expansion, so Bareiss runs over the
+    # integers only, inside linalg
+    found = _modules_naming("fraction_free_determinant")
+    assert not found, found
+
+
+def test_expansion_determinant_is_named_only_by_linalg():
+    # every determinant goes through a linalg.Ring, so the choice between
+    # Bareiss, the triangular shortcut and the expansion is made in one place
+    found = _modules_naming("expansion_determinant")
     assert not found, found

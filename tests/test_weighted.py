@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +37,6 @@ from spantree import (
     weighted_perturbation_count,
 )
 from spantree.linalg import exact_int_div
-from spantree.poly import poly_prod
 from spantree.weighted import PolyMatrix
 from sample_graphs import (
     FERRERS3221,
@@ -134,7 +134,7 @@ def test_weighted_build_perturbation_golden():
         if v in dom_u:
             expected = expected + x(n, v) * x(n, v)
         assert m.entry(pos, pos) == expected
-    diag_product = poly_prod(n, m.diagonal())
+    diag_product = prod(m.diagonal(), start=MultiPoly.const(n, 1))
     denominator = len(co.u_dominating_vertices()) * len(co.u_set)
     assert diag_product.substitute_all_ones() == denominator * 8
     assert m.determinant() == diag_product
