@@ -43,6 +43,7 @@ from .graph import (
     complete_multipartite,
     ferrers_graph,
     parse_edge_list,
+    parse_int,
 )
 from .linalg import INTEGERS, Ring, polynomial_ring
 from .recognition import (
@@ -70,7 +71,7 @@ def _oracle_limit() -> int:
     if raw is None:
         return DEFAULT_ORACLE_LIMIT
     try:
-        return int(raw)
+        return parse_int(raw)
     except ValueError:
         raise EdgeListParseError(f"{_ORACLE_ENV} must be an integer, got {raw!r}")
 
@@ -88,7 +89,7 @@ def _parse_parts(raw: str, flag: str) -> list[int]:
     """The integers of a comma-separated list; an empty field is an error,
     not a field to skip."""
     try:
-        return [int(x) for x in raw.split(",")]
+        return [parse_int(x) for x in raw.split(",")]
     except ValueError:
         raise EdgeListParseError(f"{flag} expects comma-separated integers, got {raw!r}")
 
@@ -127,20 +128,13 @@ def _emit(payload: dict, as_json: bool, lines: Callable[[], list[str]]) -> None:
         print("\n".join(lines()))
 
 
-def _bounded_int(low: int) -> Callable[[str], int]:
-    """argparse type for an integer of at least ``low``; anything else is a
-    usage error (exit 2) instead of a silently reinterpreted value."""
-
-    def parse(raw: str) -> int:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
+def _int_argument(raw: str) -> int:
+    """argparse type for an integer option: ``parse_int``, worded as
+    argparse words a bad ``type=int`` value."""
+    try:
+        return parse_int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
 
 
 def _classify(g: Graph) -> dict:
@@ -312,12 +306,12 @@ def cmd_count(args: argparse.Namespace) -> int:
             args.method,
             INTEGERS,
             (special_2_threshold_count, matrix_tree_count, perturbation_count),
-            lambda g: oracle_count(g, max_edges=_oracle_limit(), jobs=args.jobs),
+            lambda g: oracle_count(g, max_edges=_oracle_limit()),
         )
 
     verified = None
     if args.verify:
-        check = oracle_count(graph(), max_edges=_oracle_limit(), jobs=args.jobs)
+        check = oracle_count(graph(), max_edges=_oracle_limit())
         if check != count:
             raise ExactnessError(
                 f"oracle disagrees: method {method} gave {count}, oracle {check}"
@@ -393,13 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument("--verify", action="store_true", help="cross-check with the oracle")
     p_count.add_argument("--json", action="store_true")
-    p_count.add_argument(
-        "--jobs",
-        type=_bounded_int(1),
-        default=1,
-        help="oracle worker processes (at most the CPU count)",
-    )
-    p_count.add_argument("--complete", type=int, metavar="N")
+    p_count.add_argument("--complete", type=_int_argument, metavar="N")
     p_count.add_argument("--ferrers", metavar="P1,P2,...")
     p_count.add_argument("--multipartite", metavar="N1,N2,...")
     p_count.set_defaults(func=cmd_count)

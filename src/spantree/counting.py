@@ -13,8 +13,6 @@ ExactnessError.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from functools import reduce
 from itertools import combinations
 from math import prod
@@ -66,10 +64,15 @@ def _tree_check(n: int, subset: Sequence[tuple[int, int]]) -> bool:
     return True
 
 
-def _oracle_edge_limit(g: Graph, max_edges: int | None) -> int:
-    """The oracle's edge limit (default DEFAULT_ORACLE_LIMIT), after
-    refusing a negative limit, graphs without vertices and graphs with more
-    edges than that."""
+def spanning_trees(
+    g: Graph, *, max_edges: int | None = None
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Enumerate the spanning trees of g as sorted edge tuples.
+
+    Checks every (n-1)-subset of the edge set, so it is only usable on small
+    inputs; the guard refuses a negative limit, graphs without vertices and
+    graphs with more than max_edges edges (default DEFAULT_ORACLE_LIMIT).
+    """
     limit = DEFAULT_ORACLE_LIMIT if max_edges is None else max_edges
     if limit < 0:
         raise ValueError(f"oracle edge limit must be nonnegative, got {limit}")
@@ -80,19 +83,6 @@ def _oracle_edge_limit(g: Graph, max_edges: int | None) -> int:
             f"oracle enumeration over {g.edge_count} edges exceeds the limit "
             f"of {limit}; raise max_edges to override"
         )
-    return limit
-
-
-def spanning_trees(
-    g: Graph, *, max_edges: int | None = None
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Enumerate the spanning trees of g as sorted edge tuples.
-
-    Checks every (n-1)-subset of the edge set, so it is only usable on small
-    inputs; the guard refuses graphs with more than max_edges edges
-    (default DEFAULT_ORACLE_LIMIT).
-    """
-    _oracle_edge_limit(g, max_edges)
     edges = g.edges()
     if g.n == 1:
         yield ()
@@ -102,32 +92,13 @@ def spanning_trees(
             yield subset
 
 
-def _count_chunk(args: tuple[Graph, int]) -> int:
-    g, first = args
-    edges = g.edges()
-    rest = edges[first + 1 :]
-    lead = edges[first]
-    return sum(
-        1
-        for tail in combinations(rest, g.n - 2)
-        if _tree_check(g.n, (lead,) + tail)
-    )
-
-
-def oracle_count(g: Graph, *, max_edges: int | None = None, jobs: int = 1) -> int:
+def oracle_count(g: Graph, *, max_edges: int | None = None) -> int:
     """Number of spanning trees by exhaustive edge-subset enumeration.
 
     Deliberately independent of the linear-algebra routes so it can serve as
-    their cross-check.  ``jobs > 1`` splits the enumeration by leading edge
-    across worker processes, at most one per CPU.
+    their cross-check.
     """
-    limit = _oracle_edge_limit(g, max_edges)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and g.edge_count > g.n:
-        tasks = [(g, first) for first in range(g.edge_count)]
-        with multiprocessing.Pool(jobs) as pool:
-            return sum(pool.map(_count_chunk, tasks))
-    return sum(1 for _ in spanning_trees(g, max_edges=limit))
+    return sum(1 for _ in spanning_trees(g, max_edges=max_edges))
 
 
 def _cofactor(g: Graph, ring: Ring[T]) -> T:

@@ -199,6 +199,14 @@ def _checked_order(
     return ConstructionOrder(tuple(order), u_set, tuple(roles))
 
 
+def _checked_u_set(g: Graph, u: Iterable[int]) -> frozenset[int]:
+    """u as a set, each of its vertices checked to be a vertex of g."""
+    u_set = frozenset(u)
+    for v in u_set:
+        g.check_vertex(v)
+    return u_set
+
+
 def u_threshold_order(
     g: Graph,
     u: Iterable[int],
@@ -209,9 +217,7 @@ def u_threshold_order(
     ``tie_break`` overrides the deterministic default choice among removable
     vertices; any choice succeeds on U-threshold inputs.
     """
-    u_set = frozenset(u)
-    for v in u_set:
-        g.check_vertex(v)
+    u_set = _checked_u_set(g, u)
     u_mask = mask_of(u_set)
     order, _ = _peel(g, g.full_mask(), u_mask, tie_break)
     if order is None:
@@ -225,9 +231,7 @@ def u_threshold_obstruction(g: Graph, u: Iterable[int]) -> frozenset[int] | None
     The returned set W certifies failure: no vertex of the induced subgraph
     on W is isolated or U-dominating there.
     """
-    u_set = frozenset(u)
-    for v in u_set:
-        g.check_vertex(v)
+    u_set = _checked_u_set(g, u)
     order, stuck = _peel(g, g.full_mask(), mask_of(u_set))
     return None if order is not None else frozenset(vertices_of(stuck))
 
@@ -648,11 +652,10 @@ def canonical_order(g: Graph, u: Iterable[int]) -> CanonicalOrder:
     neighbors inside U first.  Any contradiction means the precondition was
     violated and raises OrderInconsistencyError.
     """
-    u_set = frozenset(u)
-    for v in u_set:
-        g.check_vertex(v)
-    if u_threshold_order(g, u_set) is None:
+    co = u_threshold_order(g, u)
+    if co is None:
         raise ValueError("graph has no construction order for the given U")
+    u_set = co.u_set
 
     u_mask = mask_of(u_set)
     comp_mask = g.full_mask() & ~u_mask
@@ -746,11 +749,10 @@ def nesting_report(g: Graph, u: Iterable[int]) -> NestingReport:
     Requires a U-threshold input; a failing clause therefore exposes a
     precondition violation, and the report names an offending vertex pair.
     """
-    u_set = frozenset(u)
-    for v in u_set:
-        g.check_vertex(v)
-    if u_threshold_order(g, u_set) is None:
+    co = u_threshold_order(g, u)
+    if co is None:
         raise ValueError("graph has no construction order for the given U")
+    u_set = co.u_set
 
     comp = sorted(g.vertex_set() - u_set)
     comp_mask = mask_of(comp)

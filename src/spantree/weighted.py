@@ -15,65 +15,15 @@ from typing import Sequence
 
 from .counting import _cofactor, _degree_product, _perturbation, _perturbed_rows, spanning_trees
 from .graph import Graph, PartitionShape, ferrers_graph
-from .linalg import _is_upper_triangular, _laplacian_rows, polynomial_ring
+from .linalg import _laplacian_rows, polynomial_ring
 from .poly import MultiPoly
 from .recognition import ConstructionOrder, FerrersStructure, ferrers_structure
 
 
-class PolyMatrix:
-    """Square matrix of polynomials sharing one variable space."""
-
-    __slots__ = ("size", "nvars", "_data")
-
-    def __init__(self, data: Sequence[Sequence[MultiPoly]]):
-        rows = tuple(tuple(row) for row in data)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square")
-        nvars = rows[0][0].nvars if n else 0
-        for row in rows:
-            for p in row:
-                if p.nvars != nvars:
-                    raise ValueError("entries disagree on the variable count")
-        self.size = n
-        self.nvars = nvars
-        self._data = rows
-
-    def entry(self, i: int, j: int) -> MultiPoly:
-        if not (1 <= i <= self.size and 1 <= j <= self.size):
-            raise ValueError(f"entry ({i}, {j}) out of range for size {self.size}")
-        return self._data[i - 1][j - 1]
-
-    def diagonal(self) -> tuple[MultiPoly, ...]:
-        return tuple(self._data[i][i] for i in range(self.size))
-
-    def is_upper_triangular(self) -> bool:
-        return _is_upper_triangular(self._data)
-
-    def determinant(self) -> MultiPoly:
-        """Diagonal product when triangular, the division-free expansion
-        determinant otherwise (exponential in the size)."""
-        return polynomial_ring(self.nvars).det(self._data)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self._data == other._data
-
-    def __repr__(self) -> str:
-        return f"PolyMatrix(size={self.size}, nvars={self.nvars})"
-
-
-def weighted_degree(g: Graph, v: int) -> MultiPoly:
-    """Sum of x_v * x_w over the neighbors w of v."""
-    ring = polynomial_ring(g.n)
-    return ring.weight(v) * ring.weight_sum(g.neighbors(v))
-
-
-def weighted_laplacian(g: Graph) -> PolyMatrix:
-    """Weighted degrees on the diagonal, -x_i*x_j on edges, zero elsewhere:
-    L(G; w) with w = x_v."""
-    return PolyMatrix(_laplacian_rows(g, g.vertices, polynomial_ring(g.n)))
+def weighted_laplacian(g: Graph) -> list[list[MultiPoly]]:
+    """The rows of L(G; w) with w = x_v: weighted degrees on the diagonal,
+    -x_i*x_j on edges, zero elsewhere."""
+    return _laplacian_rows(g, g.vertices, polynomial_ring(g.n))
 
 
 def weighted_oracle(g: Graph, *, max_edges: int | None = None) -> MultiPoly:
@@ -106,13 +56,12 @@ def weighted_perturbation_count(
 
 def weighted_build_perturbation(
     g: Graph, co: ConstructionOrder
-) -> tuple[tuple[MultiPoly, ...], tuple[MultiPoly, ...], PolyMatrix]:
+) -> tuple[tuple[MultiPoly, ...], tuple[MultiPoly, ...], list[list[MultiPoly]]]:
     """Weighted Laplacian relabeled along the construction order, perturbed
     by the outer product of a (x_v on u_dominating vertices) and b (x_v on
     U-vertices): the perturbation with w = x_v.  Triangular for every valid
-    order; raises TriangularityError otherwise."""
-    a, b, rows = _perturbed_rows(g, co, polynomial_ring(g.n))
-    return a, b, PolyMatrix(rows)
+    order; raises TriangularityError otherwise.  Returns (a, b, rows)."""
+    return _perturbed_rows(g, co, polynomial_ring(g.n))
 
 
 def weighted_cayley_prufer(n: int) -> MultiPoly:

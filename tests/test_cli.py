@@ -20,7 +20,6 @@ from spantree import (
     weighted_perturbation_count,
 )
 import spantree.cli
-import spantree.counting
 import spantree.recognition
 from spantree.cli import main
 from spantree.graph import MAX_PARSED_VERTICES
@@ -88,54 +87,19 @@ def test_count_human_output(capsys):
     assert out.startswith("11 (method: blocks)")
 
 
-def test_count_oracle_jobs(capsys):
-    payload = run_json(
-        capsys, "count", fixture("k4.txt"), "--method", "oracle", "--jobs", "2", "--json"
-    )
-    assert payload["count"] == 16
-
-
-def test_count_oracle_jobs_clamped_to_cpu_count(capsys, monkeypatch):
-    started = []
-
-    class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(spantree.counting.multiprocessing, "Pool", FakePool)
-    monkeypatch.setattr(spantree.counting.os, "cpu_count", lambda: 3)
-    payload = run_json(
-        capsys, "count", fixture("k4.txt"), "--method", "oracle", "--jobs", "1000", "--json"
-    )
-    assert payload["count"] == 16
-    assert started == [3]
-
-
 def test_bad_jobs_and_search_limit_exit_2(capsys):
+    # the oracle runs in one process, so count has no --jobs; no command
+    # has a search limit: recognition and witnesses are uncapped
     for argv in (
-        ("count", fixture("k4.txt"), "--method", "oracle", "--jobs", "0"),
-        ("count", fixture("k4.txt"), "--jobs", "-2"),
-        ("count", fixture("k4.txt"), "--jobs", "two"),
+        ("count", fixture("k4.txt"), "--method", "oracle", "--jobs", "2"),
+        ("classify", fixture("k4.txt"), "--u-search-limit", "5"),
+        ("count", fixture("k4.txt"), "--u-search-limit", "5"),
+        ("weighted", fixture("k4.txt"), "--u-search-limit", "5"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2, argv
-        assert f"argument {argv[-2]}" in capsys.readouterr().err, argv
-    # no command has a search limit: recognition and witnesses are uncapped
-    for command in ("classify", "count", "weighted"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, fixture("k4.txt"), "--u-search-limit", "5"])
-        assert exc.value.code == 2, command
-        assert "unrecognized arguments" in capsys.readouterr().err, command
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
 
 
 def test_count_verify(capsys):
@@ -180,6 +144,40 @@ def test_count_family_flag_refuses_an_empty_field(capsys, flag, raw):
     code, out, err = run(capsys, "count", flag, raw)
     assert (code, out) == (2, "")
     assert err == f"error: {flag} expects comma-separated integers, got {raw!r}\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, limit, message",
+    [
+        ("1_2 2\n1 2\n3 4\n", (), None, ":1: header must be two integers, got '1_2 2'"),
+        ("+4 1\n1 +2\n", (), None, ":1: header must be two integers, got '+4 1'"),
+        ("4 1\n1 +2\n", (), None, ":2: edge line must be two integers, got '1 +2'"),
+        (None, ("--complete", "1_0"), None, "argument --complete: invalid int value: '1_0'"),
+        (None, ("--complete", "+3"), None, "argument --complete: invalid int value: '+3'"),
+        (None, ("--multipartite", "\u0663,2"), None,
+         "--multipartite expects comma-separated integers, got '\u0663,2'"),
+        (None, ("--ferrers", "2,+1"), None, "--ferrers expects comma-separated integers, got '2,+1'"),
+        (None, ("--ferrers", "2, 1"), None, "--ferrers expects comma-separated integers, got '2, 1'"),
+        ("4 3\n1 2\n2 3\n3 4\n", ("--method", "oracle"), "2_4",
+         "SPANTREE_ORACLE_LIMIT must be an integer, got '2_4'"),
+    ],
+)
+def test_integers_are_ascii_digits_only(capsys, tmp_path, monkeypatch, text, argv, limit, message):
+    # int() also reads signs, underscores and other scripts' digits; each
+    # such value exits 2 instead of being reinterpreted
+    if text is not None:
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = (str(path), *argv)
+    if limit is not None:
+        monkeypatch.setenv("SPANTREE_ORACLE_LIMIT", limit)
+    try:
+        code = main(["count", *argv])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert message in out.err
 
 
 def test_count_converts_the_count_to_decimal_once(capsys, monkeypatch):

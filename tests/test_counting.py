@@ -96,11 +96,6 @@ def test_oracle_refuses_a_negative_limit():
         list(spanning_trees(Graph(1), max_edges=-5))
 
 
-def test_oracle_jobs_split():
-    assert oracle_count(K4, jobs=2) == 16
-    assert oracle_count(HOUSE_TAIL, jobs=3) == HOUSE_TAIL_TAU
-
-
 # -- cofactor route ----------------------------------------------------------------
 
 

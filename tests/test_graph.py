@@ -10,7 +10,6 @@ from spantree import (
     PartitionShape,
     complete,
     complete_multipartite,
-    conjugate,
     ferrers_graph,
     format_edge_list,
     induced_subgraph,
@@ -96,9 +95,9 @@ def test_partition_shape_validation():
 
 
 def test_conjugate_examples():
-    assert conjugate(PartitionShape((3, 2, 2, 1))).parts == (4, 3, 1)
-    assert conjugate(PartitionShape((1,))).parts == (1,)
-    assert conjugate(PartitionShape((5,))).parts == (1, 1, 1, 1, 1)
+    assert PartitionShape((3, 2, 2, 1)).conjugate().parts == (4, 3, 1)
+    assert PartitionShape((1,)).conjugate().parts == (1,)
+    assert PartitionShape((5,)).conjugate().parts == (1, 1, 1, 1, 1)
 
 
 def test_conjugate_of_a_wide_shape_walks_the_parts_once():
@@ -192,6 +191,12 @@ def test_parse_edge_list_round_trip():
         "3 2\n1 2\n1 2\n",  # duplicate
         "3 1\n1 4\n",  # out of range
         "3 1\n1 x\n",  # non-integer
+        # forms int() reads but the format does not
+        "1_2 0\n",
+        "+4 1\n1 2\n",
+        "4 1\n1 +2\n",
+        "4 1\n1 2_0\n",
+        "4 1\n1 \u0662\n",  # an Arabic-Indic two
         "0 0\n",  # no vertices
         "1000000000 0\n",  # more vertices than a header may declare
     ],
@@ -211,6 +216,10 @@ def test_parse_edge_list_vertex_cap(monkeypatch):
 def test_parse_edge_list_comments_and_blanks():
     g = parse_edge_list("# leading comment\n\n3 1  # header\n1 2 # edge\n")
     assert g.n == 3 and g.edges() == ((1, 2),)
+    # '+', '_' or text outside ASCII in a comment leave the fields readable
+    for comment in ("# caf\u00e9", "# a+b", "# a_b"):
+        g = parse_edge_list(f"{comment}\n3 2\n1 2\n1 3  {comment}\n")
+        assert g.edges() == ((1, 2), (1, 3)), comment
 
 
 # Text near the format (digits, blanks, comment marks, signs) and any text.

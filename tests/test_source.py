@@ -19,6 +19,23 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
+def test_package_starts_no_processes_or_threads():
+    # every count runs in the calling thread, so resource use is bounded by
+    # the one process
+    banned = {"multiprocessing", "concurrent", "threading", "subprocess"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] in banned]
+    assert not found, found
+
+
 def _dead_imports(source: str) -> list[str]:
     """Names bound by module-level imports that the module never loads."""
     tree = ast.parse(source)

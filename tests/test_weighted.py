@@ -30,14 +30,12 @@ from spantree import (
     weighted_count_ferrers,
     weighted_count_special_2threshold,
     weighted_count_threshold,
-    weighted_degree,
     weighted_laplacian,
     weighted_matrix_tree_count,
     weighted_oracle,
     weighted_perturbation_count,
 )
-from spantree.linalg import exact_int_div
-from spantree.weighted import PolyMatrix
+from spantree.linalg import _is_upper_triangular, exact_int_div, polynomial_ring
 from sample_graphs import (
     FERRERS3221,
     HOUSE_TAIL,
@@ -62,19 +60,14 @@ def x(n, i):
 
 def test_weighted_laplacian_goldens():
     k2 = Graph(2, [(1, 2)])
-    lap = weighted_laplacian(k2)
     x1x2 = x(2, 1) * x(2, 2)
-    assert lap.entry(1, 1) == x1x2
-    assert lap.entry(1, 2) == -x1x2
-    assert lap.entry(2, 1) == -x1x2
-    assert lap.entry(2, 2) == x1x2
+    assert weighted_laplacian(k2) == [[x1x2, -x1x2], [-x1x2, x1x2]]
 
     empty = weighted_laplacian(Graph(3))
-    assert all(empty.entry(i, j).is_zero() for i in (1, 2, 3) for j in (1, 2, 3))
+    assert len(empty) == 3
+    assert all(len(row) == 3 and all(p.is_zero() for p in row) for row in empty)
 
-    k3 = complete(3)
-    assert weighted_degree(k3, 1) == x(3, 1) * x(3, 2) + x(3, 1) * x(3, 3)
-    assert weighted_laplacian(k3).entry(1, 1) == weighted_degree(k3, 1)
+    assert weighted_laplacian(complete(3))[0][0] == x(3, 1) * x(3, 2) + x(3, 1) * x(3, 3)
 
 
 def test_weighted_oracle_goldens():
@@ -125,27 +118,28 @@ def test_weighted_perturbation_rejects_zero_sums():
 
 def test_weighted_build_perturbation_golden():
     co = u_threshold_order(SPECIAL5, SPECIAL5_U)
-    a, b, m = weighted_build_perturbation(SPECIAL5, co)
-    assert m.is_upper_triangular()
+    a, b, rows = weighted_build_perturbation(SPECIAL5, co)
+    assert _is_upper_triangular(rows)
     n = SPECIAL5.n
     dom_u = co.u_dominating_vertices() & co.u_set
-    for pos, v in enumerate(co.order, 1):
-        expected = weighted_degree(SPECIAL5, v)
+    for pos, v in enumerate(co.order):
+        expected = x(n, v) * sum((x(n, w) for w in SPECIAL5.neighbors(v)), MultiPoly.zero(n))
         if v in dom_u:
             expected = expected + x(n, v) * x(n, v)
-        assert m.entry(pos, pos) == expected
-    diag_product = prod(m.diagonal(), start=MultiPoly.const(n, 1))
+        assert rows[pos][pos] == expected
+    diag_product = prod((row[i] for i, row in enumerate(rows)), start=MultiPoly.const(n, 1))
     denominator = len(co.u_dominating_vertices()) * len(co.u_set)
     assert diag_product.substitute_all_ones() == denominator * 8
-    assert m.determinant() == diag_product
+    assert polynomial_ring(n).det(rows) == diag_product
 
 
 def test_weighted_build_perturbation_edgeless():
     g = Graph(3)
     co = u_threshold_order(g, ())
-    a, b, m = weighted_build_perturbation(g, co)
-    assert m.is_upper_triangular()
-    assert all(entry.is_zero() for entry in m.diagonal())
+    a, b, rows = weighted_build_perturbation(g, co)
+    assert _is_upper_triangular(rows)
+    assert all(row[i].is_zero() for i, row in enumerate(rows))
+    assert polynomial_ring(g.n).det(rows).is_zero()
 
 
 def _build_outcome(build, g, co):
@@ -180,14 +174,14 @@ def test_perturbation_builders_agree_across_rings():
                 assert k and weighted is plain, (g, order)
                 raised += 1
                 continue
-            (a, b, m), (wa, wb, wm) = plain, weighted
-            assert m.is_square and m.rows == wm.size == g.n
-            assert is_upper_triangular(m) and wm.is_upper_triangular(), (g, order)
+            (a, b, m), (wa, wb, rows) = plain, weighted
+            assert m.is_square and m.rows == len(rows) == g.n
+            assert all(len(row) == g.n for row in rows)
+            assert is_upper_triangular(m) and _is_upper_triangular(rows), (g, order)
             assert [p.substitute_all_ones() for p in wa] == list(a)
             assert [p.substitute_all_ones() for p in wb] == list(b)
             assert [
-                [wm.entry(i, j).substitute_all_ones() for j in range(1, g.n + 1)]
-                for i in range(1, g.n + 1)
+                [p.substitute_all_ones() for p in row] for row in rows
             ] == m.row_list(), (g, order)
     assert raised > len(pairs)
 
@@ -291,20 +285,9 @@ def test_poly_matrix_determinant_matches_integer_determinant():
     for _ in range(40):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        pm = PolyMatrix([[MultiPoly.const(0, v) for v in row] for row in rows])
+        poly_rows = [[MultiPoly.const(0, v) for v in row] for row in rows]
         expected = determinant(ExactMatrix(rows))
-        assert pm.determinant() == MultiPoly.const(0, expected)
-
-
-def test_poly_matrix_validation():
-    with pytest.raises(ValueError):
-        PolyMatrix([[MultiPoly.zero(2)], [MultiPoly.zero(2), MultiPoly.zero(2)]])
-    with pytest.raises(ValueError):
-        PolyMatrix([[MultiPoly.zero(2), MultiPoly.zero(3)]])
-    pm = PolyMatrix([[MultiPoly.const(1, 7)]])
-    assert pm.entry(1, 1) == MultiPoly.const(1, 7)
-    with pytest.raises(ValueError):
-        pm.entry(2, 1)
+        assert polynomial_ring(0).det(poly_rows) == MultiPoly.const(0, expected)
 
 
 # -- the weighted Kirchhoff cofactor ----------------------------------------
