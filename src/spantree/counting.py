@@ -3,9 +3,10 @@ route, rank-one perturbations, and the closed-form formulas: the one
 degree-product formula over a construction order, and the complete,
 multipartite and shape-only Ferrers products.
 
-The degree-product formula, the cofactor and the perturbation count are
-each written once over a ``linalg.Ring``; the integer names here and the
-weighted names in ``weighted`` call them with w = 1 and w = x_v.  Every
+The degree-product formula, the cofactor, the perturbation count and the
+triangular perturbation are each written once over a ``linalg.Ring``; the
+integer names here and the weighted names in ``weighted`` call them with
+w = 1 and w = x_v, and both return matrices as lists of rows.  Every
 prescribed division is exact with a remainder check; a nonzero remainder
 means the input violated a precondition (or there is a bug) and raises
 ExactnessError.
@@ -23,12 +24,11 @@ from .errors import CapabilityExceededError, TriangularityError
 from .graph import Graph, PartitionShape, blocks
 from .linalg import (
     INTEGERS,
-    ExactMatrix,
     Ring,
-    _is_upper_triangular,
     _laplacian_rows,
-    _rank_one_rows,
     exact_int_div,
+    is_upper_triangular,
+    rank_one_update,
 )
 from .recognition import (
     ROLE_U_DOMINATING,
@@ -124,12 +124,10 @@ def _perturbation(g: Graph, a: Sequence[T | int], b: Sequence[T | int], ring: Ri
     """det(L(G; w) + a b^T) divided exactly by (sum a)(sum b), for any
     vectors of length n with nonzero sums; the quotient is the count
     whatever a and b are.  Integer entries mix with ring elements."""
-    if len(a) != g.n or len(b) != g.n:
-        raise ValueError(f"vector lengths {len(a)}, {len(b)} do not match n={g.n}")
     sa, sb = sum(a, ring.zero), sum(b, ring.zero)
     if not sa or not sb:
         raise ValueError("vector sums must be nonzero for the perturbation count")
-    rows = _rank_one_rows(_laplacian_rows(g, g.vertices, ring), a, b)
+    rows = rank_one_update(_laplacian_rows(g, g.vertices, ring), a, b)
     return ring.div(ring.det(rows), sa * sb)
 
 
@@ -156,8 +154,8 @@ def _perturbed_rows(
         for v, r in zip(order, co.roles)
     )
     b = tuple(ring.weight(v) if v in co.u_set else ring.zero for v in order)
-    rows = _rank_one_rows(_laplacian_rows(g, order, ring), a, b)
-    if not _is_upper_triangular(rows):
+    rows = rank_one_update(_laplacian_rows(g, order, ring), a, b)
+    if not is_upper_triangular(rows):
         raise TriangularityError(
             "perturbed Laplacian is not upper triangular; construction order invalid"
         )
@@ -166,12 +164,11 @@ def _perturbed_rows(
 
 def build_perturbation(
     g: Graph, co: ConstructionOrder
-) -> tuple[tuple[int, ...], tuple[int, ...], ExactMatrix]:
+) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
     """The Laplacian along the construction order plus the outer product of
     the u_dominating and U indicator vectors (w = 1), upper triangular;
-    raises TriangularityError otherwise.  Returns (a, b, perturbed matrix)."""
-    a, b, rows = _perturbed_rows(g, co, INTEGERS)
-    return a, b, ExactMatrix(rows)
+    raises TriangularityError otherwise.  Returns (a, b, rows)."""
+    return _perturbed_rows(g, co, INTEGERS)
 
 
 def complete_count(n: int) -> int:

@@ -1,14 +1,15 @@
 """Exact dense linear algebra, and the ring every count lives in.
 
-A ``Ring`` holds what the generic routes need: zero, one, the vertex
-weight w(v) with its sums and products, exact division, the determinant
-and the lift of a block's value.  ``INTEGERS`` is w = 1 and ``polynomial_ring(n)`` is
-w = x_v, so the Laplacian, the formula, the cofactor and the perturbation
-count are each written once.  The integer determinant is fraction-free
-(Bareiss) elimination, every division exact; polynomial matrices take the
-triangular shortcut or the division-free expansion, since exact
-polynomial division costs more than the exponential number of minors at
-the sizes where either finishes.
+A matrix is the list of its rows, in every ring.  A ``Ring`` holds what
+the generic routes need: zero, one, the vertex weight w(v) with its sums
+and products, exact division, the determinant and the lift of a block's
+value.  ``INTEGERS`` is w = 1 and ``polynomial_ring(n)`` is w = x_v, so the
+Laplacian, the triangular check, the rank-one update, the formula, the
+cofactor and the perturbation count are each written once.  The integer
+determinant is fraction-free (Bareiss) elimination, every division exact;
+polynomial matrices take the triangular shortcut or the division-free
+expansion, since exact polynomial division costs more than the
+exponential number of minors at the sizes where either finishes.
 """
 
 from __future__ import annotations
@@ -22,55 +23,6 @@ from .graph import Graph
 from .poly import MultiPoly
 
 T = TypeVar("T")
-
-
-class ExactMatrix:
-    """Dense matrix of arbitrary-precision integers.
-
-    Row and column indices are 1-based, matching the vertex labels of the
-    graphs whose Laplacians these matrices usually are.
-    """
-
-    __slots__ = ("rows", "cols", "_data")
-
-    def __init__(self, data: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise ValueError(f"ragged rows: widths {sorted(widths)}")
-        self.rows = len(rows)
-        self.cols = widths.pop() if widths else 0
-        self._data = rows
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def entry(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-            raise ValueError(f"entry ({i}, {j}) out of range {self.rows}x{self.cols}")
-        return self._data[i - 1][j - 1]
-
-    def row_list(self) -> list[list[int]]:
-        return [list(r) for r in self._data]
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self._data[i][i] for i in range(min(self.rows, self.cols)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self._data == other._data
-
-    def __hash__(self) -> int:
-        return hash(self._data)
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix({[list(r) for r in self._data]!r})"
 
 
 def exact_int_div(num: int, den: int) -> int:
@@ -157,55 +109,30 @@ def expansion_determinant(rows: Sequence[Sequence[T]], *, zero: T, one: T) -> T:
     return partial.get((1 << n) - 1, zero)
 
 
-def determinant(m: ExactMatrix) -> int:
-    """Exact determinant; raises ValueError on non-square input."""
-    if not m.is_square:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    return _bareiss(m._data)
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant by Bareiss, the determinant of ``INTEGERS``;
+    raises ValueError on ragged or non-square rows.  fraction_free_determinant
+    is looked up when called, so a wrapper installed on the module sees
+    every call."""
+    return fraction_free_determinant(rows, zero=0, one=1, exact_div=exact_int_div)
 
 
-def minor_determinant(m: ExactMatrix, i: int, j: int) -> int:
-    """Determinant of m with row i and column j deleted (1-based).
-
-    The caller applies the (-1)**(i+j) cofactor sign.
-    """
-    if not m.is_square:
-        raise ValueError(f"minor needs a square matrix, got {m.rows}x{m.cols}")
-    if not (1 <= i <= m.rows and 1 <= j <= m.cols):
-        raise ValueError(f"minor index ({i}, {j}) out of range for {m.rows}x{m.cols}")
-    rows = [
-        [x for jj, x in enumerate(row, 1) if jj != j]
-        for ii, row in enumerate(m._data, 1)
-        if ii != i
-    ]
-    return _bareiss(rows)
+def is_upper_triangular(rows: Sequence[Sequence[T]]) -> bool:
+    """True when no entry strictly below the diagonal is nonzero, over any
+    ring; raises ValueError on ragged or non-square rows."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    return not any(rows[i][j] for i in range(1, n) for j in range(i))
 
 
-def is_upper_triangular(m: ExactMatrix) -> bool:
-    """True when every entry strictly below the diagonal is zero."""
-    if not m.is_square:
-        raise ValueError(f"triangularity needs a square matrix, got {m.rows}x{m.cols}")
-    return _is_upper_triangular(m._data)
-
-
-def _is_upper_triangular(rows: Sequence[Sequence[T]]) -> bool:
-    """True when no entry strictly below the diagonal is nonzero, any ring."""
-    return not any(rows[i][j] for i in range(1, len(rows)) for j in range(i))
-
-
-def rank_one_update(m: ExactMatrix, a: Sequence[int], b: Sequence[int]) -> ExactMatrix:
-    """m plus the outer product of column vector a and row vector b."""
-    if len(a) != m.rows or len(b) != m.cols:
-        raise ValueError(
-            f"vector lengths {len(a)}, {len(b)} do not match {m.rows}x{m.cols}"
-        )
-    return ExactMatrix(_rank_one_rows(m._data, a, b))
-
-
-def _rank_one_rows(
+def rank_one_update(
     rows: Sequence[Sequence[T]], a: Sequence[T], b: Sequence[T]
 ) -> list[list[T]]:
-    """rows plus the outer product a b^T, over any ring."""
+    """rows plus the outer product a b^T, over any ring; raises ValueError
+    unless a has one entry per row and b one per column."""
+    if len(a) != len(rows) or any(len(r) != len(b) for r in rows):
+        raise ValueError(f"vector lengths {len(a)}, {len(b)} do not match the rows")
     return [[x + ai * bj for x, bj in zip(row, b)] for row, ai in zip(rows, a)]
 
 
@@ -231,10 +158,11 @@ def _laplacian_rows(
     return rows
 
 
-def laplacian(g: Graph) -> ExactMatrix:
-    """Degree matrix minus adjacency matrix: entry (i, i) is deg(i), entry
-    (i, j) is -1 iff {i, j} is an edge.  L(G; w) with w = 1."""
-    return ExactMatrix(_laplacian_rows(g, g.vertices, INTEGERS))
+def laplacian(g: Graph) -> list[list[int]]:
+    """The rows of the degree matrix minus the adjacency matrix: entry
+    (i, i) is deg(i), entry (i, j) is -1 iff {i, j} is an edge.  L(G; w)
+    with w = 1."""
+    return _laplacian_rows(g, g.vertices, INTEGERS)
 
 
 @dataclass(frozen=True)
@@ -255,16 +183,10 @@ class Ring(Generic[T]):
     lift: Callable[[T, Sequence[int]], T]
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """Bareiss over the integers, looking fraction_free_determinant up when
-    called, so a wrapper installed on the module sees every call."""
-    return fraction_free_determinant(rows, zero=0, one=1, exact_div=exact_int_div)
-
-
 #: The integers, w = 1: weight sums are set sizes, products are one, and
 #: blocks need no lift.
 INTEGERS: Ring[int] = Ring(
-    0, 1, lambda v: 1, len, lambda vertices: 1, exact_int_div, _bareiss,
+    0, 1, lambda v: 1, len, lambda vertices: 1, exact_int_div, determinant,
     lambda value, labels: value,
 )
 
@@ -287,7 +209,7 @@ def polynomial_ring(n: int) -> Ring[MultiPoly]:
         return MultiPoly._of(n, {tuple(exps): 1})
 
     def det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-        if _is_upper_triangular(rows):
+        if is_upper_triangular(rows):
             return prod((row[i] for i, row in enumerate(rows)), start=one)
         return expansion_determinant(rows, zero=zero, one=one)
 

@@ -38,6 +38,8 @@ class MultiPoly:
                 raise ValueError(
                     f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
                 )
+            if not isinstance(coeff, int) or not all(isinstance(e, int) for e in exps):
+                raise ValueError(f"exponents and coefficient must be int, got {exps}: {coeff!r}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             if coeff:

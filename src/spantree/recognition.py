@@ -109,12 +109,7 @@ def derive_roles(
     return roles
 
 
-def _peel(
-    g: Graph,
-    w_mask: int,
-    u_mask: int,
-    tie_break: Callable[[list[int]], int] | None = None,
-) -> tuple[list[int] | None, int]:
+def _peel(g: Graph, w_mask: int, u_mask: int) -> tuple[list[int] | None, int]:
     """Greedy elimination on the vertices of w_mask.
 
     Repeatedly deletes a vertex whose remaining neighborhood is empty or
@@ -122,7 +117,7 @@ def _peel(
     deletions reversed into a construction order, or (None, stuck) where
     stuck is the vertex mask on which no deletion was possible.
 
-    The default tie-break deletes the highest-labeled candidate, which makes
+    Among the candidates the highest-labeled one is deleted, which makes
     low labels appear earliest in the resulting order.
 
     Nothing is re-scanned: one peel takes |W| popcounts, then O(1) work per
@@ -162,21 +157,13 @@ def _peel(
             other_buckets.get(0, empty),
             other_buckets.get(k, empty) if k else empty,
         )
-        if tie_break is None:
-            v = 0
-            for i, bucket in enumerate(buckets):
-                if bucket and bucket[-1] > v:
-                    v, chosen = bucket[-1], i
-            if not v:
-                return None, w_mask & ~mask_of(removed)
-            buckets[chosen].pop()
-        else:
-            candidates = sorted(chain(*buckets))
-            if not candidates:
-                return None, w_mask & ~mask_of(removed)
-            v = tie_break(candidates)
-            chosen = next(i for i, bucket in enumerate(buckets) if v in bucket)
-            buckets[chosen].remove(v)
+        v = 0
+        for i, bucket in enumerate(buckets):
+            if bucket and bucket[-1] > v:
+                v, chosen = bucket[-1], i
+        if not v:
+            return None, w_mask & ~mask_of(removed)
+        buckets[chosen].pop()
         removed.append(v)
         if chosen < 2:  # a U-vertex, U-dominating if chosen is 1
             k -= 1
@@ -207,19 +194,14 @@ def _checked_u_set(g: Graph, u: Iterable[int]) -> frozenset[int]:
     return u_set
 
 
-def u_threshold_order(
-    g: Graph,
-    u: Iterable[int],
-    tie_break: Callable[[list[int]], int] | None = None,
-) -> ConstructionOrder | None:
+def u_threshold_order(g: Graph, u: Iterable[int]) -> ConstructionOrder | None:
     """Construction order of g for the subset u, or None if there is none.
 
-    ``tie_break`` overrides the deterministic default choice among removable
-    vertices; any choice succeeds on U-threshold inputs.
+    The peel's choice among removable vertices is deterministic; any choice
+    succeeds on U-threshold inputs.
     """
     u_set = _checked_u_set(g, u)
-    u_mask = mask_of(u_set)
-    order, _ = _peel(g, g.full_mask(), u_mask, tie_break)
+    order, _ = _peel(g, g.full_mask(), mask_of(u_set))
     if order is None:
         return None
     return _checked_order(g, order, u_set)
@@ -236,11 +218,9 @@ def u_threshold_obstruction(g: Graph, u: Iterable[int]) -> frozenset[int] | None
     return None if order is not None else frozenset(vertices_of(stuck))
 
 
-def threshold_order(
-    g: Graph, tie_break: Callable[[list[int]], int] | None = None
-) -> ConstructionOrder | None:
+def threshold_order(g: Graph) -> ConstructionOrder | None:
     """Construction order with U equal to the whole vertex set, or None."""
-    return u_threshold_order(g, g.vertices, tie_break)
+    return u_threshold_order(g, g.vertices)
 
 
 def _u_candidates(g: Graph, w: int) -> Iterator[int]:

