@@ -19,6 +19,7 @@ from typing import Callable, Iterator, Sequence
 
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
+    _oracle_guard,
     bipartite_count,
     complete_count,
     ferrers_count,
@@ -137,16 +138,21 @@ def _int_argument(raw: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
 
 
-def _classify(g: Graph) -> dict:
+def _file_input(path: str, g: Graph) -> dict:
+    return {"path": path, "vertices": g.n, "edges": [list(e) for e in g.edges()]}
+
+
+def cmd_classify(args: argparse.Namespace) -> int:
     """Family memberships plus certificates: a construction order or
     staircase for each family the graph is in, a forbidden induced subgraph
-    for each it is not.  Every step is polynomial, so no graph is refused."""
-    threshold_co = threshold_order(g)
-    fs = ferrers_structure(g)
-    found = special_2_threshold_order(g)
-    witnesses: list[tuple[str, object]] = []
+    for each it is not.  Every step is polynomial, so no graph is refused.
+    On a threshold graph the U-search tries U = V first, so the special
+    order is the threshold order."""
+    g = _load_graph(args.file)
+    threshold, fs, found = threshold_order(g), ferrers_structure(g), special_2_threshold_order(g)
+    witnesses = []
     for family, member in (
-        (FAMILY_THRESHOLD, threshold_co),
+        (FAMILY_THRESHOLD, threshold),
         (FAMILY_SPECIAL_2_THRESHOLD, found),
         (FAMILY_FERRERS, fs),
     ):
@@ -155,70 +161,48 @@ def _classify(g: Graph) -> dict:
         except ValueError:
             w = None  # ferrers on a graph that is not connected bipartite
         if w is not None:
-            witnesses.append((family, w))
-    return {"threshold_co": threshold_co, "special": found, "ferrers": fs,
-            "witnesses": witnesses}
-
-
-def _classification_json(info: dict) -> dict:
-    fs = info["ferrers"]
-    found = info["special"]
-    return {
-        "threshold": info["threshold_co"] is not None,
-        "special_2_threshold": found is not None,
-        "ferrers": fs is not None,
-        "u_set": sorted(found[0]) if found is not None else None,
-        "ferrers_shape": list(fs.shape.parts) if fs is not None else None,
-        "ferrers_traversal": list(fs.traversal) if fs is not None else None,
-    }
-
-
-def _file_input(path: str, g: Graph) -> dict:
-    return {"path": path, "vertices": g.n, "edges": [list(e) for e in g.edges()]}
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
-    g = _load_graph(args.file)
-    info = _classify(g)
-    co = info["threshold_co"] or (info["special"][1] if info["special"] else None)
+            witnesses.append(
+                {"family": family, "pattern": w.pattern_name, "vertices": list(w.vertices)}
+            )
+    u_set, co = found or (None, None)
     payload = {
         "input": _file_input(args.file, g),
-        "classification": _classification_json(info),
+        "classification": {
+            "threshold": threshold is not None,
+            "special_2_threshold": found is not None,
+            "ferrers": fs is not None,
+            "u_set": sorted(u_set) if found else None,
+            "ferrers_shape": list(fs.shape.parts) if fs else None,
+            "ferrers_traversal": list(fs.traversal) if fs else None,
+        },
         "method": None,
         "count": None,
         "polynomial": None,
-        "witnesses": [
-            {"family": fam, "pattern": w.pattern_name, "vertices": list(w.vertices)}
-            for fam, w in info["witnesses"]
-        ],
+        "witnesses": witnesses,
         "construction_order": _order_json(co),
     }
 
-    lines = [f"graph: {g.n} vertices, {g.edge_count} edges"]
-    lines.append(f"threshold: {'yes' if info['threshold_co'] else 'no'}")
-    if info["special"]:
-        u_set, sco = info["special"]
-        lines += [
+    def lines() -> list[str]:
+        special = [
             "special-2-threshold: yes (U = {%s})" % ", ".join(map(str, sorted(u_set))),
-            "  order: " + " ".join(map(str, sco.order)),
-            "  roles: " + " ".join(f"{v}:{r}" for v, r in zip(sco.order, sco.roles)),
-        ]
-    else:
-        lines.append("special-2-threshold: no")
-    if info["ferrers"]:
-        fs = info["ferrers"]
-        lines.append(
+            "  order: " + " ".join(map(str, co.order)),
+            "  roles: " + " ".join(f"{v}:{r}" for v, r in zip(co.order, co.roles)),
+        ] if found else ["special-2-threshold: no"]
+        return [
+            f"graph: {g.n} vertices, {g.edge_count} edges",
+            f"threshold: {'yes' if threshold else 'no'}",
+            *special,
             "ferrers: yes (shape %s, traversal %s)"
             % (",".join(map(str, fs.shape.parts)), " ".join(map(str, fs.traversal)))
-        )
-    else:
-        lines.append("ferrers: no")
-    for w_json in payload["witnesses"]:
-        lines.append(
-            "witness against %s: %s on vertices {%s}"
-            % (w_json["family"], w_json["pattern"], ", ".join(map(str, w_json["vertices"])))
-        )
-    _emit(payload, args.json, lambda: lines)
+            if fs else "ferrers: no",
+            *(
+                "witness against %s: %s on vertices {%s}"
+                % (w["family"], w["pattern"], ", ".join(map(str, w["vertices"])))
+                for w in witnesses
+            ),
+        ]
+
+    _emit(payload, args.json, lines)
     return 0
 
 
@@ -273,33 +257,36 @@ def cmd_count(args: argparse.Namespace) -> int:
 
     co = None
     classification = None
-    # a family flag's graph is built only if --verify asks for it
+    # a family flag's graph is built only if --verify asks for it and its
+    # size passes the oracle's guard
     if args.complete is not None:
         n = args.complete
         if n < 1:
             raise ValueError("--complete needs n >= 1")
         _check_family_size("--complete", n)
         count, method = complete_count(n), "formula:complete"
-        graph = lambda: complete(n)
+        graph, size = (lambda: complete(n)), (n, n * (n - 1) // 2)
         source = {"family": "complete", "n": n}
     elif args.ferrers is not None:
         shape = PartitionShape(_parse_parts(args.ferrers, "--ferrers"))
         _check_family_size("--ferrers", shape.rows + shape.parts[0])
         count, method = ferrers_count(shape), "formula:ferrers"
-        graph = lambda: ferrers_graph(shape)
+        graph, size = (lambda: ferrers_graph(shape)), (shape.rows + shape.cols, shape.total)
         source = {"family": "ferrers", "shape": list(shape.parts)}
     elif args.multipartite is not None:
         sizes = _parse_parts(args.multipartite, "--multipartite")
-        _check_family_size("--multipartite", sum(sizes))
+        n = sum(sizes)
+        _check_family_size("--multipartite", n)
         if len(sizes) == 2:
             count, method = bipartite_count(*sizes), "formula:bipartite"
         else:
             count, method = multipartite_count(sizes), "formula:multipartite"
         graph = lambda: complete_multipartite(sizes)
+        size = n, (n * n - sum(s * s for s in sizes)) // 2
         source = {"family": "multipartite", "sizes": sizes}
     else:
         g = _load_graph(args.file)
-        graph = lambda: g
+        graph, size = (lambda: g), (g.n, g.edge_count)
         source = _file_input(args.file, g)
         count, method, co, classification = _answer(
             g,
@@ -311,7 +298,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
     verified = None
     if args.verify:
-        check = oracle_count(graph(), max_edges=_oracle_limit())
+        limit = _oracle_limit()
+        _oracle_guard(*size, limit)
+        check = oracle_count(graph(), max_edges=limit)
         if check != count:
             raise ExactnessError(
                 f"oracle disagrees: method {method} gave {count}, oracle {check}"

@@ -64,25 +64,31 @@ def _tree_check(n: int, subset: Sequence[tuple[int, int]]) -> bool:
     return True
 
 
+def _oracle_guard(n: int, m: int, max_edges: int | None = None) -> None:
+    """The oracle's guard for a graph of n vertices and m edges, which need
+    not be built yet: refuses a negative limit, graphs without vertices and
+    graphs with more than max_edges edges (default DEFAULT_ORACLE_LIMIT)."""
+    limit = DEFAULT_ORACLE_LIMIT if max_edges is None else max_edges
+    if limit < 0:
+        raise ValueError(f"oracle edge limit must be nonnegative, got {limit}")
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    if m > limit:
+        raise CapabilityExceededError(
+            f"oracle enumeration over {m} edges exceeds the limit "
+            f"of {limit}; raise max_edges to override"
+        )
+
+
 def spanning_trees(
     g: Graph, *, max_edges: int | None = None
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Enumerate the spanning trees of g as sorted edge tuples.
 
     Checks every (n-1)-subset of the edge set, so it is only usable on small
-    inputs; the guard refuses a negative limit, graphs without vertices and
-    graphs with more than max_edges edges (default DEFAULT_ORACLE_LIMIT).
+    inputs; ``_oracle_guard`` refuses the rest.
     """
-    limit = DEFAULT_ORACLE_LIMIT if max_edges is None else max_edges
-    if limit < 0:
-        raise ValueError(f"oracle edge limit must be nonnegative, got {limit}")
-    if g.n < 1:
-        raise ValueError("need at least one vertex")
-    if g.edge_count > limit:
-        raise CapabilityExceededError(
-            f"oracle enumeration over {g.edge_count} edges exceeds the limit "
-            f"of {limit}; raise max_edges to override"
-        )
+    _oracle_guard(g.n, g.edge_count, max_edges)
     edges = g.edges()
     if g.n == 1:
         yield ()

@@ -215,14 +215,15 @@ def induced_subgraph(g: Graph, w: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     """Restriction of g to the vertex subset w, relabeled 1..|w|.
 
     Returns (subgraph, labels) where labels[i-1] is the original vertex that
-    became vertex i; labels are ascending.
+    became vertex i; labels are ascending.  Only the kept vertices'
+    neighbor sets are read.
     """
     keep = sorted(set(w))
     for v in keep:
         g.check_vertex(v)
     index = {v: i for i, v in enumerate(keep, 1)}
     edges = [
-        (index[u], index[v]) for u, v in g.edges() if u in index and v in index
+        (index[u], i) for v, i in index.items() for u in g._neighbors[v] if u < v and u in index
     ]
     return Graph(len(keep), edges), tuple(keep)
 

@@ -111,9 +111,11 @@ def expansion_determinant(rows: Sequence[Sequence[T]], *, zero: T, one: T) -> T:
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant by Bareiss, the determinant of ``INTEGERS``;
-    raises ValueError on ragged or non-square rows.  fraction_free_determinant
-    is looked up when called, so a wrapper installed on the module sees
-    every call."""
+    raises TypeError on an entry that is not an int and ValueError on ragged
+    or non-square rows.  fraction_free_determinant is looked up when called,
+    so a wrapper installed on the module sees every call."""
+    if bad := [x for row in rows for x in row if not isinstance(x, int)]:
+        raise TypeError(f"determinant entries must be int, got {bad[0]!r}")
     return fraction_free_determinant(rows, zero=0, one=1, exact_div=exact_int_div)
 
 

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from functools import cache, cmp_to_key
 from itertools import chain, combinations, permutations, product
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Literal, Mapping
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
 
 from .errors import OrderInconsistencyError
-from .graph import Graph, PartitionShape, is_connected, mask_of, vertices_of
+from .graph import Graph, PartitionShape, induced_subgraph, mask_of, vertices_of
 
 Role = Literal["initial", "isolated", "u_dominating"]
 
@@ -278,11 +278,7 @@ def special_2_threshold_order(g: Graph) -> tuple[frozenset[int], ConstructionOrd
 
 
 def _pattern(n: int, edges: list[tuple[int, int]]) -> tuple[int, ...]:
-    masks = [0] * (n + 1)
-    for u, v in edges:
-        masks[u] |= 1 << (v - 1)
-        masks[v] |= 1 << (u - 1)
-    return tuple(masks[1:])
+    return Graph(n, edges).neighbor_masks()[1:]
 
 
 #: Adjacency masks of the fixed obstruction patterns, on vertices 1..k.
@@ -337,26 +333,13 @@ class ForbiddenWitness:
     vertices: tuple[int, ...]
 
 
-def _local_adjacency(g: Graph, subset: tuple[int, ...]) -> tuple[int, ...]:
-    """Adjacency masks of the induced subgraph, relabeled to bits 0..k-1."""
-    pos = {v: i for i, v in enumerate(subset)}
-    masks = []
-    for v in subset:
-        m = 0
-        for w in g.neighbors(v):
-            if w in pos:
-                m |= 1 << pos[w]
-        masks.append(m)
-    return tuple(masks)
-
-
 @cache
 def _witness_keys(family: str) -> Mapping[tuple[int, ...], str]:
-    """Every relabeling of the family's patterns as a ``_local_adjacency``
-    tuple, mapped to the pattern name.  A vertex subset induces a pattern
-    exactly when its tuple is a key; patterns of one size are pairwise
-    non-isomorphic, so no key names two.  Built on first use, not at import,
-    and read-only since it is shared."""
+    """Every relabeling of the family's patterns as the neighbor masks of an
+    induced subgraph, mapped to the pattern name.  A vertex subset induces a
+    pattern exactly when its masks are a key; patterns of one size are
+    pairwise non-isomorphic, so no key names two.  Built on first use, not
+    at import, and read-only since it is shared."""
     keys: dict[tuple[int, ...], str] = {}
     for name in FAMILY_PATTERNS[family]:
         masks = PATTERNS[name]
@@ -369,25 +352,29 @@ def _witness_keys(family: str) -> Mapping[tuple[int, ...], str]:
     return MappingProxyType(keys)
 
 
-def _is_bipartite(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Two-color the graph; returns the color classes or None if an odd cycle
-    exists.  Isolated vertices land in the first class of their component."""
-    color: dict[int, int] = {}
-    for root in g.vertices:
-        if root in color:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side0 = frozenset(v for v, c in color.items() if c == 0)
-    return side0, g.vertex_set() - side0
+def _bipartition(g: Graph) -> tuple[int, int]:
+    """The color classes of a connected bipartite graph as vertex masks,
+    vertex 1's first, from one breadth-first walk of vertex 1's component:
+    the graph is connected when the walk reaches every vertex, and
+    bipartite when no layer has an edge inside it.  Raises ValueError
+    otherwise, naming connectivity first."""
+    masks = g.neighbor_masks()
+    sides, odd, layer = [0, 0], 0, 0
+    seen = frontier = g.full_mask() & 1
+    while frontier:
+        sides[layer & 1] |= frontier
+        reach = 0
+        for v in vertices_of(frontier):
+            reach |= masks[v]
+            odd |= masks[v] & frontier
+        frontier = reach & ~seen
+        seen |= frontier
+        layer += 1
+    if seen != g.full_mask():
+        raise ValueError("ferrers obstruction check needs a connected graph")
+    if odd:
+        raise ValueError("ferrers obstruction check needs a bipartite graph")
+    return sides[0], sides[1]
 
 
 def _first_alternating_four(
@@ -438,13 +425,7 @@ def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
     if family == FAMILY_THRESHOLD:
         return _first_alternating_four(g, lambda a: full)
     if family == FAMILY_FERRERS:
-        if not is_connected(g):
-            raise ValueError("ferrers obstruction check needs a connected graph")
-        sides = _is_bipartite(g)
-        if sides is None:
-            raise ValueError("ferrers obstruction check needs a bipartite graph")
-        side = mask_of(sides[0])
-        other = full & ~side
+        side, other = _bipartition(g)
         return _first_alternating_four(g, lambda a: side if side >> (a - 1) & 1 else other)
 
     @cache
@@ -461,7 +442,7 @@ def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
         if w == full and member(full):  # nothing went, so g may be a member
             return None
     subset = tuple(vertices_of(w))
-    name = _witness_keys(family).get(_local_adjacency(g, subset))
+    name = _witness_keys(family).get(induced_subgraph(g, subset)[0].neighbor_masks()[1:])
     if name is None:
         raise OrderInconsistencyError(f"shrinking left {subset}, which induces no {family} pattern")
     return ForbiddenWitness(name, subset)
@@ -495,14 +476,18 @@ class FerrersStructure:
         return ConstructionOrder(self.traversal, cols, (ROLE_INITIAL, *roles[1:]))
 
 
-def _side_sorted(g: Graph, side: frozenset[int]) -> list[int] | None:
-    """Side sorted by decreasing degree if its neighborhoods form a chain
-    under inclusion, else None."""
-    ordered = sorted(side, key=lambda v: (-g.degree(v), v))
-    for prev, nxt in zip(ordered, ordered[1:]):
-        if g.neighbor_mask(nxt) & ~g.neighbor_mask(prev):
-            return None
-    return ordered
+def _inclusion_chain(
+    vs: Iterable[int], masks: Sequence[int] | Mapping[int, int]
+) -> tuple[list[int], tuple[int, int] | None]:
+    """The vertices sorted by decreasing mask size, then label, and the
+    first consecutive pair (x, y) with masks[y] not inside masks[x], which
+    are then incomparable; the pair is None when the masks form a chain
+    under inclusion."""
+    ordered = sorted(vs, key=lambda v: (-masks[v].bit_count(), v))
+    for x, y in zip(ordered, ordered[1:]):
+        if masks[y] & ~masks[x]:
+            return ordered, (x, y)
+    return ordered, None
 
 
 def ferrers_structure(g: Graph) -> FerrersStructure | None:
@@ -514,17 +499,16 @@ def ferrers_structure(g: Graph) -> FerrersStructure | None:
     the same shape the side containing vertex 1 becomes the rows.  The shape
     of the conjugate orientation is the conjugate partition.
     """
-    if g.n < 2 or not is_connected(g):
+    if g.n < 2:
         return None
-    sides = _is_bipartite(g)
-    if sides is None:
+    try:
+        a, b = _bipartition(g)
+    except ValueError:
         return None
-    a, b = sides
-    if not a or not b:
-        return None
-    sorted_a = _side_sorted(g, a)
-    sorted_b = _side_sorted(g, b)
-    if sorted_a is None or sorted_b is None:
+    masks = g.neighbor_masks()
+    sorted_a, bad_a = _inclusion_chain(vertices_of(a), masks)
+    sorted_b, bad_b = _inclusion_chain(vertices_of(b), masks)
+    if bad_a or bad_b:
         return None
 
     def shape_of(rows: list[int]) -> tuple[int, ...]:
@@ -714,15 +698,6 @@ class NestingReport:
         )
 
 
-def _nested_chain(masks: dict[int, int]) -> tuple[int, int] | None:
-    """First pair of vertices whose mask neighborhoods are incomparable."""
-    ordered = sorted(masks, key=lambda v: (bin(masks[v]).count("1"), v))
-    for x, y in zip(ordered, ordered[1:]):
-        if masks[x] & ~masks[y]:
-            return (x, y)
-    return None
-
-
 def nesting_report(g: Graph, u: Iterable[int]) -> NestingReport:
     """Check the four structural consequences of being U-threshold.
 
@@ -740,11 +715,11 @@ def nesting_report(g: Graph, u: Iterable[int]) -> NestingReport:
     bad = next(((x, y) for x, y in combinations(comp, 2) if g.has_edge(x, y)), None)
     clause_a = ClauseReport(bad is None, bad)
 
-    clause_b_pair = _nested_chain({v: g.neighbor_mask(v) for v in comp})
+    _, clause_b_pair = _inclusion_chain(comp, g.neighbor_masks())
     clause_b = ClauseReport(clause_b_pair is None, clause_b_pair)
 
     restricted = {v: g.neighbor_mask(v) & comp_mask for v in sorted(u_set)}
-    clause_c_pair = _nested_chain(restricted)
+    _, clause_c_pair = _inclusion_chain(restricted, restricted)
     clause_c = ClauseReport(clause_c_pair is None, clause_c_pair)
 
     ranks = _threshold_class_ranks(g, sorted(u_set))

@@ -87,20 +87,14 @@ def weighted_count_ferrers(
 ) -> MultiPoly:
     """Closed form for staircase graphs: the weighted degree-product formula
     on the staircase traversal.  A bare shape uses ferrers_graph's labeling
-    (rows first, then columns)."""
+    (rows first, then columns, each in diagram order); a recognized
+    structure's row i is row_order[i-1], adjacent to the first parts[i-1]
+    columns of col_order, so its enumerator is the shape's, relabeled."""
     if isinstance(fs, FerrersStructure):
-        g = Graph(
-            len(fs.row_order) + len(fs.col_order),
-            (
-                (r, fs.col_order[k])
-                for r, length in zip(fs.row_order, fs.shape.parts)
-                for k in range(length)
-            ),
-        )
-    else:
-        g = ferrers_graph(fs)
-        fs = ferrers_structure(g)
-    return weighted_count_special_2threshold(g, fs.construction_order())
+        labels = fs.row_order + fs.col_order
+        return weighted_count_ferrers(fs.shape).lift(len(labels), labels)
+    g = ferrers_graph(fs)
+    return weighted_count_special_2threshold(g, ferrers_structure(g).construction_order())
 
 
 def weighted_count_special_2threshold(g: Graph, co: ConstructionOrder) -> MultiPoly:

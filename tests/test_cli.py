@@ -119,6 +119,34 @@ def test_count_family_flags(capsys):
     assert code == 0
 
 
+def test_count_verify_refuses_a_family_flag_before_building_it(capsys, monkeypatch):
+    refused = {
+        ("--complete", "8"): 28,
+        ("--complete", "100000"): 4999950000,
+        ("--ferrers", "9,9,9"): 27,
+        ("--multipartite", "5,5"): 25,
+        ("--multipartite", "1500,1500"): 2250000,
+    }
+    for name in ("complete", "complete_multipartite", "ferrers_graph"):
+        monkeypatch.setattr(spantree.cli, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    for flag, edges in refused.items():
+        code, out, err = run(capsys, "count", *flag, "--verify")
+        assert (code, out) == (3, ""), flag
+        assert err == (
+            f"error: oracle enumeration over {edges} edges exceeds the limit "
+            "of 24; raise max_edges to override\n"
+        ), flag
+    monkeypatch.undo()
+    in_limit = {
+        ("--complete", "5"): 125,
+        ("--ferrers", "3,3,2"): 36,
+        ("--multipartite", "2,2,2"): 384,
+    }
+    for flag, count in in_limit.items():
+        payload = run_json(capsys, "count", *flag, "--verify", "--json")
+        assert (payload["count"], payload["verified_against_oracle"]) == (count, True), flag
+
+
 def test_count_flag_misuse(capsys):
     assert run(capsys, "count")[0] == 2
     assert run(capsys, "count", fixture("k4.txt"), "--complete", "3")[0] == 2

@@ -49,9 +49,11 @@ def test_ring_determinant_rejects_ragged_rows(ring):
 
 
 def test_determinant_converts_no_entries():
-    # entries are used as given: a float or a string is not read as an int
-    with pytest.raises(TypeError):
-        determinant([[2.9, 0], [0, "3"]])
+    # entries are used as given: a float or a string is not read as an int,
+    # and a float is refused as input, not reported as an inexact division
+    for rows in ([[2.9, 0], [0, "3"]], [[2.0, 0], [0, 3]], [[2.5, 0], [0, 3]]):
+        with pytest.raises(TypeError, match="must be int"):
+            determinant(rows)
 
 
 def test_laplacian_of_running_example():

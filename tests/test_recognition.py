@@ -50,6 +50,7 @@ from sample_graphs import (
     scan_order,
     scan_peel,
     small_graphs,
+    threshold_graph_from_bits,
 )
 
 
@@ -280,10 +281,19 @@ def test_forbidden_witness_goldens():
 
 
 def test_forbidden_witness_ferrers_preconditions():
-    with pytest.raises(ValueError):
-        forbidden_witness(K4, "ferrers")  # odd cycle
-    with pytest.raises(ValueError):
-        forbidden_witness(TWO_K2, "ferrers")  # disconnected
+    connected = "ferrers obstruction check needs a connected graph"
+    bipartite = "ferrers obstruction check needs a bipartite graph"
+    for g, message in (
+        (K4, bipartite),
+        (C5, bipartite),
+        (TWO_K2, connected),
+        (Graph(6, C5.edges()), connected),  # both fail: connectivity is named
+        (Graph(7, C5.edges() + ((6, 7),)), connected),
+    ):
+        with pytest.raises(ValueError) as exc:
+            forbidden_witness(g, "ferrers")
+        assert str(exc.value) == message, g
+    assert forbidden_witness(Graph(1), "ferrers") is None
     path = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)])
     w = forbidden_witness(path, "ferrers")
     assert w is not None and w.pattern_name == "2K2"
@@ -366,9 +376,9 @@ def test_four_vertex_witnesses_scan_no_subsets(monkeypatch):
     core = [(u + off, v + off) for u, v in SPECIAL5.edges()]
     g = Graph(n, core + [(v, 1 + off) for v in range(1, off + 1)])
     seen = []
-    local = spantree.recognition._local_adjacency
+    induced = spantree.recognition.induced_subgraph
     monkeypatch.setattr(
-        spantree.recognition, "_local_adjacency", lambda *a: seen.append(a) or local(*a)
+        spantree.recognition, "induced_subgraph", lambda *a: seen.append(a) or induced(*a)
     )
     w = forbidden_witness(g, "threshold")
     assert (w.pattern_name, w.vertices) == ("P4", (1, off + 1, off + 3, off + 4))
@@ -394,6 +404,34 @@ def test_special_agreement_exhaustive_up_to_seven():
         w = forbidden_witness(g, "special-2-threshold")
         assert (w is None) == found, g
         assert found or induced_pattern(g, w.vertices, "special-2-threshold") == w.pattern_name
+
+
+def _assert_threshold_peel_is_the_special_order(g):
+    # the U-search sorts U = V first, and its peel is the threshold peel,
+    # so classify may print the special order for a threshold graph
+    co = threshold_order(g)
+    if co is not None:
+        assert special_2_threshold_order(g) == (g.vertex_set(), co), g
+
+
+def test_special_order_of_a_threshold_graph_is_the_threshold_order():
+    for g in atlas_graphs(7):
+        _assert_threshold_peel_is_the_special_order(g)
+
+
+@st.composite
+def _threshold_or_random(draw):
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return draw(small_graphs(max_n=n))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return relabeled(threshold_graph_from_bits(n, draw(st.integers(0, 2 ** n))), perm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_threshold_or_random())
+def test_special_order_of_a_threshold_graph_is_the_threshold_order_random(g):
+    _assert_threshold_peel_is_the_special_order(g)
 
 
 def test_special_agreement_random_eight_vertex():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from spantree import (
     Graph,
     MultiPoly,
+    PartitionShape,
     TriangularityError,
     build_perturbation,
     complete,
@@ -220,6 +221,19 @@ def test_weighted_ferrers_matches_oracle():
     for shape in partitions_up_to(8):
         g = ferrers_graph(shape)
         assert weighted_count_ferrers(shape) == weighted_oracle(g), shape
+
+
+def test_weighted_ferrers_of_a_relabeled_staircase():
+    # a recognized structure's enumerator is its shape's, relabeled: checked
+    # in both orientations, on shuffled labels
+    rng = random.Random(13)
+    for shape in partitions_up_to(7):
+        for conjugate in (False, True):
+            g = ferrers_graph(PartitionShape(shape).conjugate() if conjugate else shape)
+            perm = list(g.vertices)
+            rng.shuffle(perm)
+            h = relabeled(g, perm)
+            assert weighted_count_ferrers(ferrers_structure(h)) == weighted_oracle(h), (shape, perm)
 
 
 def test_weighted_ferrers_goldens():
