@@ -1,10 +1,10 @@
 """Command-line front end: classify graphs, count spanning trees with the
 fastest applicable method, and emit weighted enumerators.
 
-Exit codes: 0 success, 2 malformed input or inapplicable request, 3 the
-oracle's edge guard refused to run, 4 an internal check failed (an inexact
-division, an inconsistent order or witness, or a non-triangular
-perturbation).
+Exit codes: 0 success, 1 stdout was closed before the output was written,
+2 malformed input or inapplicable request, 3 the oracle's edge guard
+refused to run, 4 an internal check failed (an inexact division, an
+inconsistent order or witness, or a non-triangular perturbation).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Callable, Iterator, Sequence
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
     _oracle_guard,
-    bipartite_count,
     complete_count,
     ferrers_count,
     matrix_tree_count,
@@ -51,11 +50,9 @@ from .recognition import (
     FAMILY_FERRERS,
     FAMILY_SPECIAL_2_THRESHOLD,
     FAMILY_THRESHOLD,
-    ConstructionOrder,
     ferrers_structure,
     forbidden_witness,
     special_2_threshold_order,
-    threshold_order,
 )
 from .weighted import (
     weighted_count_special_2threshold,
@@ -77,13 +74,16 @@ def _oracle_limit() -> int:
         raise EdgeListParseError(f"{_ORACLE_ENV} must be an integer, got {raw!r}")
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str) -> tuple[Graph, dict]:
+    """The graph in the edge-list file at ``path`` and the payload's
+    ``"input"`` echo of it."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise EdgeListParseError(f"cannot read {path}: {exc}")
-    return parse_edge_list(text, source=path)
+    g = parse_edge_list(text, source=path)
+    return g, {"path": path, "vertices": g.n, "edges": [list(e) for e in g.edges()]}
 
 
 def _parse_parts(raw: str, flag: str) -> list[int]:
@@ -95,14 +95,8 @@ def _parse_parts(raw: str, flag: str) -> list[int]:
         raise EdgeListParseError(f"{flag} expects comma-separated integers, got {raw!r}")
 
 
-def _order_json(co: ConstructionOrder | None) -> dict | None:
-    if co is None:
-        return None
-    return {
-        "order": list(co.order),
-        "u_set": sorted(co.u_set),
-        "roles": list(co.roles),
-    }
+#: Payload keys that a command leaves null unless it answers them.
+_NULLABLE = ("classification", "method", "count", "polynomial", "witnesses", "construction_order")
 
 
 @contextmanager
@@ -121,12 +115,21 @@ def _unlimited_int_str() -> Iterator[None]:
         sys.set_int_max_str_digits(saved)
 
 
-def _emit(payload: dict, as_json: bool, lines: Callable[[], list[str]]) -> None:
-    """Print the payload as JSON, or else build and print ``lines()``."""
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print("\n".join(lines()))
+def _emit(as_json: bool, lines: Callable[[dict], list[str]], **fields) -> None:
+    """Print the payload of ``fields`` as JSON, or else ``lines(payload)``.
+    Each key of ``_NULLABLE`` left out is null; a construction order is
+    written as its order, U and roles, and a polynomial as its text.  The
+    print is flushed, so a closed stdout raises inside ``main``."""
+    payload = dict.fromkeys(_NULLABLE) | fields
+    if co := payload["construction_order"]:
+        payload["construction_order"] = dict(
+            order=list(co.order), u_set=sorted(co.u_set), roles=list(co.roles)
+        )
+    with _unlimited_int_str():
+        if payload["polynomial"] is not None:
+            payload["polynomial"] = str(payload["polynomial"])
+        text = json.dumps(payload, sort_keys=True) if as_json else "\n".join(lines(payload))
+        print(text, flush=True)
 
 
 def _int_argument(raw: str) -> int:
@@ -138,18 +141,17 @@ def _int_argument(raw: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
 
 
-def _file_input(path: str, g: Graph) -> dict:
-    return {"path": path, "vertices": g.n, "edges": [list(e) for e in g.edges()]}
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     """Family memberships plus certificates: a construction order or
     staircase for each family the graph is in, a forbidden induced subgraph
     for each it is not.  Every step is polynomial, so no graph is refused.
-    On a threshold graph the U-search tries U = V first, so the special
-    order is the threshold order."""
-    g = _load_graph(args.file)
-    threshold, fs, found = threshold_order(g), ferrers_structure(g), special_2_threshold_order(g)
+    The U-search tries U = V first, so the graph is threshold exactly when
+    the U it finds is V, and the special order is then the threshold
+    order."""
+    g, source = _load_graph(args.file)
+    fs, found = ferrers_structure(g), special_2_threshold_order(g)
+    u_set, co = found or (None, None)
+    threshold = found is not None and len(u_set) == g.n
     witnesses = []
     for family, member in (
         (FAMILY_THRESHOLD, threshold),
@@ -164,74 +166,62 @@ def cmd_classify(args: argparse.Namespace) -> int:
             witnesses.append(
                 {"family": family, "pattern": w.pattern_name, "vertices": list(w.vertices)}
             )
-    u_set, co = found or (None, None)
-    payload = {
-        "input": _file_input(args.file, g),
-        "classification": {
-            "threshold": threshold is not None,
-            "special_2_threshold": found is not None,
-            "ferrers": fs is not None,
-            "u_set": sorted(u_set) if found else None,
-            "ferrers_shape": list(fs.shape.parts) if fs else None,
-            "ferrers_traversal": list(fs.traversal) if fs else None,
-        },
-        "method": None,
-        "count": None,
-        "polynomial": None,
-        "witnesses": witnesses,
-        "construction_order": _order_json(co),
-    }
 
-    def lines() -> list[str]:
+    def lines(payload: dict) -> list[str]:
+        cls, order = payload["classification"], payload["construction_order"]
         special = [
-            "special-2-threshold: yes (U = {%s})" % ", ".join(map(str, sorted(u_set))),
-            "  order: " + " ".join(map(str, co.order)),
-            "  roles: " + " ".join(f"{v}:{r}" for v, r in zip(co.order, co.roles)),
-        ] if found else ["special-2-threshold: no"]
+            "special-2-threshold: yes (U = {%s})" % ", ".join(map(str, cls["u_set"])),
+            "  order: " + " ".join(map(str, order["order"])),
+            "  roles: " + " ".join(f"{v}:{r}" for v, r in zip(order["order"], order["roles"])),
+        ] if cls["special_2_threshold"] else ["special-2-threshold: no"]
         return [
             f"graph: {g.n} vertices, {g.edge_count} edges",
-            f"threshold: {'yes' if threshold else 'no'}",
+            f"threshold: {'yes' if cls['threshold'] else 'no'}",
             *special,
-            "ferrers: yes (shape %s, traversal %s)"
-            % (",".join(map(str, fs.shape.parts)), " ".join(map(str, fs.traversal)))
-            if fs else "ferrers: no",
+            "ferrers: yes (shape %s, traversal %s)" % (
+                ",".join(map(str, cls["ferrers_shape"])),
+                " ".join(map(str, cls["ferrers_traversal"])),
+            ) if cls["ferrers"] else "ferrers: no",
             *(
                 "witness against %s: %s on vertices {%s}"
                 % (w["family"], w["pattern"], ", ".join(map(str, w["vertices"])))
-                for w in witnesses
+                for w in payload["witnesses"]
             ),
         ]
 
-    _emit(payload, args.json, lines)
+    classification = {
+        "threshold": threshold,
+        "special_2_threshold": found is not None,
+        "ferrers": fs is not None,
+        "u_set": sorted(u_set) if found else None,
+        "ferrers_shape": list(fs.shape.parts) if fs else None,
+        "ferrers_traversal": list(fs.traversal) if fs else None,
+    }
+    _emit(args.json, lines, input=source, classification=classification,
+          witnesses=witnesses, construction_order=co)
     return 0
 
 
-def _answer(
-    g: Graph,
-    method: str,
-    ring: Ring,
-    routes: tuple[Callable, Callable, Callable],
-    oracle: Callable[[Graph], object],
-) -> tuple[object, str, ConstructionOrder | None, dict | None]:
+def _answer(g: Graph, method: str, ring: Ring, routes: tuple[Callable, ...], field: str) -> dict:
     """Answer g in ``ring`` by ``method``, through the ring's public
-    (formula, cofactor, perturbation count) ``routes`` and its ``oracle``.
-    "formula" refuses a graph outside the families instead of splitting
-    it.  Returns (value, method used, construction order if any,
-    classification)."""
-    formula, cofactor, perturbation = routes
+    (formula, cofactor, perturbation count, oracle) ``routes``.  "formula"
+    refuses a graph outside the families instead of splitting it.  Returns
+    the payload fields: the value under ``field``, the method used, and for
+    a formula answer its family and construction order."""
+    formula, cofactor, perturbation, oracle = routes
     if method == "oracle":
-        return oracle(g), "oracle", None, None
+        return {field: oracle(g), "method": method}
     if method == "matrix-tree":
-        return cofactor(g), "matrix-tree", None, None
+        return {field: cofactor(g), "method": method}
     if method == "perturbation":
         ones = [1] * g.n
-        return perturbation(g, ones, ones), "perturbation", None, None
+        return {field: perturbation(g, ones, ones), "method": method}
     value, used, routed = reduce_and_route(
         g, formula, None if method == "formula" else cofactor, ring=ring
     )
-    if routed is None:
-        return value, used, None, None
-    return value, used, routed[1], {"family": routed[0]}
+    family, co = routed or (None, None)
+    return {field: value, "method": used, "construction_order": co,
+            "classification": {"family": family} if routed else None}
 
 
 def _check_family_size(flag: str, n: int) -> None:
@@ -244,19 +234,14 @@ def _check_family_size(flag: str, n: int) -> None:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    family_flags = [args.complete, args.ferrers, args.multipartite]
-    chosen = [f for f in family_flags if f is not None]
+    chosen = [f for f in (args.complete, args.ferrers, args.multipartite) if f is not None]
     if args.file is None and not chosen:
-        raise ValueError(
-            "count needs a FILE or one of --complete/--ferrers/--multipartite"
-        )
+        raise ValueError("count needs a FILE or one of --complete/--ferrers/--multipartite")
     if args.file is not None and chosen:
         raise ValueError("give either a FILE or a family flag, not both")
     if len(chosen) > 1:
         raise ValueError("give at most one family flag")
 
-    co = None
-    classification = None
     # a family flag's graph is built only if --verify asks for it and its
     # size passes the oracle's guard
     if args.complete is not None:
@@ -264,91 +249,59 @@ def cmd_count(args: argparse.Namespace) -> int:
         if n < 1:
             raise ValueError("--complete needs n >= 1")
         _check_family_size("--complete", n)
-        count, method = complete_count(n), "formula:complete"
+        fields = {"count": complete_count(n), "method": "formula:complete"}
         graph, size = (lambda: complete(n)), (n, n * (n - 1) // 2)
         source = {"family": "complete", "n": n}
     elif args.ferrers is not None:
         shape = PartitionShape(_parse_parts(args.ferrers, "--ferrers"))
         _check_family_size("--ferrers", shape.rows + shape.parts[0])
-        count, method = ferrers_count(shape), "formula:ferrers"
+        fields = {"count": ferrers_count(shape), "method": "formula:ferrers"}
         graph, size = (lambda: ferrers_graph(shape)), (shape.rows + shape.cols, shape.total)
         source = {"family": "ferrers", "shape": list(shape.parts)}
     elif args.multipartite is not None:
         sizes = _parse_parts(args.multipartite, "--multipartite")
         n = sum(sizes)
         _check_family_size("--multipartite", n)
-        if len(sizes) == 2:
-            count, method = bipartite_count(*sizes), "formula:bipartite"
-        else:
-            count, method = multipartite_count(sizes), "formula:multipartite"
+        fields = {
+            "count": multipartite_count(sizes),
+            "method": "formula:bipartite" if len(sizes) == 2 else "formula:multipartite",
+        }
         graph = lambda: complete_multipartite(sizes)
         size = n, (n * n - sum(s * s for s in sizes)) // 2
         source = {"family": "multipartite", "sizes": sizes}
     else:
-        g = _load_graph(args.file)
+        g, source = _load_graph(args.file)
         graph, size = (lambda: g), (g.n, g.edge_count)
-        source = _file_input(args.file, g)
-        count, method, co, classification = _answer(
-            g,
-            args.method,
-            INTEGERS,
-            (special_2_threshold_count, matrix_tree_count, perturbation_count),
-            lambda g: oracle_count(g, max_edges=_oracle_limit()),
-        )
+        routes = (special_2_threshold_count, matrix_tree_count, perturbation_count,
+                  lambda g: oracle_count(g, max_edges=_oracle_limit()))
+        fields = _answer(g, args.method, INTEGERS, routes, "count")
 
     verified = None
     if args.verify:
         limit = _oracle_limit()
         _oracle_guard(*size, limit)
-        check = oracle_count(graph(), max_edges=limit)
-        if check != count:
+        verified = oracle_count(graph(), max_edges=limit)
+        if verified != fields["count"]:
             raise ExactnessError(
-                f"oracle disagrees: method {method} gave {count}, oracle {check}"
+                f"oracle disagrees: method {fields['method']} gave {fields['count']}, "
+                f"oracle {verified}"
             )
-        verified = check
 
-    payload = {
-        "input": source,
-        "classification": classification,
-        "method": method,
-        "count": count,
-        "polynomial": None,
-        "witnesses": None,
-        "construction_order": _order_json(co),
-        "verified_against_oracle": verified is not None,
-    }
-
-    def lines() -> list[str]:
+    def lines(payload: dict) -> list[str]:
         check = [] if verified is None else [f"oracle check: {verified} ok"]
-        return [f"{count} (method: {method})", *check]
+        return [f"{payload['count']} (method: {payload['method']})", *check]
 
-    with _unlimited_int_str():
-        _emit(payload, args.json, lines)
+    _emit(args.json, lines, input=source, verified_against_oracle=verified is not None, **fields)
     return 0
 
 
 def cmd_weighted(args: argparse.Namespace) -> int:
-    g = _load_graph(args.file)
-    poly, used, co, classification = _answer(
-        g,
-        args.method,
-        polynomial_ring(g.n),
-        (weighted_count_special_2threshold, weighted_matrix_tree_count, weighted_perturbation_count),
-        lambda g: weighted_oracle(g, max_edges=_oracle_limit()),
-    )
-    with _unlimited_int_str():
-        text = str(poly)
-
-    payload = {
-        "input": _file_input(args.file, g),
-        "classification": classification,
-        "method": used,
-        "count": None,
-        "polynomial": text,
-        "witnesses": None,
-        "construction_order": _order_json(co),
-    }
-    _emit(payload, args.json, lambda: [text, f"(method: {used})"])
+    g, source = _load_graph(args.file)
+    routes = (weighted_count_special_2threshold, weighted_matrix_tree_count,
+              weighted_perturbation_count, lambda g: weighted_oracle(g, max_edges=_oracle_limit()))
+    fields = _answer(g, args.method, polynomial_ring(g.n), routes, "polynomial")
+    _emit(args.json, lambda p: [p["polynomial"], f"(method: {p['method']})"],
+          input=source, **fields)
     return 0
 
 
@@ -398,6 +351,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the final flush at
+        # exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (EdgeListParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

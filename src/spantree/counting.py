@@ -20,7 +20,7 @@ from math import prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import CapabilityExceededError, TriangularityError
+from .errors import CapabilityExceededError, ExactnessError, TriangularityError
 from .graph import Graph, PartitionShape, blocks
 from .linalg import (
     INTEGERS,
@@ -234,15 +234,16 @@ def _degree_product(g: Graph, co: ConstructionOrder, ring: Ring[T]) -> T:
     """The degree-product formula over a construction order, in any ring.
 
     Vertex v contributes the sum of w over its neighbors, plus w(v) when v
-    is u_dominating and inside U; the product, times prod w, is divided by
+    is u_dominating and inside U; the product, times prod w, over
     (sum of w over D)(sum of w over U), D the u_dominating vertices.  Each
-    denominator cancels one factor, and is divided out of that factor with
-    a remainder check: without isolated vertices, the initial vertex is in
-    U with exactly D as neighbors, so its factor is the sum over D; and
-    every U-vertex comes no later than the last u_dominating vertex z,
-    which no later vertex touches, so z's factor is the sum over U.  A zero
-    factor (an isolated vertex) means g is disconnected and counts zero.
-    Empty D or U means g is edgeless: one for a single vertex, else zero.
+    denominator equals one factor, so nothing is divided: without isolated
+    vertices, the initial vertex is in U with exactly D as neighbors, so
+    its factor is the sum over D; and every U-vertex comes no later than
+    the last u_dominating vertex z, which no later vertex touches, so z's
+    factor is the sum over U.  Both equalities are checked, ExactnessError
+    if one fails, and both factors dropped.  A zero factor (an isolated
+    vertex) means g is disconnected and counts zero.  Empty D or U means g
+    is edgeless: one for a single vertex, else zero.
     """
     co.check(g)
     dom = co.u_dominating_vertices()
@@ -255,10 +256,11 @@ def _degree_product(g: Graph, co: ConstructionOrder, ring: Ring[T]) -> T:
         factors[v] = f + ring.weight(v) if v in bonus else f
     if not all(factors.values()):
         return ring.zero
-    first = ring.div(factors.pop(co.order[0]), ring.weight_sum(dom))
-    last = ring.div(factors.pop(co.last_u_dominating_vertex()), ring.weight_sum(co.u_set))
+    for v, cancelled in ((co.order[0], dom), (co.last_u_dominating_vertex(), co.u_set)):
+        if factors.pop(v) != ring.weight_sum(cancelled):
+            raise ExactnessError(f"the factor of vertex {v} is not the sum it cancels")
     # prod w is a monomial: cheapest to multiply in while the product is small
-    return prod(factors.values(), start=first * last * ring.weight_product(g.vertices))
+    return prod(factors.values(), start=ring.weight_product(g.vertices))
 
 
 def special_2_threshold_count(g: Graph, co: ConstructionOrder) -> int:

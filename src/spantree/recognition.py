@@ -527,12 +527,13 @@ def ferrers_structure(g: Graph) -> FerrersStructure | None:
         if g.neighbors(r) != expected:
             return None
 
+    # one backward walk over the rows, shortest first: the columns up to a
+    # row's last one, then the row
     traversal: list[int] = []
-    for j, c in enumerate(cols, 1):
-        traversal.append(c)
-        for i in range(len(rows), 0, -1):
-            if shape.parts[i - 1] == j:
-                traversal.append(rows[i - 1])
+    walked = 0
+    for r, part in zip(reversed(rows), reversed(shape.parts)):
+        traversal += [*cols[walked:part], r]
+        walked = part
     return FerrersStructure(tuple(rows), tuple(cols), shape, tuple(traversal))
 
 
@@ -572,27 +573,23 @@ class CanonicalOrder:
     order: ConstructionOrder
 
 
-def _threshold_class_ranks(g: Graph, u_list: list[int]) -> dict[int, int]:
+def _threshold_class_ranks(g: Graph, co: ConstructionOrder) -> dict[int, int]:
     """Rank of each U-vertex's degree class in the induced threshold graph.
 
+    Restricted to U, the U-threshold order ``co`` is a threshold order of
+    G[U]: each U-vertex meets none or all of the U-vertices before it.
     Construction orders of a threshold graph are unique up to permuting
-    vertices of equal degree, so the class order can be read off any one
-    order.  Raises when equal-degree vertices fail to appear consecutively,
-    which cannot happen for genuine threshold inputs.
+    vertices of equal degree, so the class order can be read off it.
+    Raises when equal-degree vertices fail to appear consecutively, which
+    cannot happen for genuine threshold inputs.
     """
-    if not u_list:
-        return {}
-    u_mask = mask_of(u_list)
-    order, _ = _peel(g, u_mask, u_mask)
-    if order is None:
-        raise OrderInconsistencyError("induced subgraph on U is not threshold")
-    deg_u = {v: bin(g.neighbor_mask(v) & u_mask).count("1") for v in u_list}
+    u_mask = mask_of(co.u_set)
     ranks: dict[int, int] = {}
     rank = -1
     last_degree: int | None = None
     seen_degrees: set[int] = set()
-    for v in order:
-        d = deg_u[v]
+    for v in (v for v in co.order if v in co.u_set):
+        d = (g.neighbor_mask(v) & u_mask).bit_count()
         if d != last_degree:
             if d in seen_degrees:
                 raise OrderInconsistencyError(
@@ -623,9 +620,9 @@ def canonical_order(g: Graph, u: Iterable[int]) -> CanonicalOrder:
 
     u_mask = mask_of(u_set)
     comp_mask = g.full_mask() & ~u_mask
-    deg_u = {v: bin(g.neighbor_mask(v) & u_mask).count("1") for v in g.vertices}
-    deg_c = {v: bin(g.neighbor_mask(v) & comp_mask).count("1") for v in g.vertices}
-    ranks = _threshold_class_ranks(g, sorted(u_set))
+    deg_u = {v: (g.neighbor_mask(v) & u_mask).bit_count() for v in g.vertices}
+    deg_c = {v: (g.neighbor_mask(v) & comp_mask).bit_count() for v in g.vertices}
+    ranks = _threshold_class_ranks(g, co)
 
     groups: dict[tuple[bool, int, int], list[int]] = {}
     for v in g.vertices:
@@ -722,7 +719,7 @@ def nesting_report(g: Graph, u: Iterable[int]) -> NestingReport:
     _, clause_c_pair = _inclusion_chain(restricted, restricted)
     clause_c = ClauseReport(clause_c_pair is None, clause_c_pair)
 
-    ranks = _threshold_class_ranks(g, sorted(u_set))
+    ranks = _threshold_class_ranks(g, co)
     clause_d_pair = next(
         ((x, y) for x, y in product(sorted(u_set), repeat=2)
          if ranks[x] < ranks[y] and restricted[y] & ~restricted[x]),

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -384,6 +387,21 @@ def test_count_prints_counts_past_4300_digits(capsys):
     code, out, _ = run(capsys, "count", "--complete", "3000", "--json")
     assert (code, sys.get_int_max_str_digits()) == (0, limit)
     assert f'"count": {expected.split()[0]},' in out
+
+
+def test_closed_stdout_exits_1_quietly():
+    # K20000's count has 86,013 digits, more than a pipe holds, so the
+    # write fails once the reader has gone
+    env = {**os.environ, "PYTHONPATH": str(Path(spantree.cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spantree.cli", "count", "--complete", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+    )
+    assert proc.stdout.read(10) == b"9950692100"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_huge_integers_in_input_exit_2_at_once(capsys, tmp_path):

@@ -425,6 +425,20 @@ def test_one_formula_rejects_tampered_orders(ring):
                 formula(g, bad)
 
 
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_one_formula_checks_the_factors_it_drops(ring, monkeypatch):
+    # 1, 2 u_dominating, 3 isolated, 4 u_dominating: 4's factor is |U| = 4;
+    # the isolated vertex 3 has one neighbor, so naming it z must fail
+    formula, cofactor = RINGS[ring]
+    g = Graph(4, [(1, 2), (1, 4), (2, 4), (3, 4)])
+    co = threshold_order(g)
+    assert (co.order, co.roles[2]) == ((1, 2, 3, 4), "isolated")
+    assert formula(g, co) == cofactor(g)
+    monkeypatch.setattr(ConstructionOrder, "last_u_dominating_vertex", lambda self: 3)
+    with pytest.raises(ExactnessError, match="vertex 3"):
+        formula(g, co)
+
 # -- dispatch -----------------------------------------------------------------------
 
 
