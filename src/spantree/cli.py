@@ -74,16 +74,16 @@ def _oracle_limit() -> int:
         raise EdgeListParseError(f"{_ORACLE_ENV} must be an integer, got {raw!r}")
 
 
-def _load_graph(path: str) -> tuple[Graph, dict]:
-    """The graph in the edge-list file at ``path`` and the payload's
-    ``"input"`` echo of it."""
+def _load_graph(path: str, as_json: bool) -> tuple[Graph, dict | None]:
+    """The graph in the edge-list file at ``path`` and, for JSON output, the
+    payload's ``"input"`` echo of it; text output prints no echo."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise EdgeListParseError(f"cannot read {path}: {exc}")
     g = parse_edge_list(text, source=path)
-    return g, {"path": path, "vertices": g.n, "edges": [list(e) for e in g.edges()]}
+    return g, ({"path": path, "vertices": g.n, "edges": g.edges()} if as_json else None)
 
 
 def _parse_parts(raw: str, flag: str) -> list[int]:
@@ -148,7 +148,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     The U-search tries U = V first, so the graph is threshold exactly when
     the U it finds is V, and the special order is then the threshold
     order."""
-    g, source = _load_graph(args.file)
+    g, source = _load_graph(args.file, args.json)
     fs, found = ferrers_structure(g), special_2_threshold_order(g)
     u_set, co = found or (None, None)
     threshold = found is not None and len(u_set) == g.n
@@ -270,7 +270,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         size = n, (n * n - sum(s * s for s in sizes)) // 2
         source = {"family": "multipartite", "sizes": sizes}
     else:
-        g, source = _load_graph(args.file)
+        g, source = _load_graph(args.file, args.json)
         graph, size = (lambda: g), (g.n, g.edge_count)
         routes = (special_2_threshold_count, matrix_tree_count, perturbation_count,
                   lambda g: oracle_count(g, max_edges=_oracle_limit()))
@@ -296,7 +296,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_weighted(args: argparse.Namespace) -> int:
-    g, source = _load_graph(args.file)
+    g, source = _load_graph(args.file, args.json)
     routes = (weighted_count_special_2threshold, weighted_matrix_tree_count,
               weighted_perturbation_count, lambda g: weighted_oracle(g, max_edges=_oracle_limit()))
     fields = _answer(g, args.method, polynomial_ring(g.n), routes, "polynomial")

@@ -21,12 +21,11 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CapabilityExceededError, ExactnessError, TriangularityError
-from .graph import Graph, PartitionShape, blocks
+from .graph import Graph, PartitionShape, _part_sizes, blocks
 from .linalg import (
     INTEGERS,
     Ring,
     _laplacian_rows,
-    exact_int_div,
     is_upper_triangular,
     rank_one_update,
 )
@@ -187,21 +186,16 @@ def complete_count(n: int) -> int:
 
 
 def bipartite_count(m: int, n: int) -> int:
-    """m**(n-1) * n**(m-1) spanning trees for the complete bipartite graph."""
-    if m < 1 or n < 1:
-        raise ValueError(f"side sizes must be positive, got {m}, {n}")
-    return m ** (n - 1) * n ** (m - 1)
+    """m**(n-1) * n**(m-1) spanning trees for the complete bipartite graph:
+    the multipartite count of the two sides."""
+    return multipartite_count((m, n))
 
 
 def multipartite_count(sizes: Iterable[int]) -> int:
     """n**(k-2) * prod (n - n_i)**(n_i - 1) for the complete multipartite
     graph; a single part is edgeless and counts zero unless it is one
     vertex."""
-    sizes = list(sizes)
-    if not sizes:
-        raise ValueError("need at least one part")
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"part sizes must be positive, got {sizes}")
+    sizes = _part_sizes(sizes)
     n, k = sum(sizes), len(sizes)
     if n == 1:
         return 1
@@ -219,15 +213,14 @@ def threshold_count(g: Graph, co: ConstructionOrder) -> int:
 
 
 def ferrers_count(shape: PartitionShape | FerrersStructure | Iterable[int]) -> int:
-    """Product of all row and column degrees of the staircase graph, divided
-    by (rows * cols)."""
+    """Product of all row and column degrees of the staircase graph over
+    (rows * cols), with nothing divided: row 1's degree is cols and column
+    1's is rows, so both factors are dropped, as ``_degree_product`` does."""
     if isinstance(shape, FerrersStructure):
         shape = shape.shape
     elif not isinstance(shape, PartitionShape):
         shape = PartitionShape(shape)
-    conj = shape.conjugate()
-    numerator = prod(shape.parts) * prod(conj.parts)
-    return exact_int_div(numerator, shape.rows * conj.rows)
+    return prod(shape.parts[1:]) * prod(shape.conjugate().parts[1:])
 
 
 def _degree_product(g: Graph, co: ConstructionOrder, ring: Ring[T]) -> T:

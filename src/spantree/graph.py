@@ -174,14 +174,20 @@ def complete(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
 
 
-def complete_multipartite(sizes: Iterable[int]) -> Graph:
-    """Vertices grouped contiguously by part, in input order; two vertices
-    form an edge iff they lie in different parts."""
+def _part_sizes(sizes: Iterable[int]) -> list[int]:
+    """``sizes`` as a list; ValueError when there is no part or one is not positive."""
     sizes = list(sizes)
     if not sizes:
         raise ValueError("need at least one part")
     if any(s < 1 for s in sizes):
         raise ValueError(f"part sizes must be positive, got {sizes}")
+    return sizes
+
+
+def complete_multipartite(sizes: Iterable[int]) -> Graph:
+    """Vertices grouped contiguously by part, in input order; two vertices
+    form an edge iff they lie in different parts."""
+    sizes = _part_sizes(sizes)
     n = sum(sizes)
     part = []
     for i, s in enumerate(sizes):
@@ -218,29 +224,24 @@ def induced_subgraph(g: Graph, w: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     became vertex i; labels are ascending.  Only the kept vertices'
     neighbor sets are read.
     """
-    keep = sorted(set(w))
+    kept = set(w)
+    keep = sorted(kept)
     for v in keep:
         g.check_vertex(v)
+    return _relabeled(keep, [(u, v) for v in keep for u in g._neighbors[v] if u < v and u in kept])
+
+
+def _relabeled(keep: list[int], edges: Iterable[tuple[int, int]]) -> tuple[Graph, tuple[int, ...]]:
+    """The ascending vertices ``keep`` and ``edges`` among them, relabeled
+    1..len(keep), as ``induced_subgraph`` returns them."""
     index = {v: i for i, v in enumerate(keep, 1)}
-    edges = [
-        (index[u], i) for v, i in index.items() for u in g._neighbors[v] if u < v and u in index
-    ]
-    return Graph(len(keep), edges), tuple(keep)
+    return Graph(len(keep), [(index[u], index[v]) for u, v in edges]), tuple(keep)
 
 
 def is_connected(g: Graph) -> bool:
     """True when every pair of vertices is joined by a path (vacuously for
-    n <= 1)."""
-    if g.n <= 1:
-        return True
-    seen = 1  # bit 0 = vertex 1
-    frontier = [1]
-    while frontier:
-        v = frontier.pop()
-        fresh = g.neighbor_mask(v) & ~seen
-        seen |= fresh
-        frontier.extend(vertices_of(fresh))
-    return seen == g.full_mask()
+    n <= 1): when the block search reaches every vertex."""
+    return blocks(g) is not None
 
 
 #: The block of every bridge; graphs are immutable, so all bridges share it.
@@ -301,9 +302,7 @@ def blocks(g: Graph) -> list[tuple[Graph, tuple[int, ...]]] | None:
         if len(edges) == 1:  # a bridge
             out.append((_K2, tuple(sorted(edges[0]))))
             continue
-        keep = sorted({x for e in edges for x in e})
-        index = {x: i for i, x in enumerate(keep, 1)}
-        out.append((Graph(len(keep), [(index[a], index[b]) for a, b in edges]), tuple(keep)))
+        out.append(_relabeled(sorted({x for e in edges for x in e}), edges))
     return out
 
 
@@ -372,7 +371,6 @@ def parse_edge_list(text: str, *, source: str = "<input>") -> Graph:
     # split() leaves no spaces in a field, so in ASCII text without '+' or
     # '_' int() accepts exactly the fields parse_int does, at less cost
     read = int if text.isascii() and "+" not in text and "_" not in text else parse_int
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, fields in rows[1:]:
         if len(fields) != 2:
@@ -388,8 +386,7 @@ def parse_edge_list(text: str, *, source: str = "<input>") -> Graph:
         if (u, v) in seen:
             raise fail(lineno, f"duplicate edge {u} {v}")
         seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, edges)
+    return Graph(n, seen)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cmp_to_key
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
 
@@ -257,7 +257,8 @@ def special_2_threshold_order(g: Graph) -> tuple[frozenset[int], ConstructionOrd
     the U with the smallest complement, lexicographically first among those,
     contains all of them.  That U is returned, found among at most 2n + 1
     candidates with one peel of n popcounts each: O(n^2) mask operations in
-    all.
+    all.  U = V, the one candidate with an empty complement, goes first,
+    before the others are built.
     """
     full = g.full_mask()
 
@@ -265,7 +266,12 @@ def special_2_threshold_order(g: Graph) -> tuple[frozenset[int], ConstructionOrd
         rest = vertices_of(full & ~u_mask)
         return len(rest), rest
 
-    for u_mask in sorted(_u_candidates(g, full), key=complement_first):
+    def candidates() -> Iterator[int]:
+        yield full
+        # _u_candidates yields V first
+        yield from sorted(islice(_u_candidates(g, full), 1, None), key=complement_first)
+
+    for u_mask in candidates():
         order, _ = _peel(g, full, u_mask)
         if order is not None:
             u_set = frozenset(vertices_of(u_mask))
@@ -602,6 +608,14 @@ def _threshold_class_ranks(g: Graph, co: ConstructionOrder) -> dict[int, int]:
     return ranks
 
 
+def _ranked_order(g: Graph, u: Iterable[int]) -> tuple[ConstructionOrder, dict[int, int]]:
+    """The U-threshold order of g for u, else ValueError, and its class ranks."""
+    co = u_threshold_order(g, u)
+    if co is None:
+        raise ValueError("graph has no construction order for the given U")
+    return co, _threshold_class_ranks(g, co)
+
+
 def canonical_order(g: Graph, u: Iterable[int]) -> CanonicalOrder:
     """Sort the degree classes of a U-threshold graph into their unique total
     order and emit a validated construction order refining it.
@@ -613,16 +627,13 @@ def canonical_order(g: Graph, u: Iterable[int]) -> CanonicalOrder:
     neighbors inside U first.  Any contradiction means the precondition was
     violated and raises OrderInconsistencyError.
     """
-    co = u_threshold_order(g, u)
-    if co is None:
-        raise ValueError("graph has no construction order for the given U")
+    co, ranks = _ranked_order(g, u)
     u_set = co.u_set
 
     u_mask = mask_of(u_set)
     comp_mask = g.full_mask() & ~u_mask
     deg_u = {v: (g.neighbor_mask(v) & u_mask).bit_count() for v in g.vertices}
     deg_c = {v: (g.neighbor_mask(v) & comp_mask).bit_count() for v in g.vertices}
-    ranks = _threshold_class_ranks(g, co)
 
     groups: dict[tuple[bool, int, int], list[int]] = {}
     for v in g.vertices:
@@ -701,9 +712,7 @@ def nesting_report(g: Graph, u: Iterable[int]) -> NestingReport:
     Requires a U-threshold input; a failing clause therefore exposes a
     precondition violation, and the report names an offending vertex pair.
     """
-    co = u_threshold_order(g, u)
-    if co is None:
-        raise ValueError("graph has no construction order for the given U")
+    co, ranks = _ranked_order(g, u)
     u_set = co.u_set
 
     comp = sorted(g.vertex_set() - u_set)
@@ -719,7 +728,6 @@ def nesting_report(g: Graph, u: Iterable[int]) -> NestingReport:
     _, clause_c_pair = _inclusion_chain(restricted, restricted)
     clause_c = ClauseReport(clause_c_pair is None, clause_c_pair)
 
-    ranks = _threshold_class_ranks(g, co)
     clause_d_pair = next(
         ((x, y) for x, y in product(sorted(u_set), repeat=2)
          if ranks[x] < ranks[y] and restricted[y] & ~restricted[x]),

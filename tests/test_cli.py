@@ -111,6 +111,27 @@ def test_count_verify(capsys):
     assert "oracle check: 8 ok" in out
 
 
+def test_count_verify_exits_4_when_the_oracle_disagrees(capsys, monkeypatch):
+    formula = spantree.cli.special_2_threshold_count
+    monkeypatch.setattr(spantree.cli, "special_2_threshold_count", lambda g, co: formula(g, co) + 1)
+    code, out, err = run(capsys, "count", fixture("threshold5.txt"), "--verify")
+    assert (code, out) == (4, "")
+    assert err == "internal error: oracle disagrees: method formula:threshold gave 9, oracle 8\n"
+
+
+def test_count_complete_needs_a_vertex(capsys):
+    assert run(capsys, "count", "--complete", "0") == (2, "", "error: --complete needs n >= 1\n")
+
+
+def test_text_output_lists_no_edges(capsys, monkeypatch):
+    # only --json echoes the input edges
+    monkeypatch.setattr(Graph, "edges", lambda self: pytest.fail("edges listed"))
+    for cmd in ("count", "classify", "weighted"):
+        for name in ("threshold5.txt", "house_with_tail.txt"):
+            code, out, err = run(capsys, cmd, fixture(name))
+            assert (code, err) == (0, ""), (cmd, name)
+
+
 def test_count_family_flags(capsys):
     assert run_json(capsys, "count", "--complete", "4", "--json")["count"] == 16
     payload = run_json(capsys, "count", "--ferrers", "3,2,2,1", "--json")

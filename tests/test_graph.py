@@ -206,6 +206,13 @@ def test_parse_edge_list_rejects(text):
         parse_edge_list(text)
 
 
+@pytest.mark.parametrize("line", ["1", "1 2 3"])
+def test_parse_edge_list_wants_two_fields_per_edge_line(line):
+    with pytest.raises(EdgeListParseError) as exc:
+        parse_edge_list(f"3 1\n{line}\n", source="g.txt")
+    assert str(exc.value) == f"g.txt:2: edge line must be 'u v', got {line!r}"
+
+
 def test_parse_edge_list_vertex_cap(monkeypatch):
     monkeypatch.setattr(spantree.graph, "MAX_PARSED_VERTICES", 5)
     assert parse_edge_list("5 1\n4 5\n").n == 5

@@ -243,6 +243,21 @@ def test_special_search_peels_at_most_2n_plus_1_candidates(monkeypatch):
     assert calls <= 2 * g.n + 1
 
 
+def test_special_search_peels_only_u_equal_v_on_a_threshold_graph(monkeypatch):
+    # U = V comes first, so a threshold graph builds no other candidate
+    expected, peels = threshold_order(THRESHOLD5), []
+    peel = spantree.recognition._peel
+    monkeypatch.setattr(
+        spantree.recognition, "_peel", lambda *args: peels.append(args[1:]) or peel(*args)
+    )
+    monkeypatch.setattr(
+        spantree.recognition, "_u_candidates", lambda *args: pytest.fail("candidates built")
+    )
+    u_set, co = special_2_threshold_order(THRESHOLD5)
+    assert u_set == THRESHOLD5.vertex_set() and co == expected
+    assert peels == [(THRESHOLD5.full_mask(), THRESHOLD5.full_mask())]
+
+
 def test_special_search_has_no_vertex_cap():
     assert special_2_threshold_order(Graph(25))[0] == frozenset(range(1, 26))
     u_set, co = special_2_threshold_order(SPECIAL26)
@@ -620,3 +635,18 @@ def test_last_u_dominating_vertex():
     assert co.last_u_dominating_vertex() == co.order[last]
     with pytest.raises(ValueError):
         threshold_order(Graph(3)).last_u_dominating_vertex()
+
+
+@pytest.mark.parametrize(
+    "order, u_set, roles, message",
+    [
+        ((1, 2, 3, 3, 5), {1}, 5, "order is not a permutation of the vertices"),
+        (None, {1, 6}, 5, "u_set contains vertices outside the graph"),
+        (None, None, 4, "roles and order lengths differ"),
+    ],
+)
+def test_construction_order_check_refuses_a_malformed_order(order, u_set, roles, message):
+    co = threshold_order(THRESHOLD5)
+    bad = ConstructionOrder(order or co.order, frozenset(u_set or co.u_set), co.roles[:roles])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bad.check(THRESHOLD5)

@@ -68,6 +68,47 @@ def test_package_modules_have_no_dead_imports():
     assert not found, found
 
 
+def _repeated_runs(sources: dict[str, str]) -> list[list[str]]:
+    """Runs of three consecutive statements of one block (a body, orelse
+    or finalbody) that occur more than once across ``sources`` (file name to
+    text), compared by ``ast.dump``: names and constants count, line numbers
+    do not.  One sorted list of "file:line" places per repeated run."""
+    places: dict[str, list[str]] = {}
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            for field in ("body", "orelse", "finalbody"):
+                block = getattr(node, field, None)
+                if not isinstance(block, list):
+                    continue
+                for i in range(len(block) - 2):
+                    key = "\n".join(ast.dump(s) for s in block[i : i + 3])
+                    places.setdefault(key, []).append(f"{name}:{block[i].lineno}")
+    return sorted(sorted(found) for found in places.values() if len(found) > 1)
+
+
+def test_repeated_run_check_catches_a_planted_copy():
+    guard = (
+        "    xs = list(xs)\n"
+        "    if not xs:\n"
+        "        raise ValueError('empty')\n"
+        "    if any(x < 1 for x in xs):\n"
+        "        raise ValueError(xs)\n"
+    )
+    first = "def f(xs):\n" + guard + "    return sum(xs)\n"
+    second = "def g(xs):\n    ys = 1\n" + guard + "    return ys\n"
+    assert _repeated_runs({"a.py": first, "b.py": second}) == [["a.py:2", "b.py:3"]]
+    # two equal statements in a row are no run, and another constant no copy
+    for edit in (("ValueError(xs)", "ValueError(0)"), ("'empty'", "'none'")):
+        assert _repeated_runs({"a.py": first, "b.py": second.replace(*edit)}) == []
+
+
+def test_package_repeats_no_statement_run():
+    found = _repeated_runs(
+        {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    )
+    assert not found, found
+
+
 def _names(tree: ast.AST, *, skip_module: str | None = None) -> set[str]:
     """Every name a module loads, binds, reads as an attribute or imports,
     leaving out imports from the sibling module ``skip_module``."""
