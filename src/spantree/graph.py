@@ -3,6 +3,7 @@ edge-list text format used by the CLI."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -56,6 +57,16 @@ class Graph:
             adj[v].add(u)
         self._neighbors = tuple(frozenset(s) for s in adj)
         self._masks: tuple[int, ...] | None = None
+
+    @classmethod
+    def _from_neighbors(cls, n: int, neighbors: tuple[frozenset[int], ...]) -> Graph:
+        """The graph on 1..n whose neighbor sets (entry 0 empty) the caller
+        has already built symmetric and loop-free: nothing is checked again."""
+        g = object.__new__(cls)
+        g.n = n
+        g._neighbors = neighbors
+        g._masks = None
+        return g
 
     @property
     def vertices(self) -> range:
@@ -240,24 +251,18 @@ def _relabeled(keep: list[int], edges: Iterable[tuple[int, int]]) -> tuple[Graph
 
 def is_connected(g: Graph) -> bool:
     """True when every pair of vertices is joined by a path (vacuously for
-    n <= 1): when the block search reaches every vertex."""
-    return blocks(g) is not None
+    n <= 1): when the block search reaches every vertex.  No block is
+    built."""
+    return _block_edges(g) is not None
 
 
-#: The block of every bridge; graphs are immutable, so all bridges share it.
-_K2 = Graph(2, [(1, 2)])
+def _block_edges(g: Graph) -> list[list[tuple[int, int]]] | None:
+    """The edge list of every biconnected component of g with at least one
+    edge, or None when g is disconnected.
 
-
-def blocks(g: Graph) -> list[tuple[Graph, tuple[int, ...]]] | None:
-    """Biconnected components of a connected graph, or None when g is
-    disconnected.
-
-    Each block comes as (subgraph, labels) like ``induced_subgraph``: the
-    block relabeled 1..k, labels[i-1] the original vertex i.  A bridge is a
-    block with two vertices, one shared K2 for all bridges; a graph with one
-    vertex is one block.  Tarjan's depth-first search runs on an explicit
-    stack, so deep graphs need no recursion, and each block's edges are
-    popped off the search's edge stack: O(n + m) in all.
+    Tarjan's depth-first search runs on an explicit stack, so deep graphs
+    need no recursion, and each block's edges are popped off the search's
+    edge stack: O(n + m) in all.
     """
     if g.n == 0:
         return []
@@ -293,10 +298,27 @@ def blocks(g: Graph) -> list[tuple[Graph, tuple[int, ...]]] | None:
                         if e == (u, v):
                             break
                     found.append(edges)
-    if clock < g.n:
+    return found if clock == g.n else None
+
+
+#: The block of every bridge; graphs are immutable, so all bridges share it.
+_K2 = Graph(2, [(1, 2)])
+
+
+def blocks(g: Graph) -> list[tuple[Graph, tuple[int, ...]]] | None:
+    """Biconnected components of a connected graph, or None when g is
+    disconnected.
+
+    Each block comes as (subgraph, labels) like ``induced_subgraph``: the
+    block relabeled 1..k, labels[i-1] the original vertex i.  A bridge is a
+    block with two vertices, one shared K2 for all bridges; a graph with one
+    vertex is one block.  The blocks' edges come from one O(n + m) search.
+    """
+    found = _block_edges(g)
+    if found is None:
         return None
     if not found:
-        return [(Graph(1), (1,))]
+        return [(Graph(1), (1,))] if g.n else []
     out = []
     for edges in found:
         if len(edges) == 1:  # a bridge
@@ -339,7 +361,62 @@ def parse_edge_list(text: str, *, source: str = "<input>") -> Graph:
     blank lines are ignored.
     Duplicate or loop edges, and any deviation from the format, raise
     :class:`EdgeListParseError`.
+
+    A well-formed text with only '\\n' line ends, no comment and fields
+    separated by spaces or tabs is read in bulk; that path accepts a subset
+    of what the line parser accepts and builds the same graph.  Every other
+    text goes to the line parser, which words every error.
     """
+    g = _parse_bulk(text)
+    return g if g is not None else _parse_lines(text, source)
+
+
+#: A whole line of two ASCII digit runs, separated and surrounded by spaces
+#: or tabs, with its line end.  Anchored at line starts, so a search spends
+#: O(1) on any other position and no digit or blank run is rescanned.
+_BULK_LINE = re.compile(r"^[ \t]*[0-9]+[ \t]+[0-9]+[ \t]*(?:\n|\Z)", re.MULTILINE)
+
+
+def _parse_bulk(text: str) -> Graph | None:
+    """The graph in ``text`` read in one tokenizing pass, with every check
+    run on whole lists; None for any text not proved well formed here,
+    which the line parser then reads or rejects.
+
+    Removing every ``_BULK_LINE`` must leave only blanks: then every
+    non-blank line holds two digit runs, and the tokens pair up line by
+    line.  (A fullmatch of the repeated line pattern would do the same, but
+    Python's regex engine keeps backtracking state for every repetition,
+    about 440 bytes a line.)  Once every pair has u < v, a duplicate edge
+    is the only way the neighbor sets can hold fewer than 2m entries.
+    """
+    if _BULK_LINE.sub("", text).strip(" \t\n"):
+        return None
+    try:
+        ints = list(map(int, text.split()))
+    except ValueError:  # a field past int()'s digit limit
+        return None
+    if not ints:
+        return None
+    n, m = ints[0], ints[1]
+    if not (1 <= n <= MAX_PARSED_VERTICES and len(ints) == 2 * m + 2):
+        return None
+    us, vs = ints[2::2], ints[3::2]
+    if m and not (min(us) >= 1 and max(vs) <= n and all(map(int.__lt__, us, vs))):
+        return None
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for u, v in zip(us, vs):
+        adj[u].append(v)
+        adj[v].append(u)
+    neighbors = tuple(map(frozenset, adj))
+    if sum(map(len, neighbors)) != 2 * m:
+        return None
+    return Graph._from_neighbors(n, neighbors)
+
+
+def _parse_lines(text: str, source: str) -> Graph:
+    """``parse_edge_list`` line by line, for every text the bulk path
+    declines: comments, other line ends and whitespace, and every error,
+    each raised as :class:`EdgeListParseError` naming its line."""
 
     def fail(lineno: int, msg: str) -> EdgeListParseError:
         return EdgeListParseError(f"{source}:{lineno}: {msg}")
@@ -368,15 +445,12 @@ def parse_edge_list(text: str, *, source: str = "<input>") -> Graph:
             f"{source}: header promises {m} edges but {len(rows) - 1} edge lines found"
         )
 
-    # split() leaves no spaces in a field, so in ASCII text without '+' or
-    # '_' int() accepts exactly the fields parse_int does, at less cost
-    read = int if text.isascii() and "+" not in text and "_" not in text else parse_int
     seen: set[tuple[int, int]] = set()
     for lineno, fields in rows[1:]:
         if len(fields) != 2:
             raise fail(lineno, f"edge line must be 'u v', got {' '.join(fields)!r}")
         try:
-            u, v = read(fields[0]), read(fields[1])
+            u, v = parse_int(fields[0]), parse_int(fields[1])
         except ValueError:
             raise fail(lineno, f"edge line must be two integers, got {' '.join(fields)!r}")
         if u == v:

@@ -146,6 +146,22 @@ def test_induced_subgraph_composes():
         assert tuple(labels_a[i - 1] for i in labels_inner) == labels_direct
 
 
+def test_is_connected_builds_no_graph(monkeypatch):
+    # one block: relabeling it would copy all 499,500 edges of K1000
+    g = complete(1000)
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    assert is_connected(g)
+    assert not is_connected(TWO_K2)
+    assert built == []
+
+
 def test_connectivity_and_independence():
     assert is_connected(HOUSE_TAIL)
     assert not is_connected(TWO_K2)
@@ -246,3 +262,152 @@ def test_parse_edge_list_raises_only_its_own_error(text):
     except EdgeListParseError:
         return
     assert_simple(g)
+
+
+def _parse_outcome(parse, text):
+    """The graph ``parse`` builds from ``text``, or its error message."""
+    try:
+        return parse(text)
+    except EdgeListParseError as exc:
+        return str(exc)
+
+
+def _line_parser(text):
+    return spantree.graph._parse_lines(text, "<input>")
+
+
+# Field edits the format refuses or reads differently from int(): a leading
+# zero is read, a sign, an underscore or a '#' right after the digits are not.
+_FIELD_EDITS = ("{}",) * 12 + ("0{}", "00{}", "+{}", "-{}", "{}_0", "{}#")
+# Field separators and line ends, the plain ones most often; '\x0b', '\x0c'
+# and '\u2028' are whitespace to str.split() and line breaks to splitlines().
+_SEPARATORS = (" ",) * 4 + ("\t", " \t ", "\x0b", "\x0c", "\u2028")
+_LINE_ENDS = ("\n",) * 6 + ("\r\n", "\x0b", "\x0c", "\u2028")
+
+
+@st.composite
+def _near_format_text(draw):
+    """An edge list that is mostly well formed: a header over up to six
+    vertices, edges mostly ordered and in range, then edits drawn
+    from the characters and forms the line parser treats specially.  Half
+    the texts take only each choice's first, plain option, so only their
+    values vary."""
+    plain = draw(st.booleans())
+
+    def pick(choices):
+        return draw(st.sampled_from(choices[:1] if plain else choices))
+
+    n = draw(st.integers(0, 6))
+    near = st.tuples(st.integers(0, n + 1), st.integers(0, n + 1))
+    inside = st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(n, 1))).map(sorted)
+    edges = draw(st.lists(st.one_of(inside, inside, near), max_size=6))
+    m = max(0, len(edges) + draw(st.sampled_from((0, 0, 0, 0, 1, -1))))
+    lines = []
+    for row in [(n, m), *edges]:
+        fields = [pick(_FIELD_EDITS).format(x) for x in row]
+        fields = (fields + [str(n)])[: pick((2, 2, 2, 2, 1, 3))]
+        indent, tail = pick(("", "", " ", "\t")), pick(("", "", " ", " # c"))
+        lines.append(indent + pick(_SEPARATORS).join(fields) + tail)
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(pick(("", " ", "# c", "\t#")))
+    text = "".join(line + pick(_LINE_ENDS) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_format_text())
+def test_bulk_and_line_parsers_agree(text):
+    # the bulk path builds the line parser's graph or declines, and
+    # parse_edge_list builds that graph or raises the same message
+    expected = _parse_outcome(_line_parser, text)
+    got = _parse_outcome(parse_edge_list, text)
+    bulk = spantree.graph._parse_bulk(text)
+    if isinstance(expected, str):
+        assert got == expected
+        assert bulk is None
+        return
+    for g in (got, bulk) if bulk is not None else (got,):
+        assert isinstance(g, Graph)
+        assert g == expected
+        assert g._neighbors == expected._neighbors
+        assert hash(g) == hash(expected)
+        assert g._masks is None
+
+
+_MALFORMED = {
+    "duplicate-written-v-u": (
+        "3 2\n1 2\n2 1\n",
+        "g.txt:3: edge 2 1 must satisfy 1 <= u < v <= 3",
+    ),
+    "duplicate": ("3 2\n1 2\n1 2\n", "g.txt:3: duplicate edge 1 2"),
+    "duplicate-crlf": ("3 2\r\n1 3\r\n1 3\r\n", "g.txt:3: duplicate edge 1 3"),
+    "loop": ("3 1\n2 2\n", "g.txt:2: loop edge 2 2"),
+    "out-of-range": ("3 1\n1 4\n", "g.txt:2: edge 1 4 must satisfy 1 <= u < v <= 3"),
+    "reversed": ("3 1\n2 1\n", "g.txt:2: edge 2 1 must satisfy 1 <= u < v <= 3"),
+    "vertex-zero": ("3 1\n0 2\n", "g.txt:2: edge 0 2 must satisfy 1 <= u < v <= 3"),
+    "out-of-range-commented": (
+        "# c\n3 1\n2 9  # far\n",
+        "g.txt:3: edge 2 9 must satisfy 1 <= u < v <= 3",
+    ),
+    "too-few-edge-lines": (
+        "3 2\n1 2\n",
+        "g.txt: header promises 2 edges but 1 edge lines found",
+    ),
+    "too-many-edge-lines": (
+        "3 1\n1 2\n2 3\n",
+        "g.txt: header promises 1 edges but 2 edge lines found",
+    ),
+    "one-field": ("3 1\n1\n", "g.txt:2: edge line must be 'u v', got '1'"),
+    "three-fields": ("3 1\n1 2 3\n", "g.txt:2: edge line must be 'u v', got '1 2 3'"),
+    "no-vertices": ("0 0\n", "g.txt:1: need n >= 1 and m >= 0, got n=0 m=0"),
+    "past-the-vertex-limit": (
+        "100001 0\n",
+        "g.txt:1: n=100001 exceeds the limit of 100000 vertices",
+    ),
+    # past int()'s digit limit: the bulk path declines, the line parser words it
+    "huge-edge-field": (
+        "3 1\n1 " + "2" * 100_000 + "\n",
+        "g.txt:2: edge line must be two integers, got '1 " + "2" * 100_000 + "'",
+    ),
+    # a line start anchors the bulk pattern, so this digit run is scanned once
+    "huge-single-field": (
+        "2" * 100_000 + "\n",
+        "g.txt:1: header must be 'n m', got '" + "2" * 100_000 + "'",
+    ),
+    "huge-header-field": (
+        "2" * 100_000 + " 0\n",
+        "g.txt:1: header must be two integers, got '" + "2" * 100_000 + " 0'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_malformed_edge_lists_keep_their_messages(case):
+    text, message = _MALFORMED[case]
+    for parse in (parse_edge_list, spantree.graph._parse_lines):
+        with pytest.raises(EdgeListParseError) as exc:
+            parse(text, source="g.txt")
+        assert str(exc.value) == message
+    assert spantree.graph._parse_bulk(text) is None
+
+
+def test_well_formed_text_skips_the_line_parser(monkeypatch):
+    def refuse(text, source):
+        raise AssertionError("line parser called")
+
+    texts = ["3 2\n1 2\n2 3\n", "\n 3\t2 \n\n01 2\n2   3", "1 0", "4 1\n\t\n1 4\n  \n"]
+    expected = [_line_parser(text) for text in texts]
+    monkeypatch.setattr(spantree.graph, "_parse_lines", refuse)
+    for text, g in zip(texts, expected):
+        assert parse_edge_list(text) == g
+
+
+def test_parse_edge_list_at_the_vertex_limit():
+    # the largest header allowed: a 100,000-vertex path and an edgeless graph
+    n = spantree.graph.MAX_PARSED_VERTICES
+    assert n == 100_000
+    path = parse_edge_list(f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n)))
+    assert (path.n, path.edge_count) == (n, n - 1)
+    assert path.neighbors(1) == {2} and path.neighbors(n) == {n - 1}
+    empty = parse_edge_list(f"{n} 0\n")
+    assert (empty.n, empty.edge_count) == (n, 0)
