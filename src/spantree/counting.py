@@ -185,12 +185,6 @@ def complete_count(n: int) -> int:
     return n ** (n - 2)
 
 
-def bipartite_count(m: int, n: int) -> int:
-    """m**(n-1) * n**(m-1) spanning trees for the complete bipartite graph:
-    the multipartite count of the two sides."""
-    return multipartite_count((m, n))
-
-
 def multipartite_count(sizes: Iterable[int]) -> int:
     """n**(k-2) * prod (n - n_i)**(n_i - 1) for the complete multipartite
     graph; a single part is edgeless and counts zero unless it is one
@@ -308,10 +302,3 @@ def reduce_and_route(
     product = reduce(mul, (ring.lift(answers[block], labels) for block, labels in parts))
     return product, "blocks", None
 
-
-def auto_count(g: Graph) -> tuple[int, str]:
-    """Fastest applicable method through ``reduce_and_route``: the
-    degree-product formula when ``route`` recognizes g, the product over
-    the blocks otherwise.  Returns (count, method)."""
-    count, method, _ = reduce_and_route(g, special_2_threshold_count, matrix_tree_count)
-    return count, method

@@ -249,20 +249,20 @@ def _relabeled(keep: list[int], edges: Iterable[tuple[int, int]]) -> tuple[Graph
     return Graph(len(keep), [(index[u], index[v]) for u, v in edges]), tuple(keep)
 
 
-def is_connected(g: Graph) -> bool:
-    """True when every pair of vertices is joined by a path (vacuously for
-    n <= 1): when the block search reaches every vertex.  No block is
-    built."""
-    return _block_edges(g) is not None
+#: The block of every bridge; graphs are immutable, so all bridges share it.
+_K2 = Graph(2, [(1, 2)])
 
 
-def _block_edges(g: Graph) -> list[list[tuple[int, int]]] | None:
-    """The edge list of every biconnected component of g with at least one
-    edge, or None when g is disconnected.
+def blocks(g: Graph) -> list[tuple[Graph, tuple[int, ...]]] | None:
+    """Biconnected components of a connected graph, or None when g is
+    disconnected.
 
-    Tarjan's depth-first search runs on an explicit stack, so deep graphs
-    need no recursion, and each block's edges are popped off the search's
-    edge stack: O(n + m) in all.
+    Each block comes as (subgraph, labels) like ``induced_subgraph``: the
+    block relabeled 1..k, labels[i-1] the original vertex i.  A bridge is a
+    block with two vertices, one shared K2 for all bridges; a graph with one
+    vertex is one block.  Tarjan's depth-first search runs on an explicit
+    stack, so deep graphs need no recursion, and each block's edges are
+    popped off the search's edge stack: O(n + m) in all.
     """
     if g.n == 0:
         return []
@@ -298,43 +298,16 @@ def _block_edges(g: Graph) -> list[list[tuple[int, int]]] | None:
                         if e == (u, v):
                             break
                     found.append(edges)
-    return found if clock == g.n else None
-
-
-#: The block of every bridge; graphs are immutable, so all bridges share it.
-_K2 = Graph(2, [(1, 2)])
-
-
-def blocks(g: Graph) -> list[tuple[Graph, tuple[int, ...]]] | None:
-    """Biconnected components of a connected graph, or None when g is
-    disconnected.
-
-    Each block comes as (subgraph, labels) like ``induced_subgraph``: the
-    block relabeled 1..k, labels[i-1] the original vertex i.  A bridge is a
-    block with two vertices, one shared K2 for all bridges; a graph with one
-    vertex is one block.  The blocks' edges come from one O(n + m) search.
-    """
-    found = _block_edges(g)
-    if found is None:
+    if clock < g.n:
         return None
     if not found:
-        return [(Graph(1), (1,))] if g.n else []
-    out = []
-    for edges in found:
-        if len(edges) == 1:  # a bridge
-            out.append((_K2, tuple(sorted(edges[0]))))
-            continue
-        out.append(_relabeled(sorted({x for e in edges for x in e}), edges))
-    return out
-
-
-def is_independent(g: Graph, s: Iterable[int]) -> bool:
-    """True when no edge of g has both endpoints in s."""
-    vs = sorted(set(s))
-    for v in vs:
-        g.check_vertex(v)
-    m = mask_of(vs)
-    return all(g.neighbor_mask(v) & m == 0 for v in vs)
+        return [(Graph(1), (1,))]
+    return [
+        (_K2, tuple(sorted(edges[0])))  # a bridge
+        if len(edges) == 1
+        else _relabeled(sorted({x for e in edges for x in e}), edges)
+        for edges in found
+    ]
 
 
 def parse_int(token: str) -> int:

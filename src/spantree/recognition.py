@@ -19,8 +19,8 @@ is how its witness is found, with no subset enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cmp_to_key
-from itertools import chain, combinations, islice, permutations, product
+from functools import cache
+from itertools import chain, combinations, islice, permutations
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
 
@@ -186,36 +186,19 @@ def _checked_order(
     return ConstructionOrder(tuple(order), u_set, tuple(roles))
 
 
-def _checked_u_set(g: Graph, u: Iterable[int]) -> frozenset[int]:
-    """u as a set, each of its vertices checked to be a vertex of g."""
-    u_set = frozenset(u)
-    for v in u_set:
-        g.check_vertex(v)
-    return u_set
-
-
 def u_threshold_order(g: Graph, u: Iterable[int]) -> ConstructionOrder | None:
     """Construction order of g for the subset u, or None if there is none.
 
     The peel's choice among removable vertices is deterministic; any choice
     succeeds on U-threshold inputs.
     """
-    u_set = _checked_u_set(g, u)
+    u_set = frozenset(u)
+    for v in u_set:
+        g.check_vertex(v)
     order, _ = _peel(g, g.full_mask(), mask_of(u_set))
     if order is None:
         return None
     return _checked_order(g, order, u_set)
-
-
-def u_threshold_obstruction(g: Graph, u: Iterable[int]) -> frozenset[int] | None:
-    """The stuck vertex set when peeling fails, or None when g is U-threshold.
-
-    The returned set W certifies failure: no vertex of the induced subgraph
-    on W is isolated or U-dominating there.
-    """
-    u_set = _checked_u_set(g, u)
-    order, stuck = _peel(g, g.full_mask(), mask_of(u_set))
-    return None if order is not None else frozenset(vertices_of(stuck))
 
 
 def threshold_order(g: Graph) -> ConstructionOrder | None:
@@ -483,7 +466,7 @@ class FerrersStructure:
 
 
 def _inclusion_chain(
-    vs: Iterable[int], masks: Sequence[int] | Mapping[int, int]
+    vs: Iterable[int], masks: Sequence[int]
 ) -> tuple[list[int], tuple[int, int] | None]:
     """The vertices sorted by decreasing mask size, then label, and the
     first consecutive pair (x, y) with masks[y] not inside masks[x], which
@@ -565,174 +548,3 @@ def route(g: Graph) -> tuple[Family, ConstructionOrder] | None:
     found = special_2_threshold_order(g)
     return None if found is None else (FAMILY_SPECIAL_2_THRESHOLD, found[1])
 
-
-# ---------------------------------------------------------------------------
-# Canonical class order
-
-
-@dataclass(frozen=True)
-class CanonicalOrder:
-    """The total order on degree classes induced by all construction orders,
-    plus one concrete order (labels ascending within each class)."""
-
-    classes: tuple[tuple[int, ...], ...]
-    order: ConstructionOrder
-
-
-def _threshold_class_ranks(g: Graph, co: ConstructionOrder) -> dict[int, int]:
-    """Rank of each U-vertex's degree class in the induced threshold graph.
-
-    Restricted to U, the U-threshold order ``co`` is a threshold order of
-    G[U]: each U-vertex meets none or all of the U-vertices before it.
-    Construction orders of a threshold graph are unique up to permuting
-    vertices of equal degree, so the class order can be read off it.
-    Raises when equal-degree vertices fail to appear consecutively, which
-    cannot happen for genuine threshold inputs.
-    """
-    u_mask = mask_of(co.u_set)
-    ranks: dict[int, int] = {}
-    rank = -1
-    last_degree: int | None = None
-    seen_degrees: set[int] = set()
-    for v in (v for v in co.order if v in co.u_set):
-        d = (g.neighbor_mask(v) & u_mask).bit_count()
-        if d != last_degree:
-            if d in seen_degrees:
-                raise OrderInconsistencyError(
-                    "equal-degree vertices split across the threshold order"
-                )
-            seen_degrees.add(d)
-            rank += 1
-            last_degree = d
-        ranks[v] = rank
-    return ranks
-
-
-def _ranked_order(g: Graph, u: Iterable[int]) -> tuple[ConstructionOrder, dict[int, int]]:
-    """The U-threshold order of g for u, else ValueError, and its class ranks."""
-    co = u_threshold_order(g, u)
-    if co is None:
-        raise ValueError("graph has no construction order for the given U")
-    return co, _threshold_class_ranks(g, co)
-
-
-def canonical_order(g: Graph, u: Iterable[int]) -> CanonicalOrder:
-    """Sort the degree classes of a U-threshold graph into their unique total
-    order and emit a validated construction order refining it.
-
-    Classes group vertices on the same side of U with equal degrees into U
-    and into its complement.  Two classes compare by the side-dependent
-    rules: within U by induced-threshold rank with ties broken by more
-    neighbors outside U first; across sides by adjacency; outside U by fewer
-    neighbors inside U first.  Any contradiction means the precondition was
-    violated and raises OrderInconsistencyError.
-    """
-    co, ranks = _ranked_order(g, u)
-    u_set = co.u_set
-
-    u_mask = mask_of(u_set)
-    comp_mask = g.full_mask() & ~u_mask
-    deg_u = {v: (g.neighbor_mask(v) & u_mask).bit_count() for v in g.vertices}
-    deg_c = {v: (g.neighbor_mask(v) & comp_mask).bit_count() for v in g.vertices}
-
-    groups: dict[tuple[bool, int, int], list[int]] = {}
-    for v in g.vertices:
-        groups.setdefault((v in u_set, deg_u[v], deg_c[v]), []).append(v)
-    classes = [tuple(sorted(vs)) for vs in groups.values()]
-
-    def leq(x: int, y: int) -> bool:
-        x_in, y_in = x in u_set, y in u_set
-        if x_in and y_in:
-            return ranks[x] <= ranks[y] and deg_c[x] >= deg_c[y]
-        if x_in:
-            return g.has_edge(x, y)
-        if y_in:
-            return not g.has_edge(x, y)
-        return deg_u[x] <= deg_u[y]
-
-    def compare(cx: tuple[int, ...], cy: tuple[int, ...]) -> int:
-        x, y = cx[0], cy[0]
-        forward, backward = leq(x, y), leq(y, x)
-        if forward and not backward:
-            return -1
-        if backward and not forward:
-            return 1
-        raise OrderInconsistencyError(
-            f"classes {cx} and {cy} do not compare consistently"
-        )
-
-    classes.sort(key=cmp_to_key(compare))
-    order = tuple(v for cls in classes for v in cls)
-    roles = derive_roles(g, order, u_set)
-    if roles is None:
-        raise OrderInconsistencyError("class-sorted order is not a construction order")
-    return CanonicalOrder(
-        tuple(classes), ConstructionOrder(order, u_set, tuple(roles))
-    )
-
-
-# ---------------------------------------------------------------------------
-# Nesting report
-
-
-@dataclass(frozen=True)
-class ClauseReport:
-    holds: bool
-    counterexample: tuple[int, int] | None = None
-
-
-@dataclass(frozen=True)
-class NestingReport:
-    """Verified structure of a U-threshold graph.
-
-    Clause (a): the complement of U is independent.  Clause (b): the
-    neighborhoods of complement vertices form a chain under inclusion.
-    Clause (c): so do the neighborhoods of U-vertices restricted to the
-    complement.  Clause (d): those restrictions shrink (weakly) along the
-    induced threshold order on U.
-    """
-
-    complement_independent: ClauseReport
-    complement_neighborhoods_nested: ClauseReport
-    restricted_neighborhoods_nested: ClauseReport
-    restrictions_shrink_along_order: ClauseReport
-
-    def all_hold(self) -> bool:
-        return (
-            self.complement_independent.holds
-            and self.complement_neighborhoods_nested.holds
-            and self.restricted_neighborhoods_nested.holds
-            and self.restrictions_shrink_along_order.holds
-        )
-
-
-def nesting_report(g: Graph, u: Iterable[int]) -> NestingReport:
-    """Check the four structural consequences of being U-threshold.
-
-    Requires a U-threshold input; a failing clause therefore exposes a
-    precondition violation, and the report names an offending vertex pair.
-    """
-    co, ranks = _ranked_order(g, u)
-    u_set = co.u_set
-
-    comp = sorted(g.vertex_set() - u_set)
-    comp_mask = mask_of(comp)
-
-    bad = next(((x, y) for x, y in combinations(comp, 2) if g.has_edge(x, y)), None)
-    clause_a = ClauseReport(bad is None, bad)
-
-    _, clause_b_pair = _inclusion_chain(comp, g.neighbor_masks())
-    clause_b = ClauseReport(clause_b_pair is None, clause_b_pair)
-
-    restricted = {v: g.neighbor_mask(v) & comp_mask for v in sorted(u_set)}
-    _, clause_c_pair = _inclusion_chain(restricted, restricted)
-    clause_c = ClauseReport(clause_c_pair is None, clause_c_pair)
-
-    clause_d_pair = next(
-        ((x, y) for x, y in product(sorted(u_set), repeat=2)
-         if ranks[x] < ranks[y] and restricted[y] & ~restricted[x]),
-        None,
-    )
-    clause_d = ClauseReport(clause_d_pair is None, clause_d_pair)
-
-    return NestingReport(clause_a, clause_b, clause_c, clause_d)

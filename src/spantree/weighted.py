@@ -64,16 +64,6 @@ def weighted_build_perturbation(
     return _perturbed_rows(g, co, polynomial_ring(g.n))
 
 
-def weighted_cayley_prufer(n: int) -> MultiPoly:
-    """Enumerator of the complete graph: (prod x_k) * (sum x_k)**(n-2)."""
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got {n}")
-    if n == 1:
-        return MultiPoly.const(1, 1)
-    ring, everyone = polynomial_ring(n), range(1, n + 1)
-    return ring.weight_product(everyone) * ring.weight_sum(everyone) ** (n - 2)
-
-
 def weighted_count_threshold(g: Graph, co: ConstructionOrder) -> MultiPoly:
     """Closed form for threshold graphs: the weighted degree-product formula
     on a construction order with U = V."""

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from spantree import (
     ConstructionOrder,
     Graph,
+    MultiPoly,
     ferrers_graph,
     ferrers_structure,
     special_2_threshold_order,
@@ -209,6 +210,15 @@ def merris_count(g: Graph, co: ConstructionOrder) -> int:
     if numerator % g.n:
         raise ValueError(f"{numerator} is not divisible by n = {g.n}")
     return numerator // g.n
+
+
+def weighted_cayley_prufer(n: int) -> MultiPoly:
+    """Enumerator of the complete graph written out on its own, a reference
+    for the weighted routes: (prod x_k) * (sum x_k)**(n-2)."""
+    if n == 1:
+        return MultiPoly.const(1, 1)
+    xs = [MultiPoly.variable(n, k) for k in range(1, n + 1)]
+    return prod(xs[1:], start=xs[0]) * sum(xs[1:], start=xs[0]) ** (n - 2)
 
 
 def relabeled(g: Graph, perm: list[int]) -> Graph:

@@ -7,13 +7,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import functools
 import random
 import time
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from spantree import (
     Graph,
     MultiPoly,
     build_perturbation,
-    canonical_order,
     complete,
     determinant,
     ferrers_count,
@@ -30,13 +29,11 @@ from spantree import (
     threshold_count,
     threshold_order,
     u_threshold_order,
-    weighted_cayley_prufer,
     weighted_count_ferrers,
     weighted_count_special_2threshold,
     weighted_count_threshold,
     weighted_oracle,
 )
-from spantree import nesting_report
 from spantree.recognition import ConstructionOrder, derive_roles
 from sample_graphs import (
     FERRERS3221,
@@ -54,6 +51,7 @@ from sample_graphs import (
     random_graph,
     random_u_threshold_instance,
     threshold_graph_from_bits,
+    weighted_cayley_prufer,
 )
 
 
@@ -184,16 +182,29 @@ def test_criterion_4_perturbation_identity_500_triples():
 
 @criterion(5, "canonical class order")
 def test_criterion_5_canonical_order_golden():
-    can = canonical_order(UTHRESHOLD8, UTHRESHOLD8_U)
-    assert can.classes == ((4, 5), (7,), (3, 6), (8,), (1,), (2,))
+    g, u = UTHRESHOLD8, frozenset(UTHRESHOLD8_U)
+    chain = ((4, 5), (7,), (3, 6), (8,), (1,), (2,))
+
+    def side_and_degrees(v):
+        return v in u, len(g.neighbors(v) & u), len(g.neighbors(v) - u)
+
+    # the classes are the vertices of one side with equal degrees into U and
+    # into its complement
+    keys = [{side_and_degrees(v) for v in cls} for cls in chain]
+    assert all(len(k) == 1 for k in keys) and len(set().union(*keys)) == len(chain)
+    # the chain is the one order of the classes that admits a construction
+    # order, and every refinement of it is one
+    admitted = [
+        p for p in permutations(chain)
+        if derive_roles(g, [v for cls in p for v in cls], u) is not None
+    ]
+    assert admitted == [chain], admitted
     refinements = 0
-    for perms in product(*(permutations(cls) for cls in can.classes)):
+    for perms in product(*(permutations(cls) for cls in chain)):
         order = tuple(v for cls in perms for v in cls)
-        roles = derive_roles(UTHRESHOLD8, order, frozenset(UTHRESHOLD8_U))
+        roles = derive_roles(g, order, u)
         assert roles is not None, order
-        ConstructionOrder(order, frozenset(UTHRESHOLD8_U), tuple(roles)).check(
-            UTHRESHOLD8
-        )
+        ConstructionOrder(order, u, tuple(roles)).check(g)
         refinements += 1
     _passed(5, f"class chain (4,5)<(7)<(3,6)<(8)<(1)<(2); all {refinements} refinements valid")
 
@@ -203,9 +214,24 @@ def test_criterion_6_nesting_clauses_on_200_instances():
     rng = random.Random(6)
     for _ in range(200):
         g, u = random_u_threshold_instance(rng, rng.randint(1, 10))
-        assert u_threshold_order(g, u) is not None
-        report = nesting_report(g, u)
-        assert report.all_hold(), (g, u, report)
+        co = u_threshold_order(g, u)
+        assert co is not None
+        comp = g.vertex_set() - co.u_set
+        in_u = [v for v in co.order if v in co.u_set]
+        # the order restricted to U is a threshold order of G[U]: each
+        # U-vertex meets none or all of the U-vertices before it
+        for i, v in enumerate(in_u):
+            before = set(in_u[:i])
+            assert g.neighbors(v) & before in (set(), before), (g, u)
+        # (a) the complement of U is independent
+        assert not any(g.neighbors(v) & comp for v in comp), (g, u)
+        # (b) the complement's neighborhoods form a chain under inclusion,
+        # (c) and so do the U-vertices' neighborhoods restricted to the complement
+        restricted = [g.neighbors(v) & comp for v in in_u]
+        for sets in ([g.neighbors(v) for v in comp], restricted):
+            assert all(x <= y or y <= x for x, y in combinations(sets, 2)), (g, u)
+        # (d) those restrictions shrink (weakly) along the threshold order
+        assert all(y <= x for x, y in zip(restricted, restricted[1:])), (g, u)
     _passed(6, "all four nesting clauses hold on 200 constructed instances")
 
 

@@ -12,7 +12,6 @@ import spantree.counting
 from spantree import (
     Graph,
     MultiPoly,
-    auto_count,
     blocks,
     induced_subgraph,
     matrix_tree_count,
@@ -111,13 +110,12 @@ def test_disconnected_graphs_count_zero_without_a_laplacian(monkeypatch):
         raise AssertionError("no Laplacian for a disconnected graph")
 
     monkeypatch.setattr(spantree.counting, "_laplacian_rows", refuse)
-    monkeypatch.setattr(spantree.counting, "matrix_tree_count", refuse)
     for g in (TWO_K2, Graph(7, [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6)])):
-        assert auto_count(g) == (0, "blocks")
+        assert reduce_and_route(g, special_2_threshold_count, refuse)[:2] == (0, "blocks")
         assert weighted_auto(g) == (MultiPoly.zero(g.n), "blocks")
 
 
-def test_chain_of_triangles_needs_no_cofactor(monkeypatch):
+def test_chain_of_triangles_needs_no_cofactor():
     # 1000 triangles, each sharing a vertex with the next: a 2001-vertex
     # graph whose whole-graph cofactor is a 2000 x 2000 Bareiss
     k = 1000
@@ -130,8 +128,7 @@ def test_chain_of_triangles_needs_no_cofactor(monkeypatch):
     def refuse(*args):
         raise AssertionError("every block is a triangle, which has a formula")
 
-    monkeypatch.setattr(spantree.counting, "matrix_tree_count", refuse)
-    assert auto_count(g) == (3**k, "blocks")
+    assert reduce_and_route(g, special_2_threshold_count, refuse)[:2] == (3**k, "blocks")
 
 
 def test_weighted_tree_is_the_degree_monomial(monkeypatch):
@@ -159,7 +156,7 @@ def test_weighted_blocks_multiply_with_the_bridge_monomial():
 @settings(max_examples=120, deadline=None)
 @given(glued_graphs())
 def test_glued_graphs_all_count_routes_agree(g):
-    count, method = auto_count(g)
+    count, method, _ = reduce_and_route(g, special_2_threshold_count, matrix_tree_count)
     assert method == expected_method(g)
     assert count == matrix_tree_count(g)
     assert count == perturbation_count(g, [1] * g.n, [1] * g.n)
@@ -185,6 +182,7 @@ def test_decomposed_answers_invariant_under_relabeling(g, rng):
     perm = list(range(1, g.n + 1))
     rng.shuffle(perm)
     h = relabeled(g, perm)
-    assert auto_count(h) == auto_count(g)
+    count = reduce_and_route(g, special_2_threshold_count, matrix_tree_count)[:2]
+    assert reduce_and_route(h, special_2_threshold_count, matrix_tree_count)[:2] == count
     poly, method = weighted_auto(g)
     assert weighted_auto(h) == (poly.lift(g.n, perm), method)

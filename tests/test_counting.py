@@ -10,8 +10,6 @@ from spantree import (
     ConstructionOrder,
     ExactnessError,
     Graph,
-    auto_count,
-    bipartite_count,
     build_perturbation,
     complete,
     complete_count,
@@ -25,6 +23,7 @@ from spantree import (
     multipartite_count,
     oracle_count,
     perturbation_count,
+    reduce_and_route,
     spanning_trees,
     special_2_threshold_count,
     special_2_threshold_order,
@@ -243,15 +242,14 @@ def test_complete_count():
 
 
 def test_bipartite_count():
-    assert bipartite_count(2, 3) == 12
-    assert bipartite_count(1, 1) == 1
+    # K_{m,n} has m**(n-1) * n**(m-1) spanning trees
+    assert multipartite_count((2, 3)) == 12
+    assert multipartite_count((1, 1)) == 1
     with pytest.raises(ValueError):
-        bipartite_count(0, 2)
+        multipartite_count((0, 2))
 
 
 def test_multipartite_count():
-    assert multipartite_count([2, 3]) == 12
-    assert multipartite_count([2, 3]) == bipartite_count(2, 3)
     assert multipartite_count([1, 1, 1, 1]) == 16
     assert multipartite_count([1]) == 1
     assert multipartite_count([3]) == 0
@@ -268,8 +266,6 @@ def test_multipartite_formula_agrees_with_matrix_tree():
     for sizes in partitions_up_to(8):
         g = complete_multipartite(sizes)
         assert multipartite_count(sizes) == matrix_tree_count(g), sizes
-        if len(sizes) == 2:
-            assert bipartite_count(*sizes) == matrix_tree_count(g)
 
 
 def test_threshold_count_goldens():
@@ -456,23 +452,31 @@ def test_uthreshold8_all_routes_agree():
 
 def test_auto_count_routes():
     # the house with a tail splits into the house and a bridge; C5 does not split
-    assert auto_count(HOUSE_TAIL) == (oracle_count(HOUSE_TAIL), "blocks")
-    assert auto_count(C5) == (oracle_count(C5), "matrix-tree")
-    assert auto_count(THRESHOLD5) == (8, "formula:threshold")
-    assert auto_count(FERRERS3221) == (12, "formula:ferrers")
-    assert auto_count(SPECIAL5) == (8, "formula:special-2-threshold")
-    assert auto_count(K4) == (16, "formula:threshold")
-    assert auto_count(K23) == (12, "formula:ferrers")
+    cases = [
+        (HOUSE_TAIL, oracle_count(HOUSE_TAIL), "blocks"),
+        (C5, oracle_count(C5), "matrix-tree"),
+        (THRESHOLD5, 8, "formula:threshold"),
+        (FERRERS3221, 12, "formula:ferrers"),
+        (SPECIAL5, 8, "formula:special-2-threshold"),
+        (K4, 16, "formula:threshold"),
+        (K23, 12, "formula:ferrers"),
+    ]
+    for g, count, method in cases:
+        assert reduce_and_route(g, special_2_threshold_count, matrix_tree_count)[:2] == (
+            count, method
+        )
 
 
 def test_auto_count_runs_the_u_search_past_24_vertices():
-    assert auto_count(SPECIAL26) == (
-        matrix_tree_count(SPECIAL26), "formula:special-2-threshold"
+    assert reduce_and_route(SPECIAL26, special_2_threshold_count, matrix_tree_count)[:2] == (
+        SPECIAL26_TAU, "formula:special-2-threshold"
     )
-    assert auto_count(SPECIAL26)[0] == SPECIAL26_TAU
+    assert matrix_tree_count(SPECIAL26) == SPECIAL26_TAU
     # the path contains 2K2: not a member, so its 29 bridges answer
     path = Graph(30, [(i, i + 1) for i in range(1, 30)])
-    assert auto_count(path) == (oracle_count(path, max_edges=29), "blocks")
+    assert reduce_and_route(path, special_2_threshold_count, matrix_tree_count)[:2] == (
+        oracle_count(path, max_edges=29), "blocks"
+    )
 
 
 @settings(max_examples=80, deadline=None)
@@ -480,7 +484,10 @@ def test_auto_count_runs_the_u_search_past_24_vertices():
 def test_auto_count_invariant_under_relabeling(g, rng):
     perm = list(range(1, g.n + 1))
     rng.shuffle(perm)
-    assert auto_count(relabeled(g, perm)) == auto_count(g)
+    count = reduce_and_route(g, special_2_threshold_count, matrix_tree_count)[:2]
+    assert reduce_and_route(
+        relabeled(g, perm), special_2_threshold_count, matrix_tree_count
+    )[:2] == count
 
 
 _weights = st.integers(-5, 5)

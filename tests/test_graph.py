@@ -13,12 +13,10 @@ from spantree import (
     ferrers_graph,
     format_edge_list,
     induced_subgraph,
-    is_connected,
-    is_independent,
     parse_edge_list,
 )
 import spantree.graph
-from sample_graphs import FIXTURES, HOUSE_TAIL, K4, TWO_K2, assert_simple, partitions_up_to
+from sample_graphs import FIXTURES, HOUSE_TAIL, K4, assert_simple, partitions_up_to
 
 
 def test_graph_rejects_loops_and_bad_vertices():
@@ -144,33 +142,6 @@ def test_induced_subgraph_composes():
         direct, labels_direct = induced_subgraph(g, a & b)
         assert twice == direct
         assert tuple(labels_a[i - 1] for i in labels_inner) == labels_direct
-
-
-def test_is_connected_builds_no_graph(monkeypatch):
-    # one block: relabeling it would copy all 499,500 edges of K1000
-    g = complete(1000)
-    built = []
-    init = Graph.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Graph, "__init__", counting_init)
-    assert is_connected(g)
-    assert not is_connected(TWO_K2)
-    assert built == []
-
-
-def test_connectivity_and_independence():
-    assert is_connected(HOUSE_TAIL)
-    assert not is_connected(TWO_K2)
-    assert is_connected(Graph(1))
-    k23 = complete_multipartite([2, 3])
-    assert is_independent(k23, {3, 4, 5})
-    assert not is_independent(k23, {1, 3})
-    with pytest.raises(ValueError):
-        is_independent(K4, {0})
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,23 +9,20 @@ from spantree import (
     ConstructionOrder,
     Graph,
     OrderInconsistencyError,
-    canonical_order,
+    blocks,
     complete,
     complete_multipartite,
     ferrers_graph,
     ferrers_structure,
     forbidden_witness,
     induced_subgraph,
-    is_connected,
-    nesting_report,
     route,
     special_2_threshold_order,
     threshold_order,
-    u_threshold_obstruction,
     u_threshold_order,
 )
 import spantree.recognition
-from spantree.graph import mask_of
+from spantree.graph import mask_of, vertices_of
 from spantree.recognition import FAMILY_PATTERNS, PATTERNS, derive_roles
 from sample_graphs import (
     C5,
@@ -110,15 +107,17 @@ def test_u_threshold_order_edge_cases():
 
 
 def test_u_threshold_obstruction():
+    # a failed peel returns the stuck set W, which certifies the failure: no
+    # vertex of the subgraph induced on W is isolated or U-dominating there
     for u in (frozenset(), frozenset({1, 2}), frozenset({1, 2, 3, 4})):
         assert u_threshold_order(TWO_K2, u) is None
-        stuck = u_threshold_obstruction(TWO_K2, u)
-        assert stuck is not None
-        # certificate: no vertex of the stuck set is removable within it
+        order, stuck_mask = spantree.recognition._peel(TWO_K2, TWO_K2.full_mask(), mask_of(u))
+        stuck = frozenset(vertices_of(stuck_mask))
+        assert order is None and stuck
         for v in stuck:
             inside = TWO_K2.neighbors(v) & stuck
             assert inside and inside != (stuck - {v}) & u
-    assert u_threshold_obstruction(SPECIAL5, SPECIAL5_U) is None
+    assert spantree.recognition._peel(SPECIAL5, SPECIAL5.full_mask(), mask_of(SPECIAL5_U))[1] == 0
 
 
 @st.composite
@@ -374,7 +373,7 @@ def test_four_vertex_witnesses_are_the_first_subsets():
         h = Graph(n, [
             (u, v) for u, v in complete(n).edges() if side[u] != side[v] and rng.random() < 0.6
         ])
-        cases = [(g, "threshold")] + ([(h, "ferrers")] if is_connected(h) else [])
+        cases = [(g, "threshold")] + ([(h, "ferrers")] if blocks(h) is not None else [])
         for graph, family in cases:
             w = forbidden_witness(graph, family)
             expected = first_subset_witness(graph, family)
@@ -522,81 +521,6 @@ def test_every_ferrers_graph_is_u_threshold_for_its_columns():
         fs = ferrers_structure(g)
         assert fs is not None
         assert u_threshold_order(g, fs.col_order) is not None
-
-
-# -- canonical class order -------------------------------------------------------
-
-
-def test_canonical_order_golden_chain():
-    can = canonical_order(UTHRESHOLD8, UTHRESHOLD8_U)
-    assert can.classes == ((4, 5), (7,), (3, 6), (8,), (1,), (2,))
-    can.order.check(UTHRESHOLD8)
-
-
-def test_canonical_order_single_class_cases():
-    can = canonical_order(complete(4), range(1, 5))
-    assert can.classes == ((1, 2, 3, 4),)
-    can.order.check(complete(4))
-
-    empty = Graph(3)
-    can = canonical_order(empty, ())
-    assert can.classes == ((1, 2, 3),)
-    can.order.check(empty)
-
-
-def test_canonical_order_class_refinements_all_validate():
-    from itertools import permutations, product
-
-    can = canonical_order(UTHRESHOLD8, UTHRESHOLD8_U)
-    for perms in product(*(permutations(cls) for cls in can.classes)):
-        order = tuple(v for cls in perms for v in cls)
-        roles = derive_roles(UTHRESHOLD8, order, frozenset(UTHRESHOLD8_U))
-        assert roles is not None
-        ConstructionOrder(order, frozenset(UTHRESHOLD8_U), tuple(roles)).check(
-            UTHRESHOLD8
-        )
-
-
-def test_canonical_order_requires_u_threshold_input():
-    with pytest.raises(ValueError):
-        canonical_order(C5, {1, 2})
-
-
-def test_canonical_order_on_random_instances():
-    rng = random.Random(42)
-    for _ in range(60):
-        g, u = random_u_threshold_instance(rng, rng.randint(1, 9))
-        can = canonical_order(g, u)
-        can.order.check(g)
-        assert sorted(v for cls in can.classes for v in cls) == list(g.vertices)
-
-
-# -- nesting report ---------------------------------------------------------------
-
-
-def test_nesting_report_golden():
-    rep = nesting_report(UTHRESHOLD8, UTHRESHOLD8_U)
-    assert rep.all_hold()
-    assert rep.complement_independent.counterexample is None
-
-
-def test_nesting_report_ferrers_columns_side():
-    g = ferrers_graph((3, 2, 2, 1))
-    fs = ferrers_structure(g)
-    rep = nesting_report(g, fs.col_order)
-    assert rep.all_hold()
-
-
-def test_nesting_report_vacuous_on_edgeless():
-    empty = Graph(4)
-    for u in (frozenset(), frozenset({1, 3})):
-        rep = nesting_report(empty, u)
-        assert rep.all_hold()
-
-
-def test_nesting_report_requires_u_threshold_input():
-    with pytest.raises(ValueError):
-        nesting_report(TWO_K2, {1, 2})
 
 
 def test_peel_result_is_rechecked_without_assert(monkeypatch):

@@ -1,5 +1,5 @@
 """Every counting route against every other on random graphs G(n, p) with
-n <= 9, in both rings: ``auto``, ``matrix-tree``, ``perturbation`` and
+n <= 9, in both rings: ``reduce_and_route``, ``matrix-tree``, ``perturbation`` and
 ``oracle``, plus ``formula`` where ``route`` applies.  The oracle runs
 within its edge guard (m <= 24) where it has few enough edge subsets to
 be quick, and the weighted perturbation, whose expansion determinant
@@ -8,7 +8,6 @@ takes seconds on K8 and K9, up to seven vertices."""
 from hypothesis import given, settings
 
 from spantree import (
-    auto_count,
     matrix_tree_count,
     oracle_count,
     perturbation_count,
@@ -28,7 +27,7 @@ from sample_graphs import gnp_graphs, oracle_fits
 @given(gnp_graphs())
 def test_every_count_route_agrees(g):
     ones = [1] * g.n
-    count, _ = auto_count(g)
+    count, _, _ = reduce_and_route(g, special_2_threshold_count, matrix_tree_count)
     routes = {
         "matrix-tree": matrix_tree_count(g),
         "perturbation": perturbation_count(g, ones, ones),
@@ -59,4 +58,4 @@ def test_every_weighted_route_agrees(g):
     if oracle_fits(g):
         routes["oracle"] = weighted_oracle(g)
     assert routes == dict.fromkeys(routes, poly)
-    assert poly.substitute_all_ones() == auto_count(g)[0]
+    assert poly.substitute_all_ones() == matrix_tree_count(g)

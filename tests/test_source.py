@@ -129,6 +129,47 @@ def test_names_check_sees_imports_attributes_and_calls():
     assert _names(tree, skip_module="linalg") == {"b", "c", "d", "linalg"}
 
 
+def _uncalled(names: list[str], sources: dict[str, str]) -> list[str]:
+    """The ``names`` that no module of ``sources`` (file name to text) other
+    than ``__init__.py`` names; re-exporting a name is no call."""
+    named = set().union(
+        *(_names(ast.parse(source)) for file, source in sources.items() if file != "__init__.py")
+    )
+    return [name for name in names if name not in named]
+
+
+#: Public names that stay without a caller in the package
+PUBLIC_WITHOUT_CALLER = {
+    # the paper's objects: the triangular rank-one perturbation and Merris'
+    # threshold count, in both rings
+    "build_perturbation",
+    "weighted_build_perturbation",
+    "threshold_count",
+    "weighted_count_threshold",
+    # timed by perfbench/spans.py, which patches them
+    "laplacian",
+    "weighted_laplacian",
+    # the writer of the format parse_edge_list reads, named in README
+    "format_edge_list",
+}
+
+
+def test_caller_check_catches_a_planted_name():
+    sources = {
+        "__init__.py": "from .a import f, g, h\n",
+        "a.py": "def f():\n    return 1\n\ndef g():\n    return f()\n\ndef h():\n    pass\n",
+        "b.py": "from .a import h\n",
+    }
+    assert _uncalled(["f", "g", "h"], sources) == ["g"]
+
+
+def test_every_public_name_has_a_caller():
+    assert PUBLIC_WITHOUT_CALLER <= set(spantree.__all__)
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    found = [name for name in _uncalled(spantree.__all__, sources) if name not in PUBLIC_WITHOUT_CALLER]
+    assert not found, found
+
+
 def _modules_naming(name: str) -> list[str]:
     """Package modules other than linalg that name ``name``; the package
     root may re-export it from linalg."""

@@ -26,7 +26,6 @@ from spantree import (
     threshold_order,
     u_threshold_order,
     weighted_build_perturbation,
-    weighted_cayley_prufer,
     weighted_count_ferrers,
     weighted_count_special_2threshold,
     weighted_count_threshold,
@@ -51,6 +50,7 @@ from sample_graphs import (
     relabeled,
     small_graphs,
     threshold_graph_from_bits,
+    weighted_cayley_prufer,
 )
 
 
