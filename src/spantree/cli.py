@@ -149,13 +149,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     the U it finds is V, and the special order is then the threshold
     order."""
     g, source = _load_graph(args.file, args.json)
-    fs, found = ferrers_structure(g), special_2_threshold_order(g)
-    u_set, co = found or (None, None)
-    threshold = found is not None and len(u_set) == g.n
+    fs, co = ferrers_structure(g), special_2_threshold_order(g)
+    threshold = co is not None and len(co.u_set) == g.n
     witnesses = []
     for family, member in (
         (FAMILY_THRESHOLD, threshold),
-        (FAMILY_SPECIAL_2_THRESHOLD, found),
+        (FAMILY_SPECIAL_2_THRESHOLD, co),
         (FAMILY_FERRERS, fs),
     ):
         try:
@@ -191,9 +190,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     classification = {
         "threshold": threshold,
-        "special_2_threshold": found is not None,
+        "special_2_threshold": co is not None,
         "ferrers": fs is not None,
-        "u_set": sorted(u_set) if found else None,
+        "u_set": sorted(co.u_set) if co else None,
         "ferrers_shape": list(fs.shape.parts) if fs else None,
         "ferrers_traversal": list(fs.traversal) if fs else None,
     }

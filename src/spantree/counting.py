@@ -125,11 +125,14 @@ def matrix_tree_count(g: Graph) -> int:
     return _cofactor(g, INTEGERS)
 
 
-def _perturbation(g: Graph, a: Sequence[T | int], b: Sequence[T | int], ring: Ring[T]) -> T:
-    """det(L(G; w) + a b^T) divided exactly by (sum a)(sum b), for any
-    vectors of length n with nonzero sums; the quotient is the count
-    whatever a and b are.  Integer entries mix with ring elements."""
-    sa, sb = sum(a, ring.zero), sum(b, ring.zero)
+def _perturbation(g: Graph, a: Sequence[int], b: Sequence[int], ring: Ring[T]) -> T:
+    """det(L(G; w) + a b^T) divided exactly by the integer (sum a)(sum b),
+    for any integer vectors of length n with nonzero sums; the quotient is
+    the count whatever a and b are.  Raises TypeError on an entry that is
+    not an int, before any work."""
+    if bad := [x for x in (*a, *b) if not isinstance(x, int)]:
+        raise TypeError(f"perturbation vector entries must be int, got {bad[0]!r}")
+    sa, sb = sum(a), sum(b)
     if not sa or not sb:
         raise ValueError("vector sums must be nonzero for the perturbation count")
     rows = rank_one_update(_laplacian_rows(g, g.vertices, ring), a, b)

@@ -2,14 +2,13 @@
 
 A matrix is the list of its rows, in every ring.  A ``Ring`` holds what
 the generic routes need: zero, one, the vertex weight w(v) with its sums
-and products, exact division, the determinant and the lift of a block's
-value.  ``INTEGERS`` is w = 1 and ``polynomial_ring(n)`` is w = x_v, so the
-Laplacian, the triangular check, the rank-one update, the formula, the
-cofactor and the perturbation count are each written once.  The integer
-determinant is fraction-free (Bareiss) elimination, every division exact;
-polynomial matrices take the triangular shortcut or the division-free
-expansion, since exact polynomial division costs more than the
-exponential number of minors at the sizes where either finishes.
+and products, exact division by an integer, the determinant and the lift
+of a block's value.  ``INTEGERS`` is w = 1 and ``polynomial_ring(n)`` is
+w = x_v, so the Laplacian, the triangular check, the rank-one update, the
+formula, the cofactor and the perturbation count are each written once.
+The integer determinant is fraction-free (Bareiss) elimination, every
+division exact; polynomial matrices take the triangular shortcut or the
+division-free expansion, so no polynomial is ever divided by another.
 """
 
 from __future__ import annotations
@@ -171,16 +170,17 @@ def laplacian(g: Graph) -> list[list[int]]:
 class Ring(Generic[T]):
     """The ring of a count: ``weight(v)`` is w(v), ``weight_sum`` and
     ``weight_product`` add and multiply w over distinct vertices, ``div``
-    divides exactly or raises ExactnessError, ``det`` is the determinant of
-    a list of square rows, and ``lift(value, labels)`` moves a block's
-    value to the whole graph, block vertex i renamed labels[i-1]."""
+    divides exactly by a nonzero int or raises ExactnessError, ``det`` is
+    the determinant of a list of square rows, and ``lift(value, labels)``
+    moves a block's value to the whole graph, block vertex i renamed
+    labels[i-1]."""
 
     zero: T
     one: T
     weight: Callable[[int], T]
     weight_sum: Callable[[Collection[int]], T]
     weight_product: Callable[[Collection[int]], T]
-    div: Callable[[T, T], T]
+    div: Callable[[T, int], T]
     det: Callable[[Sequence[Sequence[T]]], T]
     lift: Callable[[T, Sequence[int]], T]
 

@@ -4,13 +4,11 @@ coefficients.
 Terms map exponent tuples (one entry per variable) to nonzero coefficients.
 Display uses graded lexicographic order: higher total degree first, then
 lexicographically larger exponent tuple, so output is stable across runs.
-Exact division picks leading terms in an order of its own (see exact_div).
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from operator import add, sub
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import ExactnessError
@@ -66,10 +64,6 @@ class MultiPoly:
         return cls(nvars, {tuple(exps): 1})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Sequence[int], coeff: int = 1) -> "MultiPoly":
-        return cls(nvars, {tuple(exps): coeff})
-
-    @classmethod
     def _of(cls, nvars: int, terms: dict[ExponentVector, int]) -> "MultiPoly":
         """Result of a ring operation: the exponent tuples are already valid,
         only zero coefficients are dropped."""
@@ -111,9 +105,6 @@ class MultiPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: int) -> "MultiPoly":
-        return (-self) + other
-
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -127,60 +118,18 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "MultiPoly":
-        if exponent < 0:
-            raise ValueError(f"exponent must be nonnegative, got {exponent}")
-        result = MultiPoly.const(self.nvars, 1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:  # no square past the top bit
-                base = base * base
-        return result
-
-    def exact_div(self, other: "MultiPoly | int") -> "MultiPoly":
-        """Quotient self / other when the division is exact; otherwise raise
-        ExactnessError.
-
-        Single-divisor division: repeatedly cancel the leading term.  Over an
-        integral domain the leading term of a product is the product of the
-        leading terms, so the quotient is reconstructed term by term and any
-        failure to divide (monomial or coefficient) proves inexactness.  Any
-        monomial order gives the same quotient; this one ranks higher degree
-        first, then the lexicographically smaller exponents, so the leading
-        term is the least (-degree, exponents) key, and a min-heap yields
-        each in turn.  Each step creates only terms below the one it
-        cancels, so the heap takes each key once.
-        """
-        other = self._coerce(other)
-        if other.is_zero():
+    def exact_div(self, divisor: int) -> "MultiPoly":
+        """Quotient self / divisor, coefficient by coefficient, for a nonzero
+        int divisor; ExactnessError when a coefficient leaves a remainder."""
+        if not isinstance(divisor, int):
+            raise TypeError(f"divisor must be int, got {divisor!r}")
+        if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return MultiPoly.zero(self.nvars)
-        lead_e = min(other._terms, key=lambda e: (-sum(e), e))
-        lead_c = other._terms[lead_e]
-        tail = [(e, c) for e, c in other._terms.items() if e != lead_e]
-        rem = dict(self._terms)
-        heap = [(-sum(e), e) for e in rem]
-        heapify(heap)
-        quot: dict[ExponentVector, int] = {}
-        while heap:
-            r_e = heappop(heap)[1]
-            r_c = rem.pop(r_e)
-            if not r_c:
-                continue  # cancelled by an earlier step
-            t_e = tuple(map(sub, r_e, lead_e))
-            if any(e < 0 for e in t_e) or r_c % lead_c:
-                raise ExactnessError("polynomial division left a remainder")
-            t_c = r_c // lead_c
-            quot[t_e] = t_c
-            for e2, c2 in tail:
-                key = tuple(map(add, t_e, e2))
-                if key not in rem:
-                    heappush(heap, (-sum(key), key))
-                rem[key] = rem.get(key, 0) - t_c * c2
+        quot = {}
+        for exps, coeff in self._terms.items():
+            quot[exps], r = divmod(coeff, divisor)
+            if r:
+                raise ExactnessError(f"coefficient {coeff} is not divisible by {divisor}")
         return MultiPoly._of(self.nvars, quot)
 
     def lift(self, nvars: int, labels: Sequence[int]) -> "MultiPoly":
@@ -222,14 +171,6 @@ class MultiPoly:
             (e, self._terms[e])
             for e in sorted(self._terms, key=_order_key, reverse=True)
         )
-
-    def total_degree(self) -> int:
-        if self.is_zero():
-            return 0
-        return max(sum(e) for e in self._terms)
-
-    def coefficient(self, exps: Sequence[int]) -> int:
-        return self._terms.get(tuple(exps), 0)
 
     def substitute_all_ones(self) -> int:
         """Value at x1 = x2 = ... = 1, i.e. the sum of the coefficients."""

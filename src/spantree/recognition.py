@@ -66,12 +66,6 @@ class ConstructionOrder:
                 return v
         raise ValueError("construction order has no u_dominating vertex")
 
-    def isolated_vertices(self) -> frozenset[int]:
-        """Vertices tagged isolated, the initial vertex excluded."""
-        return frozenset(
-            v for v, r in zip(self.order, self.roles) if r == ROLE_ISOLATED
-        )
-
     def check(self, g: Graph) -> None:
         """Raise ValueError unless this is a valid construction order for g."""
         if sorted(self.order) != list(g.vertices):
@@ -229,8 +223,9 @@ def _u_candidates(g: Graph, w: int) -> Iterator[int]:
             yield u
 
 
-def special_2_threshold_order(g: Graph) -> tuple[frozenset[int], ConstructionOrder] | None:
-    """Find a subset U such that g has a construction order for U.
+def special_2_threshold_order(g: Graph) -> ConstructionOrder | None:
+    """A construction order of g for some subset U (its ``u_set``), or None
+    when no U has one.
 
     Let w be the last u_dominating vertex of a construction order.  Every
     later vertex enters isolated and gains no later neighbor, so it is
@@ -238,7 +233,7 @@ def special_2_threshold_order(g: Graph) -> tuple[frozenset[int], ConstructionOrd
     N(w) or N(w) + w, plus isolated vertices, or V when g is edgeless.  An
     isolated vertex can always join U (move it to the end of the order), so
     the U with the smallest complement, lexicographically first among those,
-    contains all of them.  That U is returned, found among at most 2n + 1
+    contains all of them.  That U is used, found among at most 2n + 1
     candidates with one peel of n popcounts each: O(n^2) mask operations in
     all.  U = V, the one candidate with an empty complement, goes first,
     before the others are built.
@@ -257,8 +252,7 @@ def special_2_threshold_order(g: Graph) -> tuple[frozenset[int], ConstructionOrd
     for u_mask in candidates():
         order, _ = _peel(g, full, u_mask)
         if order is not None:
-            u_set = frozenset(vertices_of(u_mask))
-            return u_set, _checked_order(g, order, u_set)
+            return _checked_order(g, order, frozenset(vertices_of(u_mask)))
     return None
 
 
@@ -486,7 +480,9 @@ def ferrers_structure(g: Graph) -> FerrersStructure | None:
     The orientation is canonical: the larger side becomes the rows; on a tie
     the lexicographically larger shape wins, and if both orientations give
     the same shape the side containing vertex 1 becomes the rows.  The shape
-    of the conjugate orientation is the conjugate partition.
+    of the conjugate orientation is the conjugate partition.  Returns None
+    when g is no such graph; a staircase that fails its own check raises
+    OrderInconsistencyError.
     """
     if g.n < 2:
         return None
@@ -510,11 +506,11 @@ def ferrers_structure(g: Graph) -> FerrersStructure | None:
     )
 
     shape = PartitionShape(shape_of(rows))
-    # connectivity plus nesting makes this a staircase; verify anyway
-    for i, r in enumerate(rows, 1):
-        expected = frozenset(cols[: shape.parts[i - 1]])
-        if g.neighbors(r) != expected:
-            return None
+    # connectivity plus nesting makes this a staircase; verify anyway, and
+    # fail loudly, since None would send a Ferrers graph to the U-search
+    for r, part in zip(rows, shape.parts):
+        if g.neighbors(r) != frozenset(cols[:part]):
+            raise OrderInconsistencyError(f"row {r} is not adjacent to the first {part} columns")
 
     # one backward walk over the rows, shortest first: the columns up to a
     # row's last one, then the row
@@ -545,6 +541,6 @@ def route(g: Graph) -> tuple[Family, ConstructionOrder] | None:
     fs = ferrers_structure(g)
     if fs is not None:
         return FAMILY_FERRERS, fs.construction_order()
-    found = special_2_threshold_order(g)
-    return None if found is None else (FAMILY_SPECIAL_2_THRESHOLD, found[1])
+    co = special_2_threshold_order(g)
+    return None if co is None else (FAMILY_SPECIAL_2_THRESHOLD, co)
 

@@ -2,8 +2,9 @@
 
 Every edge {i, j} carries the weight x_i * x_j, one variable per vertex, and
 the enumerator of a graph is the sum over its spanning trees of the product
-of their edge weights.  Setting every variable to 1 recovers the plain
-counts, which the tests exploit throughout.
+of their edge weights.  Setting every variable to 1
+(``MultiPoly.substitute_all_ones``) recovers the plain counts, which the
+tests exploit throughout.
 
 The formula, the cofactor and the perturbation count are the generic
 bodies of ``counting`` over ``polynomial_ring(n)``, w(v) = x_v.
@@ -47,10 +48,8 @@ def weighted_matrix_tree_count(g: Graph) -> MultiPoly:
     return _cofactor(g, polynomial_ring(g.n))
 
 
-def weighted_perturbation_count(
-    g: Graph, a: Sequence[MultiPoly | int], b: Sequence[MultiPoly | int]
-) -> MultiPoly:
-    """det(L(G; w) + a b^T) divided exactly by (sum a)(sum b)."""
+def weighted_perturbation_count(g: Graph, a: Sequence[int], b: Sequence[int]) -> MultiPoly:
+    """det(L(G; w) + a b^T) divided exactly by the integer (sum a)(sum b)."""
     return _perturbation(g, a, b, polynomial_ring(g.n))
 
 

@@ -206,7 +206,7 @@ def merris_count(g: Graph, co: ConstructionOrder) -> int:
     vertices contribute deg+1, isolated ones deg, the initial vertex
     nothing, and the product is divided by n."""
     numerator = prod(g.degree(v) + 1 for v in co.u_dominating_vertices())
-    numerator *= prod(g.degree(v) for v in co.isolated_vertices())
+    numerator *= prod(g.degree(v) for v, r in zip(co.order, co.roles) if r == "isolated")
     if numerator % g.n:
         raise ValueError(f"{numerator} is not divisible by n = {g.n}")
     return numerator // g.n
@@ -218,7 +218,8 @@ def weighted_cayley_prufer(n: int) -> MultiPoly:
     if n == 1:
         return MultiPoly.const(1, 1)
     xs = [MultiPoly.variable(n, k) for k in range(1, n + 1)]
-    return prod(xs[1:], start=xs[0]) * sum(xs[1:], start=xs[0]) ** (n - 2)
+    s = sum(xs[1:], start=xs[0])
+    return prod([s] * (n - 2), start=prod(xs[1:], start=xs[0]))
 
 
 def relabeled(g: Graph, perm: list[int]) -> Graph:
@@ -300,9 +301,7 @@ def glued_graphs(draw, max_n=9):
     return relabeled(Graph(n, edges), list(perm))
 
 
-def independent_complement_search(
-    g: Graph,
-) -> tuple[frozenset[int], ConstructionOrder] | None:
+def independent_complement_search(g: Graph) -> ConstructionOrder | None:
     """Reference U-search: try every U whose complement is independent (any
     valid U has one), smallest complement first and lexicographically first
     within a size, and return the first that has a construction order."""
@@ -311,7 +310,7 @@ def independent_complement_search(
         for complement, _ in layer:
             co = u_threshold_order(g, g.vertex_set() - set(complement))
             if co is not None:
-                return co.u_set, co
+                return co
         layer = [
             (complement + (v,), v + 1)
             for complement, start in layer
@@ -330,9 +329,9 @@ def labelled_special_members(max_n: int) -> tuple[tuple[Graph, ConstructionOrder
         pairs = list(combinations(range(1, n + 1), 2))
         for bits in range(1 << len(pairs)):
             g = Graph(n, [e for k, e in enumerate(pairs) if bits >> k & 1])
-            found = special_2_threshold_order(g)
-            if found is not None:
-                out.append((g, found[1]))
+            co = special_2_threshold_order(g)
+            if co is not None:
+                out.append((g, co))
     return tuple(out)
 
 

@@ -87,9 +87,9 @@ def test_criterion_1_golden_counts():
         fs = ferrers_structure(g)
         if fs is not None:
             return ferrers_count(fs)
-        found = special_2_threshold_order(g)
-        if found is not None:
-            return special_2_threshold_count(g, found[1])
+        co = special_2_threshold_order(g)
+        if co is not None:
+            return special_2_threshold_count(g, co)
         return None
 
     cases = [
@@ -248,11 +248,11 @@ def test_criterion_7_weighted_suite():
 
     special_hits = 0
     for g in atlas_graphs(6):
-        found = special_2_threshold_order(g)
-        if found is None:
+        co = special_2_threshold_order(g)
+        if co is None:
             continue
         special_hits += 1
-        assert weighted_count_special_2threshold(g, found[1]) == weighted_oracle(g)
+        assert weighted_count_special_2threshold(g, co) == weighted_oracle(g)
     assert special_hits > 50
 
     for n in range(1, 6):

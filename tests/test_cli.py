@@ -504,6 +504,24 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: peeling produced an order")
 
 
+def test_staircase_self_check_exit_code(capsys, monkeypatch):
+    # columns out of degree order break the staircase: recognition says so
+    # rather than pass a Ferrers graph on to the U-search
+    from spantree.recognition import _inclusion_chain
+
+    def misordered(vs, masks):
+        ordered, bad = _inclusion_chain(vs, masks)
+        if len(ordered) == 3:  # the columns of shape 3,2,2,1, degrees 4,3,1
+            ordered[:2] = ordered[1::-1]
+        return ordered, bad
+
+    monkeypatch.setattr("spantree.recognition._inclusion_chain", misordered)
+    code, out, err = run(capsys, "count", fixture("ferrers3221.txt"))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: row ")
+
+
 def test_negative_oracle_limit_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("SPANTREE_ORACLE_LIMIT", "-5")
     for cmd in ("count", "weighted"):

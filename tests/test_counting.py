@@ -5,11 +5,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import spantree.counting
 from spantree import (
     CapabilityExceededError,
     ConstructionOrder,
     ExactnessError,
     Graph,
+    MultiPoly,
     build_perturbation,
     complete,
     complete_count,
@@ -153,6 +155,16 @@ def test_perturbation_count_rejects_zero_sums():
     # vectors of the wrong length are refused, not truncated
     for a, b in [([1, 1, 1], [1, 1, 1, 1]), ([1, 1, 1, 1], [1, 1, 1, 1, 1])]:
         with pytest.raises(ValueError):
+            perturbation_count(K4, a, b)
+
+
+@pytest.mark.parametrize("entry", [1.0, "1", MultiPoly.const(4, 1)], ids=["float", "str", "poly"])
+def test_perturbation_count_rejects_non_int_entries(entry, monkeypatch):
+    # the divisor (sum a)(sum b) must be an integer, so the entries are;
+    # a bad one is refused before the Laplacian is built
+    monkeypatch.setattr(spantree.counting, "_laplacian_rows", lambda *a, **k: pytest.fail("built"))
+    for a, b in (([entry, 1, 1, 1], [1] * 4), ([1] * 4, [1, 1, entry, 1])):
+        with pytest.raises(TypeError):
             perturbation_count(K4, a, b)
 
 
@@ -307,7 +319,7 @@ def test_special_count_goldens():
     co = u_threshold_order(SPECIAL5, SPECIAL5_U)
     assert special_2_threshold_count(SPECIAL5, co) == 8
     # the searched-for subset gives the same count
-    u, co2 = special_2_threshold_order(SPECIAL5)
+    co2 = special_2_threshold_order(SPECIAL5)
     assert special_2_threshold_count(SPECIAL5, co2) == 8
 
 
@@ -328,20 +340,18 @@ def test_special_count_degenerate_edgeless():
 
 def test_special_formula_agrees_with_matrix_tree():
     for g in atlas_graphs(7):
-        found = special_2_threshold_order(g)
-        if found is None:
+        co = special_2_threshold_order(g)
+        if co is None:
             continue
-        _, co = found
         assert special_2_threshold_count(g, co) == matrix_tree_count(g), g
     rng = random.Random(53)
     hits = 0
     for _ in range(200):
         g = random_graph(rng, 8, rng.choice([0.25, 0.5, 0.75]))
-        found = special_2_threshold_order(g)
-        if found is None:
+        co = special_2_threshold_order(g)
+        if co is None:
             continue
         hits += 1
-        _, co = found
         assert special_2_threshold_count(g, co) == matrix_tree_count(g)
     assert hits > 5
 
@@ -444,8 +454,8 @@ def test_uthreshold8_all_routes_agree():
     assert matrix_tree_count(UTHRESHOLD8) == UTHRESHOLD8_TAU
     assert oracle_count(UTHRESHOLD8) == UTHRESHOLD8_TAU
     found = special_2_threshold_order(UTHRESHOLD8)
-    assert found is not None and found[0] == UTHRESHOLD8_U
-    assert special_2_threshold_count(UTHRESHOLD8, found[1]) == UTHRESHOLD8_TAU
+    assert found is not None and found.u_set == UTHRESHOLD8_U
+    assert special_2_threshold_count(UTHRESHOLD8, found) == UTHRESHOLD8_TAU
     co = u_threshold_order(UTHRESHOLD8, UTHRESHOLD8_U)
     assert special_2_threshold_count(UTHRESHOLD8, co) == UTHRESHOLD8_TAU
 

@@ -178,13 +178,11 @@ def test_roles_are_sound_on_random_instances():
 
 
 def test_special_search_on_running_examples():
-    found = special_2_threshold_order(SPECIAL5)
-    assert found is not None
-    u, co = found
+    co = special_2_threshold_order(SPECIAL5)
+    assert co is not None
     co.check(SPECIAL5)
-    assert co.u_set == u
     # candidates are scanned in a fixed order, so the result is reproducible
-    assert u == frozenset({1, 3, 4, 5})
+    assert co.u_set == frozenset({1, 3, 4, 5})
     assert co.order == (1, 5, 2, 3, 4)
 
     found8 = special_2_threshold_order(UTHRESHOLD8)
@@ -198,7 +196,7 @@ def test_special_search_on_running_examples():
 def test_special_search_returns_whole_vertex_set_for_threshold_inputs():
     found = special_2_threshold_order(THRESHOLD5)
     assert found is not None
-    assert found[0] == THRESHOLD5.vertex_set()
+    assert found.u_set == THRESHOLD5.vertex_set()
 
 
 def test_special_search_matches_the_independent_complement_reference():
@@ -252,16 +250,14 @@ def test_special_search_peels_only_u_equal_v_on_a_threshold_graph(monkeypatch):
     monkeypatch.setattr(
         spantree.recognition, "_u_candidates", lambda *args: pytest.fail("candidates built")
     )
-    u_set, co = special_2_threshold_order(THRESHOLD5)
-    assert u_set == THRESHOLD5.vertex_set() and co == expected
+    co = special_2_threshold_order(THRESHOLD5)
+    assert co.u_set == THRESHOLD5.vertex_set() and co == expected
     assert peels == [(THRESHOLD5.full_mask(), THRESHOLD5.full_mask())]
 
 
 def test_special_search_has_no_vertex_cap():
-    assert special_2_threshold_order(Graph(25))[0] == frozenset(range(1, 26))
-    u_set, co = special_2_threshold_order(SPECIAL26)
-    co.check(SPECIAL26)
-    assert co.u_set == u_set
+    assert special_2_threshold_order(Graph(25)).u_set == frozenset(range(1, 26))
+    special_2_threshold_order(SPECIAL26).check(SPECIAL26)
     # the path contains 2K2, so no U exists
     assert special_2_threshold_order(Graph(30, [(i, i + 1) for i in range(1, 30)])) is None
 
@@ -425,7 +421,7 @@ def _assert_threshold_peel_is_the_special_order(g):
     # so classify may print the special order for a threshold graph
     co = threshold_order(g)
     if co is not None:
-        assert special_2_threshold_order(g) == (g.vertex_set(), co), g
+        assert special_2_threshold_order(g) == co, g
 
 
 def test_special_order_of_a_threshold_graph_is_the_threshold_order():

@@ -109,17 +109,33 @@ def test_package_repeats_no_statement_run():
     assert not found, found
 
 
-def _names(tree: ast.AST, *, skip_module: str | None = None) -> set[str]:
+def _names(
+    tree: ast.AST, *, skip_module: str | None = None, attributes_only: bool = False
+) -> set[str]:
     """Every name a module loads, binds, reads as an attribute or imports,
-    leaving out imports from the sibling module ``skip_module``."""
+    leaving out imports from the sibling module ``skip_module``, and each
+    name inside a ``def`` of that name: a call to itself is no call.
+    ``attributes_only`` keeps the attribute reads alone."""
     found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+
+    def visit(node: ast.AST, own: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own |= {node.name}
+        if isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif attributes_only:
+            names = set()
+        elif isinstance(node, ast.Name):
+            names = {node.id}
         elif isinstance(node, ast.ImportFrom) and node.module != skip_module:
-            found.update(alias.name for alias in node.names)
+            names = {alias.name for alias in node.names}
+        else:
+            names = set()
+        found.update(names - own)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(tree, frozenset())
     return found
 
 
@@ -127,6 +143,7 @@ def test_names_check_sees_imports_attributes_and_calls():
     tree = ast.parse("from .linalg import a\nfrom .poly import b\nlinalg.c(d)\n")
     assert _names(tree) == {"a", "b", "c", "d", "linalg"}
     assert _names(tree, skip_module="linalg") == {"b", "c", "d", "linalg"}
+    assert _names(tree, attributes_only=True) == {"c"}
 
 
 def _uncalled(names: list[str], sources: dict[str, str]) -> list[str]:
@@ -151,22 +168,67 @@ PUBLIC_WITHOUT_CALLER = {
     "weighted_laplacian",
     # the writer of the format parse_edge_list reads, named in README
     "format_edge_list",
+    # the paper's weighted Ferrers formula, which perfbench/spans.py patches;
+    # its one call in the package is to itself, from a structure to its shape
+    "weighted_count_ferrers",
 }
 
 
 def test_caller_check_catches_a_planted_name():
     sources = {
-        "__init__.py": "from .a import f, g, h\n",
-        "a.py": "def f():\n    return 1\n\ndef g():\n    return f()\n\ndef h():\n    pass\n",
+        "__init__.py": "from .a import f, g, h, r\n",
+        "a.py": "def f():\n    return 1\n\ndef g():\n    return f()\n\ndef h():\n    pass\n"
+        "\ndef r(k):\n    return r(k - 1) if k else 0\n",
         "b.py": "from .a import h\n",
     }
-    assert _uncalled(["f", "g", "h"], sources) == ["g"]
+    # r calls only itself, which is no caller
+    assert _uncalled(["f", "g", "h", "r"], sources) == ["g", "r"]
 
 
 def test_every_public_name_has_a_caller():
     assert PUBLIC_WITHOUT_CALLER <= set(spantree.__all__)
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     found = [name for name in _uncalled(spantree.__all__, sources) if name not in PUBLIC_WITHOUT_CALLER]
+    assert not found, found
+
+
+def _uncalled_methods(sources: dict[str, str]) -> list[str]:
+    """"Class.method" for each public method or property of a class in
+    ``sources`` (file name to text) that no module reads as an attribute
+    outside the method's own ``def``."""
+    trees = [ast.parse(source) for source in sources.values()]
+    read = set().union(*(_names(tree, attributes_only=True) for tree in trees))
+    return [
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+#: Public methods that stay without a caller in the package
+METHODS_WITHOUT_CALLER = {
+    # the tests' bridge from a weighted enumerator to the integer count,
+    # named in the weighted module's docstring
+    "substitute_all_ones",
+}
+
+
+def test_method_caller_check_catches_a_planted_method():
+    # walk calls only itself; size is read and _private is not public
+    a = "class A:\n  def used(s): return 1\n  def orphan(s): return s.used()\n"
+    a += "  def walk(s, k): return s.walk(k - 1)\n  @property\n  def size(s): return 0\n"
+    a += "  def _private(s): pass\n"
+    assert _uncalled_methods({"a.py": a, "b.py": "f = lambda a: a.size\n"}) == ["A.orphan", "A.walk"]
+
+
+def test_every_public_method_has_a_caller():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    found = [name for name in _uncalled_methods(sources) if name.split(".")[1] not in METHODS_WITHOUT_CALLER]
     assert not found, found
 
 

@@ -23,10 +23,19 @@ def test_trace_tables_resolve_and_run(capsys):
     tracer = _spans_module().Tracer()
     tracer.install()
     try:
-        for command in ("count", "weighted", "classify"):
-            assert spantree.cli.main([command, path]) == 0, command
+        for argv in (
+            ["count", path],
+            ["weighted", path],
+            ["classify", path],
+            ["count", path, "--method", "perturbation"],
+            ["weighted", path, "--method", "perturbation"],
+        ):
+            assert spantree.cli.main(argv) == 0, argv
     finally:
         tracer.uninstall()
     capsys.readouterr()
     notes = [rec[6] for rec in tracer.spans if rec[3] == "linalg.bareiss"]
     assert any(note["ring"] == "int" for note in notes), notes
+    # the weighted perturbation divides its determinant by the integer n^2
+    notes = [rec[6] for rec in tracer.spans if rec[3] == "poly.exact_div"]
+    assert notes and all(note["terms"] > 0 for note in notes), notes

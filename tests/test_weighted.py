@@ -1,6 +1,6 @@
 import random
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
@@ -109,11 +109,13 @@ def test_weighted_perturbation_specializes_to_integers():
 
 def test_weighted_perturbation_rejects_zero_sums():
     n2 = Graph(2, [(1, 2)])
-    zero = MultiPoly.zero(2)
     with pytest.raises(ValueError):
-        weighted_perturbation_count(n2, [zero, zero], [1, 1])
+        weighted_perturbation_count(n2, [1, -1], [1, 1])
     with pytest.raises(ValueError):
         weighted_perturbation_count(n2, [1], [1, 1])
+    # the vectors are integers, so the divisor is one
+    with pytest.raises(TypeError):
+        weighted_perturbation_count(n2, [1, 1], [1, MultiPoly.variable(2, 1)])
 
 
 def test_weighted_build_perturbation_golden():
@@ -247,11 +249,10 @@ def test_weighted_ferrers_goldens():
 def test_weighted_special_matches_oracle_up_to_six():
     hits = 0
     for g in atlas_graphs(6):
-        found = special_2_threshold_order(g)
-        if found is None:
+        co = special_2_threshold_order(g)
+        if co is None:
             continue
         hits += 1
-        _, co = found
         assert weighted_count_special_2threshold(g, co) == weighted_oracle(g), g
     assert hits > 50
 
@@ -418,11 +419,14 @@ def test_expansion_determinant_over_polynomials():
             for _ in range(n)
         ]
         zero, one = MultiPoly.zero(2), MultiPoly.const(2, 1)
-        # Bareiss over polynomials is the independent reference here; the
-        # package itself runs it over the integers only
-        assert expansion_determinant(rows, zero=zero, one=one) == fraction_free_determinant(
-            rows, zero=zero, one=one, exact_div=lambda p, q: p.exact_div(q)
-        )
+        # the Leibniz sum over all permutations is the independent,
+        # division-free reference
+        leibniz = zero
+        for perm in permutations(range(n)):
+            term = prod((row[j] for row, j in zip(rows, perm)), start=one)
+            odd = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2)) & 1
+            leibniz = leibniz - term if odd else leibniz + term
+        assert expansion_determinant(rows, zero=zero, one=one) == leibniz
 
 
 @settings(max_examples=60, deadline=None)
