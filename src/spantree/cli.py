@@ -20,7 +20,6 @@ from typing import Callable, Iterator, Sequence
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
     _oracle_guard,
-    complete_count,
     ferrers_count,
     matrix_tree_count,
     multipartite_count,
@@ -233,13 +232,19 @@ def _check_family_size(flag: str, n: int) -> None:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    chosen = [f for f in (args.complete, args.ferrers, args.multipartite) if f is not None]
+    flags = {"--complete": args.complete, "--ferrers": args.ferrers,
+             "--multipartite": args.multipartite}
+    chosen = [flag for flag, value in flags.items() if value is not None]
     if args.file is None and not chosen:
         raise ValueError("count needs a FILE or one of --complete/--ferrers/--multipartite")
     if args.file is not None and chosen:
         raise ValueError("give either a FILE or a family flag, not both")
     if len(chosen) > 1:
         raise ValueError("give at most one family flag")
+    if chosen and args.method not in ("auto", "formula"):
+        raise ValueError(
+            f"{chosen[0]} is counted by its formula; --method {args.method} does not apply"
+        )
 
     # a family flag's graph is built only if --verify asks for it and its
     # size passes the oracle's guard
@@ -248,7 +253,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         if n < 1:
             raise ValueError("--complete needs n >= 1")
         _check_family_size("--complete", n)
-        fields = {"count": complete_count(n), "method": "formula:complete"}
+        fields = {"count": multipartite_count([1] * n), "method": "formula:complete"}
         graph, size = (lambda: complete(n)), (n, n * (n - 1) // 2)
         source = {"family": "complete", "n": n}
     elif args.ferrers is not None:

@@ -1,7 +1,7 @@
 """Spanning-tree counting: a brute-force oracle, the Laplacian cofactor
 route, rank-one perturbations, and the closed-form formulas: the one
-degree-product formula over a construction order, and the complete,
-multipartite and shape-only Ferrers products.
+degree-product formula over a construction order, and the complete
+multipartite and shape-only Ferrers products (K_n is K_{1,...,1}).
 
 The degree-product formula, the cofactor, the perturbation count and the
 triangular perturbation are each written once over a ``linalg.Ring``; the
@@ -88,11 +88,7 @@ def spanning_trees(
     inputs; ``_oracle_guard`` refuses the rest.
     """
     _oracle_guard(g.n, g.edge_count, max_edges)
-    edges = g.edges()
-    if g.n == 1:
-        yield ()
-        return
-    for subset in combinations(edges, g.n - 1):
+    for subset in combinations(g.edges(), g.n - 1):
         if _tree_check(g.n, subset):
             yield subset
 
@@ -107,17 +103,13 @@ def oracle_count(g: Graph, *, max_edges: int | None = None) -> int:
 
 
 def _cofactor(g: Graph, ring: Ring[T]) -> T:
-    """Kirchhoff's cofactor at a highest-degree vertex r (lowest label on
-    ties; every r gives the same value).  Row i of L(G; w) is w(i) times a
-    row with -w(j) on edges, so the cofactor is prod_{i != r} w(i) times
-    the determinant of those rows without r (L without r when w = 1), and
-    no weight is divided out.  A single vertex counts one (empty) tree."""
+    """Kirchhoff's cofactor: the determinant of L(G; w) without the row and
+    column of a highest-degree vertex r (lowest label on ties; every r gives
+    the same value).  A single vertex counts one (empty) tree."""
     if g.n < 1:
         raise ValueError("need at least one vertex")
     r = min(g.vertices, key=lambda v: (-g.degree(v), v))
-    rest = [v for v in g.vertices if v != r]
-    rows = _laplacian_rows(g, rest, ring, row_factors=False)
-    return ring.det(rows) * ring.weight_product(rest)
+    return ring.det(_laplacian_rows(g, [v for v in g.vertices if v != r], ring))
 
 
 def matrix_tree_count(g: Graph) -> int:
@@ -177,15 +169,6 @@ def build_perturbation(
     the u_dominating and U indicator vectors (w = 1), upper triangular;
     raises TriangularityError otherwise.  Returns (a, b, rows)."""
     return _perturbed_rows(g, co, INTEGERS)
-
-
-def complete_count(n: int) -> int:
-    """n**(n-2) spanning trees; one and two vertices both count one tree."""
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got {n}")
-    if n <= 2:
-        return 1
-    return n ** (n - 2)
 
 
 def multipartite_count(sizes: Iterable[int]) -> int:

@@ -182,7 +182,7 @@ def complete(n: int) -> Graph:
     """The graph on n >= 1 vertices in which every pair is an edge."""
     if n < 1:
         raise ValueError(f"need at least one vertex, got {n}")
-    return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
+    return complete_multipartite([1] * n)
 
 
 def _part_sizes(sizes: Iterable[int]) -> list[int]:

@@ -7,14 +7,13 @@ of a block's value.  ``INTEGERS`` is w = 1 and ``polynomial_ring(n)`` is
 w = x_v, so the Laplacian, the triangular check, the rank-one update, the
 formula, the cofactor and the perturbation count are each written once.
 The integer determinant is fraction-free (Bareiss) elimination, every
-division exact; polynomial matrices take the triangular shortcut or the
-division-free expansion, so no polynomial is ever divided by another.
+division exact; the polynomial determinant is the division-free
+expansion, so no polynomial is ever divided by another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Callable, Collection, Generic, Sequence, TypeVar
 
 from .errors import ExactnessError
@@ -76,31 +75,33 @@ def fraction_free_determinant(
 def expansion_determinant(rows: Sequence[Sequence[T]], *, zero: T, one: T) -> T:
     """Determinant of a square matrix over a commutative ring, division free.
 
-    Laplace expansion along the rows, memoised on the set of columns the
-    rows so far have taken: after row i, ``partial[S]`` is the signed sum of
-    the products choosing the columns S for rows 1..i.  Zero entries and
-    zero partial sums are skipped, so a sparse matrix reaches few sets; the
-    worst case is 2**n sets.  Entries must support ``*``, ``+`` and ``-`` and
-    be falsy exactly when zero.  The 0x0 determinant is one.
+    Laplace expansion along the columns, memoised on the set of rows the
+    columns so far have taken: after column j, ``partial[S]`` is the signed
+    sum of the products choosing the rows S for columns 1..j.  Zero entries
+    and zero partial sums are skipped, so a sparse matrix reaches few sets,
+    and an upper-triangular one, whose column j is zero below row j, reaches
+    one set per column: the diagonal product.  The worst case is 2**n sets.
+    Entries must support ``*``, ``+`` and ``-`` and be falsy exactly when
+    zero.  The 0x0 determinant is one.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
     partial = {0: one}
-    for row in rows:
+    for column in zip(*rows):
         grown: dict[int, T] = {}
         for used, value in partial.items():
             if not value:
                 continue
-            for j, entry in enumerate(row):
-                bit = 1 << j
+            for i, entry in enumerate(column):
+                bit = 1 << i
                 if used & bit or not entry:
                     continue
                 term = entry * value
                 key = used | bit
                 prev = grown.get(key)
-                # each used column right of j is one inversion
-                if (used >> j).bit_count() & 1:
+                # each used row below i is one inversion
+                if (used >> i).bit_count() & 1:
                     grown[key] = -term if prev is None else prev - term
                 else:
                     grown[key] = term if prev is None else prev + term
@@ -137,13 +138,11 @@ def rank_one_update(
     return [[x + ai * bj for x, bj in zip(row, b)] for row, ai in zip(rows, a)]
 
 
-def _laplacian_rows(
-    g: Graph, order: Sequence[int], ring: Ring[T], *, row_factors: bool = True
-) -> list[list[T]]:
+def _laplacian_rows(g: Graph, order: Sequence[int], ring: Ring[T]) -> list[list[T]]:
     """Rows and columns of L(G; w) for the vertices of ``order``, over any
     ring: entry (u, u) is w(u) times the sum of w(v) over N(u), entry (u, v)
     is -w(u) w(v) on an edge.  Leaving vertices out of ``order`` gives a
-    principal submatrix; ``row_factors=False`` divides row u by w(u)."""
+    principal submatrix."""
     w = {v: ring.weight(v) for v in g.vertices}
     pos = {v: j for j, v in enumerate(order)}
     rows = []
@@ -152,9 +151,8 @@ def _laplacian_rows(
         row = [ring.zero] * len(order)
         for v in nbrs:
             if v in pos:
-                row[pos[v]] = -(w[u] * w[v]) if row_factors else -w[v]
-        total = ring.weight_sum(nbrs)
-        row[pos[u]] = w[u] * total if row_factors else total
+                row[pos[v]] = -(w[u] * w[v])
+        row[pos[u]] = w[u] * ring.weight_sum(nbrs)
         rows.append(row)
     return rows
 
@@ -194,8 +192,8 @@ INTEGERS: Ring[int] = Ring(
 
 
 def polynomial_ring(n: int) -> Ring[MultiPoly]:
-    """The polynomials in x_1..x_n, w(v) = x_v.  The determinant is the
-    diagonal product of a triangular matrix, the expansion otherwise."""
+    """The polynomials in x_1..x_n, w(v) = x_v; the determinant is the
+    expansion."""
     zero, one = MultiPoly.zero(n), MultiPoly.const(n, 1)
 
     # both build one term map of exponent tuples valid by construction,
@@ -210,12 +208,9 @@ def polynomial_ring(n: int) -> Ring[MultiPoly]:
             exps[v - 1] = 1
         return MultiPoly._of(n, {tuple(exps): 1})
 
-    def det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-        if is_upper_triangular(rows):
-            return prod((row[i] for i, row in enumerate(rows)), start=one)
-        return expansion_determinant(rows, zero=zero, one=one)
-
     return Ring(
         zero, one, lambda v: MultiPoly.variable(n, v), weight_sum, weight_product,
-        lambda p, q: p.exact_div(q), det, lambda p, labels: p.lift(n, labels),
+        lambda p, q: p.exact_div(q),
+        lambda rows: expansion_determinant(rows, zero=zero, one=one),
+        lambda p, labels: p.lift(n, labels),
     )

@@ -42,9 +42,9 @@ def weighted_oracle(g: Graph, *, max_edges: int | None = None) -> MultiPoly:
 
 
 def weighted_matrix_tree_count(g: Graph) -> MultiPoly:
-    """Enumerator as the weighted Kirchhoff cofactor, without any division:
-    prod_{i != r} x_i times the expansion determinant of the rows divided
-    by their x_i, exponential in n."""
+    """Enumerator as the weighted Kirchhoff cofactor: the expansion
+    determinant of L(G; w) without one row and column, without any
+    division, exponential in n."""
     return _cofactor(g, polynomial_ring(g.n))
 
 

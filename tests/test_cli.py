@@ -123,6 +123,20 @@ def test_count_complete_needs_a_vertex(capsys):
     assert run(capsys, "count", "--complete", "0") == (2, "", "error: --complete needs n >= 1\n")
 
 
+@pytest.mark.parametrize("method", ["matrix-tree", "perturbation", "oracle"])
+@pytest.mark.parametrize(
+    "flag", [["--complete", "5"], ["--ferrers", "3,2,2,1"], ["--multipartite", "2,3"]]
+)
+def test_count_family_flag_refuses_other_methods(capsys, flag, method):
+    # a family flag is counted by its formula; no other method is silently
+    # replaced by it
+    message = f"error: {flag[0]} is counted by its formula; --method {method} does not apply\n"
+    assert run(capsys, "count", *flag, "--method", method) == (2, "", message)
+    for kept in ("auto", "formula"):
+        code, out, err = run(capsys, "count", *flag, "--method", kept)
+        assert (code, err) == (0, "") and out == run(capsys, "count", *flag)[1]
+
+
 def test_text_output_lists_no_edges(capsys, monkeypatch):
     # only --json echoes the input edges
     monkeypatch.setattr(Graph, "edges", lambda self: pytest.fail("edges listed"))
@@ -248,7 +262,9 @@ def test_count_converts_the_count_to_decimal_once(capsys, monkeypatch):
 
         __repr__ = __str__
 
-    monkeypatch.setattr(spantree.cli, "complete_count", lambda n: Count(n ** (n - 2)))
+    monkeypatch.setattr(
+        spantree.cli, "multipartite_count", lambda sizes: Count(len(sizes) ** (len(sizes) - 2))
+    )
     assert run_json(capsys, "count", "--complete", "30", "--json")["count"] == 30**28
     assert conversions == []
     text = f"{30**28} (method: formula:complete)\n"

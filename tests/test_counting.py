@@ -14,7 +14,6 @@ from spantree import (
     MultiPoly,
     build_perturbation,
     complete,
-    complete_count,
     complete_multipartite,
     determinant,
     ferrers_count,
@@ -245,12 +244,13 @@ def test_exact_int_div():
 
 
 def test_complete_count():
-    assert complete_count(1) == 1
-    assert complete_count(2) == 1
-    assert complete_count(4) == 16
-    assert complete_count(5) == 125
+    # K_n is K_{1,...,1}: one and two vertices count one tree, else n**(n-2)
+    assert multipartite_count([1]) == 1
+    assert multipartite_count([1] * 2) == 1
+    assert multipartite_count([1] * 4) == 16
+    assert multipartite_count([1] * 5) == 125
     with pytest.raises(ValueError):
-        complete_count(0)
+        multipartite_count([1] * 0)
 
 
 def test_bipartite_count():
@@ -271,7 +271,7 @@ def test_multipartite_count():
 
 def test_complete_formula_agrees_with_matrix_tree():
     for n in range(1, 9):
-        assert complete_count(n) == matrix_tree_count(complete(n))
+        assert multipartite_count([1] * n) == matrix_tree_count(complete(n)) == n ** max(n - 2, 0)
 
 
 def test_multipartite_formula_agrees_with_matrix_tree():

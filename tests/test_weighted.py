@@ -34,7 +34,7 @@ from spantree import (
     weighted_oracle,
     weighted_perturbation_count,
 )
-from spantree.linalg import exact_int_div, polynomial_ring
+from spantree.linalg import INTEGERS, _laplacian_rows, exact_int_div, polynomial_ring
 from sample_graphs import (
     FERRERS3221,
     HOUSE_TAIL,
@@ -142,6 +142,19 @@ def test_weighted_build_perturbation_edgeless():
     assert is_upper_triangular(rows)
     assert all(row[i].is_zero() for i, row in enumerate(rows))
     assert polynomial_ring(g.n).det(rows).is_zero()
+
+
+def test_polynomial_det_of_a_triangular_perturbation_is_linear(monkeypatch):
+    # the expansion walks columns, so an upper-triangular matrix costs one
+    # product per column: its diagonal product
+    g = threshold_graph_from_bits(12, 0b10010000001)
+    _, _, rows = weighted_build_perturbation(g, threshold_order(g))
+    diag_product = prod((row[i] for i, row in enumerate(rows)), start=MultiPoly.const(g.n, 1))
+    calls = []
+    mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+    assert polynomial_ring(g.n).det(rows) == diag_product
+    assert len(calls) <= g.n
 
 
 def _build_outcome(build, g, co):
@@ -435,6 +448,18 @@ def test_weighted_matrix_tree_property(g):
     poly = weighted_matrix_tree_count(g)
     assert poly == weighted_oracle(g)
     assert poly.substitute_all_ones() == matrix_tree_count(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs())
+def test_every_cofactor_is_the_count(g):
+    # Kirchhoff: deleting any vertex r's row and column gives the same
+    # determinant, in both rings, disconnected graphs included
+    for ring, count in ((INTEGERS, matrix_tree_count(g)),
+                        (polynomial_ring(g.n), weighted_matrix_tree_count(g))):
+        for r in g.vertices:
+            rest = [v for v in g.vertices if v != r]
+            assert ring.det(_laplacian_rows(g, rest, ring)) == count, r
 
 
 # zeros drawn often, so sparse matrices exercise the skipped entries
