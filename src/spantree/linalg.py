@@ -7,8 +7,11 @@ of a block's value.  ``INTEGERS`` is w = 1 and ``polynomial_ring(n)`` is
 w = x_v, so the Laplacian, the triangular check, the rank-one update, the
 formula, the cofactor and the perturbation count are each written once.
 The integer determinant is fraction-free (Bareiss) elimination, every
-division exact; the polynomial determinant is the division-free
-expansion, so no polynomial is ever divided by another.
+division exact; a symmetric matrix, such as a reduced Laplacian, stays
+symmetric until a row swap, so only its upper triangle is eliminated:
+about n^3/6 exact divisions instead of n^3/3.  The polynomial determinant
+is the division-free expansion, so no polynomial is ever divided by
+another.
 """
 
 from __future__ import annotations
@@ -39,9 +42,16 @@ def fraction_free_determinant(
 ) -> T:
     """Determinant of a square matrix over an integral domain.
 
-    Bareiss condensation: after step k every entry is a (k+1)x(k+1) minor of
-    the original matrix, and the division by the previous pivot is exact.
-    Entries must support ``*`` and ``-`` and be falsy exactly when zero.
+    Bareiss condensation: after step k entry (i, j) is the minor of rows
+    {0..k, i} and columns {0..k, j} of the original matrix, and the
+    division by the previous pivot is exact.  That minor is symmetric in i
+    and j when the matrix is, so a symmetric matrix (a reduced Laplacian,
+    L + 11^T) has each row computed from its diagonal on, reading a[i][k]
+    as a[k][i]: (n-1)n(n+1)/6 exact divisions, about n^3/6, instead of the
+    (n-1)n(2n-1)/6, about n^3/3, of a general one.  A zero pivot forces a
+    row swap, which ends the symmetry: the trailing upper triangle is then
+    copied into the lower one and elimination goes on in full.  Entries
+    must support ``*``, ``-`` and ``==`` and be falsy exactly when zero.
     The 0x0 determinant is one (empty product).
     """
     n = len(rows)
@@ -50,23 +60,29 @@ def fraction_free_determinant(
     a = [list(r) for r in rows]
     if any(len(r) != n for r in a):
         raise ValueError("matrix must be square")
+    symmetric = all(tuple(row) == column for row, column in zip(a, zip(*a)))
     negate = False
     prev = one
     for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if a[i][k]), None)
-        if pivot is None:
-            return zero
-        if pivot != k:
+        if not a[k][k]:
+            if symmetric:
+                for i in range(k + 1, n):
+                    a[i][k:i] = [a[j][i] for j in range(k, i)]
+                symmetric = False
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return zero
             a[k], a[pivot] = a[pivot], a[k]
             negate = not negate
-        pk = a[k][k]
         row_k = a[k]
+        pk = row_k[k]
         for i in range(k + 1, n):
             row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = exact_div(pk * row_i[j] - aik * row_k[j], prev)
-            row_i[k] = zero
+            start, aik = (i, row_k[i]) if symmetric else (k + 1, row_i[k])
+            row_i[start:] = [
+                exact_div(pk * x - aik * y, prev)
+                for x, y in zip(row_i[start:], row_k[start:])
+            ]
         prev = pk
     det = a[n - 1][n - 1]
     return -det if negate else det

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import spantree.linalg as linalg
 from spantree import (
     INTEGERS,
     Graph,
@@ -9,6 +11,7 @@ from spantree import (
     determinant,
     is_upper_triangular,
     laplacian,
+    matrix_tree_count,
     polynomial_ring,
     rank_one_update,
 )
@@ -94,6 +97,10 @@ def test_determinant_special_cases():
         determinant([[1, 2, 3], [4, 5, 6]])
     # zero column short-circuits
     assert determinant([[0, 1], [0, 2]]) == 0
+    # a zero pivot on a symmetric matrix forces a swap, at step 0 or later
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[1, 1, 0], [1, 1, 1], [0, 1, 0]]) == -1
+    assert determinant([[2, 1, 0], [1, 0, 0], [0, 0, 0]]) == 0
 
 
 def test_determinant_matches_cofactor_expansion():
@@ -140,3 +147,72 @@ def test_rank_one_update():
             rank_one_update(m, a, b)
     with pytest.raises(ValueError):
         rank_one_update([[1, 2], [3]], [1, 1], [1, 1])
+
+
+def _count_divisions(monkeypatch, rows) -> tuple[int, int]:
+    """The determinant of rows and the number of exact divisions it took."""
+    calls = 0
+    divide = linalg.exact_int_div
+
+    def counted(num, den):
+        nonlocal calls
+        calls += 1
+        return divide(num, den)
+
+    monkeypatch.setattr(linalg, "exact_int_div", counted)
+    det = determinant(rows)
+    monkeypatch.undo()
+    return det, calls
+
+
+def test_symmetric_input_eliminates_the_upper_triangle_only(monkeypatch):
+    g = random_graph(random.Random(5), 30, 0.4)
+    tau = matrix_tree_count(g)
+    lap = laplacian(g)
+    n = len(lap)
+    reduced = [row[1:] for row in lap[1:]]
+    m = len(reduced)
+    # (m-1)m(m+1)/6 divisions: row i of step k runs from column i, not k+1
+    assert _count_divisions(monkeypatch, reduced) == (tau, (m - 1) * m * (m + 1) // 6)
+    assert (m - 1) * m * (m + 1) // 6 == 4060
+    # L + 11^T is symmetric too: det = n^2 tau
+    ones = [1] * n
+    assert _count_divisions(monkeypatch, rank_one_update(lap, ones, ones)) == (
+        n * n * tau, (n - 1) * n * (n + 1) // 6
+    )
+    # L + e_1 1^T is not: every entry right of the pivot column, det = n tau
+    e1 = [1] + [0] * (n - 1)
+    assert _count_divisions(monkeypatch, rank_one_update(lap, e1, ones)) == (
+        n * tau, (n - 1) * n * (2 * n - 1) // 6
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(4, [(1, 3), (3, 4)]),  # isolated vertex 2: zero first pivot
+        Graph(6, [(1, 2), (2, 3), (4, 5), (5, 6), (4, 6)]),  # zero last pivot
+        Graph(7, [(1, 2), (3, 4), (4, 5), (6, 7)]),
+        Graph(3),
+    ],
+)
+def test_reduced_laplacian_of_a_disconnected_graph_is_singular(g):
+    assert determinant([row[1:] for row in laplacian(g)[1:]]) == 0
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=6):
+    n = draw(st.integers(0, max_n))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        # a zero diagonal is drawn about half the time, so swaps are common
+        rows[i][i] = draw(st.one_of(st.just(0), st.integers(-4, 4)))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_symmetric_determinant_matches_cofactor_expansion(rows):
+    assert determinant(rows) == naive_determinant(rows)
