@@ -257,8 +257,9 @@ def reduce_and_route(
 
     tau(G) is the product of tau over the blocks, and with edge weights
     x_i * x_j so is the enumerator, once ``ring.lift`` has moved each
-    block's value to g's variables; a bridge is the block K2, whose 1 x 1
-    cofactor gives 1, or x_u * x_v lifted.  A disconnected g is
+    block's value to g's variables; a bridge {u, v} has the edge as its
+    one tree and contributes w(u) * w(v) in g's ring directly, with no
+    route, cofactor or lift.  A disconnected g is
     ``ring.zero``, found without building a Laplacian.  Returns (value, method,
     route(g)), method "formula:<family>", "matrix-tree" for a 2-connected
     non-member or "blocks".  ``cofactor=None`` refuses non-members with
@@ -278,13 +279,12 @@ def reduce_and_route(
         return ring.zero, "blocks", None
     if len(parts) == 1:
         return cofactor(g), "matrix-tree", None
-    # equal blocks (every bridge is the one K2) are answered once, a bridge
-    # by its 1 x 1 cofactor, which costs less than routing it
-    answers: dict[Graph, T] = {}
-    for block, _ in parts:
-        if block not in answers:
-            found = None if block.n == 2 else route(block)
-            answers[block] = cofactor(block) if found is None else formula(block, found[1])
-    product = reduce(mul, (ring.lift(answers[block], labels) for block, labels in parts))
-    return product, "blocks", None
+
+    def answer(block: Graph, labels: tuple[int, ...]) -> T:
+        if block.n == 2:  # a bridge: its one tree is the edge
+            return ring.weight_product(labels)
+        found = route(block)
+        return ring.lift(cofactor(block) if found is None else formula(block, found[1]), labels)
+
+    return reduce(mul, (answer(*part) for part in parts)), "blocks", None
 

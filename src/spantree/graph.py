@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EdgeListParseError
 
@@ -170,12 +170,6 @@ class PartitionShape:
                 rows -= 1
             conj.append(rows)
         return PartitionShape(conj)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
 
 
 def complete(n: int) -> Graph:

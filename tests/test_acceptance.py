@@ -150,19 +150,90 @@ def _triangular_perturbation_exists(g: Graph) -> bool:
     return False
 
 
+def _triangular_orders(g: Graph):
+    """Every (order, B) such that L, permuted along the order, plus a b^T
+    is upper triangular for some 0/1 vector a, with b the indicator of B.
+    Orders are grown from the front, sharing no code with the peel.
+
+    Entry (i, j), i > j, is a_i b_j minus one on an edge and a_i b_j off
+    one, so it is zero exactly when vertex i's earlier neighbors are
+    either none (a_i = 0) or the earlier vertices of B (a_i = 1).  A
+    prefix failing that is pruned; which vertices came first and which of
+    them are in B is all a later vertex sees, so a state with no
+    completion is remembered and never grown again."""
+    nbrs = g.neighbor_masks()
+    full = (1 << g.n) - 1
+    dead = set()
+
+    def grow(order, seen, b):
+        if seen == full:
+            yield tuple(order), b
+            return
+        if (seen, b) in dead:
+            return
+        found = False
+        for v in g.vertices:
+            bit = 1 << (v - 1)
+            lower = nbrs[v] & seen
+            if seen & bit or lower and lower != b:
+                continue
+            order.append(v)
+            for b_next in (b, b | bit):
+                for pair in grow(order, seen | bit, b_next):
+                    found = True
+                    yield pair
+            order.pop()
+        if not found:
+            dead.add((seen, b))
+
+    return grow([], 0, 0)
+
+
+def _confirm_triangular(g: Graph, order: tuple[int, ...], b_mask: int) -> None:
+    """Build the permuted L + a b^T of a found order and check it."""
+    lap = laplacian(g)
+    rows = [[lap[u - 1][v - 1] for v in order] for u in order]
+    nbrs, seen, a = g.neighbor_masks(), 0, []
+    for v in order:
+        a.append(int(nbrs[v] & seen != 0))
+        seen |= 1 << (v - 1)
+    b = [b_mask >> (v - 1) & 1 for v in order]
+    assert is_upper_triangular(rank_one_update(rows, a, b)), (g, order)
+
+
 @criterion(3, "characterization agreement")
 def test_criterion_3_characterizations_agree_up_to_seven():
     start = time.perf_counter()
     graphs = atlas_graphs(7, connected_only=True)
     assert len(graphs) == 996
+    rng = random.Random(20251019)
+    members = pairs_checked = 0
     for g in graphs:
         by_search = special_2_threshold_order(g) is not None
         by_patterns = first_subset_witness(g, "special-2-threshold") is None
         by_perturbation = _triangular_perturbation_exists(g)
-        assert by_search == by_patterns == by_perturbation, g
+        first = next(_triangular_orders(g), None)
+        by_orders = first is not None
+        assert by_search == by_patterns == by_perturbation == by_orders, g
+        if first is None:
+            continue
+        _confirm_triangular(g, *first)
+        # the count holds on every valid (order, U), U = B, not only the peel's
+        members += 1
+        pairs = list(_triangular_orders(g))
+        tau = oracle_count(g)
+        for order, b_mask in rng.sample(pairs, min(200, len(pairs))):
+            u = frozenset(v for v in order if b_mask >> (v - 1) & 1)
+            co = ConstructionOrder(order, u, tuple(derive_roles(g, order, u)))
+            assert special_2_threshold_count(g, co) == tau, (g, co)
+            pairs_checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 300, f"sweep took {elapsed:.1f}s, budget is 300s"
-    _passed(3, f"three characterizations agree on all 996 connected graphs in {elapsed:.1f}s")
+    _passed(
+        3,
+        f"four characterizations agree on all 996 connected graphs, and the count "
+        f"holds on {pairs_checked} (order, U) pairs of {members} members, in {elapsed:.1f}s",
+    )
 
 
 @criterion(4, "perturbation identity")

@@ -1,6 +1,6 @@
 """Splitting at cut vertices and bridges: ``blocks`` and the
-``reduce_and_route`` step that answers each block by its formula or its
-cofactor, in both rings."""
+``reduce_and_route`` step that answers each bridge by its edge weight and
+each other block by its formula or its cofactor, in both rings."""
 
 import random
 
@@ -139,8 +139,42 @@ def test_weighted_tree_is_the_degree_monomial(monkeypatch):
     monkeypatch.setattr(spantree.counting, "route", lambda g: routed.append(g.n) or whole(g))
     poly, method = weighted_auto(tree)
     assert method == "blocks"
-    assert routed == [200]  # every block is a bridge, answered by its 1 x 1 cofactor
+    assert routed == [200]  # every block is a bridge, answered by its edge weight
     assert poly == MultiPoly(200, {tuple(tree.degree(v) for v in tree.vertices): 1})
+
+
+def cofactor_calls(g: Graph) -> tuple[list[int], list[int]]:
+    """The sizes of the blocks that ``reduce_and_route`` hands its cofactor,
+    in the integers and in the polynomial ring; both answers are checked
+    against the whole-graph count."""
+    calls = ([], [])
+
+    def recording(cofactor, sizes):
+        return lambda block: sizes.append(block.n) or cofactor(block)
+
+    count, _, _ = reduce_and_route(
+        g, special_2_threshold_count, recording(matrix_tree_count, calls[0])
+    )
+    poly, _, _ = reduce_and_route(
+        g,
+        weighted_count_special_2threshold,
+        recording(weighted_matrix_tree_count, calls[1]),
+        ring=polynomial_ring(g.n),
+    )
+    assert poly.substitute_all_ones() == count == matrix_tree_count(g)
+    return calls
+
+
+def test_bridges_need_no_cofactor():
+    rng = random.Random(11)
+    tree = Graph(200, [(v, rng.randint(1, v - 1)) for v in range(2, 201)])
+    assert cofactor_calls(tree) == ([], [])
+    # triangles 1-2-3 and 4-5-6, the cycle 7..11 and the path 12-13-14,
+    # joined by the bridges 3-4, 6-7 and 11-12: only the C5 has no formula
+    g = Graph(14, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6), (6, 7),
+                   (7, 8), (8, 9), (9, 10), (10, 11), (7, 11), (11, 12), (12, 13),
+                   (13, 14)])
+    assert cofactor_calls(g) == ([5], [5])
 
 
 def test_weighted_blocks_multiply_with_the_bridge_monomial():
