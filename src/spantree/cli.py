@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_weighted.add_argument("file", help="edge-list file")
     p_weighted.add_argument(
         "--method",
-        choices=["auto", "formula", "perturbation", "oracle"],
+        choices=["auto", "formula", "matrix-tree", "perturbation", "oracle"],
         default="auto",
     )
     p_weighted.add_argument("--json", action="store_true")

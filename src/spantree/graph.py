@@ -18,6 +18,16 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def packed_mask(n: int, vertices: Iterable[int]) -> int:
+    """``mask_of(vertices)`` for vertices in 1..n, in O(n) however many
+    there are: the bits are set in an array of n bits, read as one int,
+    where ``mask_of`` builds a new int per vertex."""
+    bits = bytearray((n + 7) // 8)
+    for v in vertices:
+        bits[(v - 1) >> 3] |= 1 << ((v - 1) & 7)
+    return int.from_bytes(bits, "little")
+
+
 def vertices_of(mask: int) -> list[int]:
     """Unpack a bitmask into an ascending list of 1-indexed vertices: one
     step per set bit, highest first, each step shortening the mask."""
@@ -36,12 +46,18 @@ class Graph:
     No loops, no parallel edges; adjacency is symmetric by construction.
     Instances are immutable values, safe to share; operations that look like
     mutation return new graphs.  Vertices are 1-indexed throughout the
-    package so worked examples keep their positional labels.  The neighbor
-    bitmasks take O(n^2) bits on a sparse graph, so they are built on first
-    use: searches that only walk neighbor sets never pay for them.
+    package so worked examples keep their positional labels.
+
+    The neighbor bitmasks take O(n^2) bits on a sparse graph, so they are
+    built on first use, and only by Ferrers recognition, the U-search over
+    U other than V and the forbidden-subgraph scans.  Routing a count walks
+    neighbor sets and degrees alone up to those searches, and a one-edge
+    2K2 screen turns most sparse non-members away before them.  A graph
+    read by the bulk parser keeps the edge pairs it validated, so
+    ``edges`` only sorts them.
     """
 
-    __slots__ = ("n", "_neighbors", "_masks")
+    __slots__ = ("n", "_neighbors", "_masks", "_pairs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -57,15 +73,21 @@ class Graph:
             adj[v].add(u)
         self._neighbors = tuple(frozenset(s) for s in adj)
         self._masks: tuple[int, ...] | None = None
+        self._pairs: tuple[list[int], list[int]] | None = None
 
     @classmethod
-    def _from_neighbors(cls, n: int, neighbors: tuple[frozenset[int], ...]) -> Graph:
+    def _from_neighbors(
+        cls, n: int, neighbors: tuple[frozenset[int], ...], pairs: tuple[list[int], list[int]]
+    ) -> Graph:
         """The graph on 1..n whose neighbor sets (entry 0 empty) the caller
-        has already built symmetric and loop-free: nothing is checked again."""
+        has already built symmetric and loop-free from its edges, given as
+        the lists (us, vs) of their ends with each u < v and no edge twice:
+        nothing is checked again."""
         g = object.__new__(cls)
         g.n = n
         g._neighbors = neighbors
         g._masks = None
+        g._pairs = pairs
         return g
 
     @property
@@ -76,7 +98,10 @@ class Graph:
         return frozenset(self.vertices)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """All edges as (u, v) pairs with u < v, sorted."""
+        """All edges as (u, v) pairs with u < v, sorted: the parser's pairs
+        when it kept them, else rebuilt from the neighbor sets."""
+        if self._pairs is not None:
+            return tuple(sorted(zip(*self._pairs)))
         return tuple(
             sorted((u, v) for u in self.vertices for v in self._neighbors[u] if u < v)
         )
@@ -377,7 +402,7 @@ def _parse_bulk(text: str) -> Graph | None:
     neighbors = tuple(map(frozenset, adj))
     if sum(map(len, neighbors)) != 2 * m:
         return None
-    return Graph._from_neighbors(n, neighbors)
+    return Graph._from_neighbors(n, neighbors, (us, vs))
 
 
 def _parse_lines(text: str, source: str) -> Graph:

@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
 
 from .errors import OrderInconsistencyError
-from .graph import Graph, PartitionShape, induced_subgraph, mask_of, vertices_of
+from .graph import Graph, PartitionShape, induced_subgraph, mask_of, packed_mask, vertices_of
 
 Role = Literal["initial", "isolated", "u_dominating"]
 
@@ -85,21 +85,28 @@ def derive_roles(
     g: Graph, order: Iterable[int], u_set: frozenset[int]
 ) -> list[Role] | None:
     """Role of each vertex in the given order, or None if some vertex enters
-    with a lower neighborhood that is neither empty nor the earlier U-part."""
-    u_mask = mask_of(u_set)
-    seen = 0
+    with a lower neighborhood that is neither empty nor the earlier U-part.
+
+    Works on neighbor sets in O(n + m) and builds none: no vertex may have
+    an earlier neighbor outside U, and a vertex without one has earlier
+    neighbors none or exactly the earlier U-vertices when it misses all of
+    those or has all of them."""
+    earlier_u: set[int] = set()
+    earlier_rest: set[int] = set()
     roles: list[Role] = []
     for i, v in enumerate(order):
-        lower = g.neighbor_mask(v) & seen
+        nb = g.neighbors(v)
         if i == 0:
             roles.append(ROLE_INITIAL)
-        elif lower == 0:
+        elif not nb.isdisjoint(earlier_rest):
+            return None
+        elif nb.isdisjoint(earlier_u):
             roles.append(ROLE_ISOLATED)
-        elif lower == u_mask & seen:
+        elif earlier_u <= nb:
             roles.append(ROLE_U_DOMINATING)
         else:
             return None
-        seen |= 1 << (v - 1)
+        (earlier_u if v in u_set else earlier_rest).add(v)
     return roles
 
 
@@ -125,22 +132,30 @@ def _peel(g: Graph, w_mask: int, u_mask: int) -> tuple[list[int] | None, int]:
     U-vertices with no neighbors left, U-vertices with none outside U and
     k - 1 inside, and the others with 0 or k neighbors, k the U-vertices
     left.  The highest candidate ends one of them.
+
+    With U = W = V (the threshold peel) both counts of a vertex are its
+    degree, so no mask is built or read, and the stuck set is packed once
+    rather than by an n-bit operation per deletion: O(n) in all.
     """
-    masks = g.neighbor_masks()
     in_u, out_u = w_mask & u_mask, w_mask & ~u_mask
     k = stride = in_u.bit_count()
     # U-vertices keyed by their counts as out * k + in (in < k); the others,
     # unless they have a neighbor outside U, by their count inside
     u_buckets: dict[int, list[int]] = {}
     other_buckets: dict[int, list[int]] = {}
-    for v in vertices_of(in_u):
-        nb = masks[v]
-        key = (nb & out_u).bit_count() * k + (nb & in_u).bit_count()
-        u_buckets.setdefault(key, []).append(v)
-    for v in vertices_of(out_u):
-        nb = masks[v]
-        if not nb & out_u:
-            other_buckets.setdefault((nb & in_u).bit_count(), []).append(v)
+    if w_mask == u_mask == g.full_mask():
+        for v in g.vertices:
+            u_buckets.setdefault(len(g._neighbors[v]), []).append(v)
+    else:
+        masks = g.neighbor_masks()
+        for v in vertices_of(in_u):
+            nb = masks[v]
+            key = (nb & out_u).bit_count() * k + (nb & in_u).bit_count()
+            u_buckets.setdefault(key, []).append(v)
+        for v in vertices_of(out_u):
+            nb = masks[v]
+            if not nb & out_u:
+                other_buckets.setdefault((nb & in_u).bit_count(), []).append(v)
     base = 0  # the key of a U-vertex with no neighbors left
     empty: list[int] = []
     removed: list[int] = []
@@ -156,7 +171,7 @@ def _peel(g: Graph, w_mask: int, u_mask: int) -> tuple[list[int] | None, int]:
             if bucket and bucket[-1] > v:
                 v, chosen = bucket[-1], i
         if not v:
-            return None, w_mask & ~mask_of(removed)
+            return None, w_mask & ~packed_mask(g.n, removed)
         buckets[chosen].pop()
         removed.append(v)
         if chosen < 2:  # a U-vertex, U-dominating if chosen is 1
@@ -189,7 +204,7 @@ def u_threshold_order(g: Graph, u: Iterable[int]) -> ConstructionOrder | None:
     u_set = frozenset(u)
     for v in u_set:
         g.check_vertex(v)
-    order, _ = _peel(g, g.full_mask(), mask_of(u_set))
+    order, _ = _peel(g, g.full_mask(), packed_mask(g.n, u_set))
     if order is None:
         return None
     return _checked_order(g, order, u_set)
@@ -526,15 +541,41 @@ def ferrers_structure(g: Graph) -> FerrersStructure | None:
 # Routing
 
 
+def _two_k2_screen(g: Graph) -> tuple[int, int, int, int] | None:
+    """An induced 2K2 found from one edge, or None.
+
+    Take a vertex u of highest degree (lowest label on ties) and v its
+    neighbor of highest degree (lowest label on ties).  An edge x-y with
+    both ends outside N[u] and N[v] has no edge to u or v, so u, v, x, y
+    induce 2K2, which every family excludes: the result is (u, v, x, y)
+    for the first such edge, or None when there is none, always for a
+    member.  O(n + m), on neighbor sets and degrees alone."""
+    nbrs = g._neighbors
+    degree = list(map(len, nbrs))
+    u = max(g.vertices, key=degree.__getitem__, default=0)
+    if not nbrs[u]:
+        return None
+    v = max(nbrs[u], key=lambda x: (degree[x], -x))
+    covered = nbrs[u] | nbrs[v]
+    for x in g.vertices:
+        if x not in covered and not nbrs[x] <= covered:
+            return u, v, x, min(nbrs[x] - covered)
+    return None
+
+
 def route(g: Graph) -> tuple[Family, ConstructionOrder] | None:
     """First family that recognizes g, cheapest test first, with a
     construction order for the degree-product formula; None when g is in
     none of them.
 
-    Threshold graphs get U = V, Ferrers graphs their staircase traversal
-    with U the columns, anything else the U-search, O(n^2) mask operations.
-    Every step is polynomial, so no input is refused.
+    The one-edge 2K2 screen goes first and turns a graph it catches away
+    in O(n + m), before anything builds a mask.  Threshold graphs get
+    U = V by a peel on degrees, Ferrers graphs their staircase traversal
+    with U the columns, anything else the U-search, O(n^2) mask
+    operations.  Every step is polynomial, so no input is refused.
     """
+    if _two_k2_screen(g) is not None:
+        return None
     co = threshold_order(g)
     if co is not None:
         return FAMILY_THRESHOLD, co
@@ -543,4 +584,3 @@ def route(g: Graph) -> tuple[Family, ConstructionOrder] | None:
         return FAMILY_FERRERS, fs.construction_order()
     co = special_2_threshold_order(g)
     return None if co is None else (FAMILY_SPECIAL_2_THRESHOLD, co)
-

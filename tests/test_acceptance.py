@@ -9,6 +9,9 @@ import random
 import time
 from itertools import combinations, permutations, product
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from spantree import (
     Graph,
     MultiPoly,
@@ -201,39 +204,84 @@ def _confirm_triangular(g: Graph, order: tuple[int, ...], b_mask: int) -> None:
     assert is_upper_triangular(rank_one_update(rows, a, b)), (g, order)
 
 
+def _four_legs_agree(g: Graph) -> bool:
+    """Assert that the U-search, the forbidden patterns, the perturbation
+    over every U and the order search all say whether g is special
+    2-threshold, check the order search's first order as a triangular
+    matrix, and return the verdict."""
+    by_search = special_2_threshold_order(g) is not None
+    by_patterns = first_subset_witness(g, "special-2-threshold") is None
+    by_perturbation = _triangular_perturbation_exists(g)
+    first = next(_triangular_orders(g), None)
+    by_orders = first is not None
+    assert by_search == by_patterns == by_perturbation == by_orders, g
+    if first is not None:
+        _confirm_triangular(g, *first)
+    return by_orders
+
+
+def _order_of(g: Graph, order: tuple[int, ...], b_mask: int) -> ConstructionOrder:
+    """The construction order of a pair the order search found, U = B."""
+    u = frozenset(v for v in order if b_mask >> (v - 1) & 1)
+    return ConstructionOrder(order, u, tuple(derive_roles(g, order, u)))
+
+
 @criterion(3, "characterization agreement")
 def test_criterion_3_characterizations_agree_up_to_seven():
     start = time.perf_counter()
     graphs = atlas_graphs(7, connected_only=True)
     assert len(graphs) == 996
     rng = random.Random(20251019)
-    members = pairs_checked = 0
+    members = pairs_checked = weighted_checked = 0
     for g in graphs:
-        by_search = special_2_threshold_order(g) is not None
-        by_patterns = first_subset_witness(g, "special-2-threshold") is None
-        by_perturbation = _triangular_perturbation_exists(g)
-        first = next(_triangular_orders(g), None)
-        by_orders = first is not None
-        assert by_search == by_patterns == by_perturbation == by_orders, g
-        if first is None:
+        if not _four_legs_agree(g):
             continue
-        _confirm_triangular(g, *first)
-        # the count holds on every valid (order, U), U = B, not only the peel's
+        # the count holds on every valid (order, U), U = B, not only the
+        # peel's; the weighted formula is checked on the first 20 of the
+        # sampled pairs
         members += 1
         pairs = list(_triangular_orders(g))
-        tau = oracle_count(g)
-        for order, b_mask in rng.sample(pairs, min(200, len(pairs))):
-            u = frozenset(v for v in order if b_mask >> (v - 1) & 1)
-            co = ConstructionOrder(order, u, tuple(derive_roles(g, order, u)))
+        tau, enumerator = oracle_count(g), weighted_oracle(g)
+        for i, pair in enumerate(rng.sample(pairs, min(200, len(pairs)))):
+            co = _order_of(g, *pair)
             assert special_2_threshold_count(g, co) == tau, (g, co)
             pairs_checked += 1
+            if i < 20:
+                assert weighted_count_special_2threshold(g, co) == enumerator, (g, co)
+                weighted_checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 300, f"sweep took {elapsed:.1f}s, budget is 300s"
     _passed(
         3,
-        f"four characterizations agree on all 996 connected graphs, and the count "
-        f"holds on {pairs_checked} (order, U) pairs of {members} members, in {elapsed:.1f}s",
+        f"four characterizations agree on all 996 connected graphs; the count holds "
+        f"on {pairs_checked} (order, U) pairs of {members} members, the weighted "
+        f"count on {weighted_checked} of them, in {elapsed:.1f}s",
     )
+
+
+@st.composite
+def _eight_or_nine_vertex_graphs(draw):
+    """A random graph on 8 or 9 vertices: G(n, p), or a U-threshold graph
+    (a member) with one vertex pair sometimes toggled, so that members,
+    near-members and far non-members all turn up."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([8, 9]))
+    if draw(st.booleans()):
+        return random_graph(rng, n, draw(st.sampled_from([0.2, 0.5, 0.8])))
+    g, _ = random_u_threshold_instance(rng, n)
+    edges = set(g.edges())
+    if draw(st.booleans()):
+        edges ^= {tuple(sorted(rng.sample(range(1, n + 1), 2)))}
+    return Graph(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_eight_or_nine_vertex_graphs())
+def test_characterizations_agree_on_eight_and_nine_vertices(g):
+    if _four_legs_agree(g):
+        # the count on the first valid (order, U) the order search finds
+        co = _order_of(g, *next(_triangular_orders(g)))
+        assert special_2_threshold_count(g, co) == matrix_tree_count(g), (g, co)
 
 
 @criterion(4, "perturbation identity")

@@ -146,6 +146,30 @@ def test_text_output_lists_no_edges(capsys, monkeypatch):
             assert (code, err) == (0, ""), (cmd, name)
 
 
+@pytest.mark.parametrize(
+    "edges, method",
+    [
+        (lambda n: [(v, v + 1) for v in range(1, n)], "blocks"),
+        (lambda n: [(v, n) for v in range(1, n)], "formula:threshold"),
+    ],
+    ids=["path", "star-hub-n"],
+)
+def test_count_long_sparse_inputs_build_no_masks(capsys, monkeypatch, tmp_path, edges, method):
+    # a path and a star whose hub has the highest label: every neighbor
+    # bitmask would take n bits, so none may be built
+    n = 20_000
+    path = tmp_path / "g.txt"
+    # edges written highest first: the echo must sort them
+    path.write_text(f"{n} {n - 1}\n" + "".join(f"{u} {v}\n" for u, v in reversed(edges(n))))
+    monkeypatch.setattr(Graph, "neighbor_masks", lambda self: pytest.fail("masks built"))
+    payload = run_json(capsys, "count", str(path), "--json")
+    assert (payload["count"], payload["method"]) == (1, method)
+    g = parse_edge_list(path.read_text())
+    rebuilt = sorted([u, v] for u in g.vertices for v in g.neighbors(u) if u < v)
+    assert payload["input"]["edges"] == rebuilt
+    assert run(capsys, "count", str(path)) == (0, f"1 (method: {method})\n", "")
+
+
 def test_count_family_flags(capsys):
     assert run_json(capsys, "count", "--complete", "4", "--json")["count"] == 16
     payload = run_json(capsys, "count", "--ferrers", "3,2,2,1", "--json")
@@ -583,6 +607,16 @@ def test_weighted_cli_auto_uses_the_weighted_cofactor_off_the_families(capsys):
         assert payload["polynomial"] == str(weighted_oracle(g)), name
         assert payload["polynomial"] == str(weighted_perturbation_count(g, [1] * g.n, [1] * g.n))
     assert run_json(capsys, "weighted", fixture("two_k2.txt"), "--json")["polynomial"] == "0"
+
+
+def test_weighted_cli_matrix_tree_method(capsys):
+    # the method a weighted answer reports can be asked for by name
+    for name in ("c5.txt", "house_with_tail.txt"):
+        auto = run_json(capsys, "weighted", fixture(name), "--json")
+        payload = run_json(capsys, "weighted", fixture(name), "--method", "matrix-tree", "--json")
+        assert payload["method"] == "matrix-tree", name
+        assert payload["polynomial"] == auto["polynomial"], name
+        assert payload["classification"] is None and payload["construction_order"] is None
 
 
 def test_weighted_cli_formula_rejects_generic_graphs(capsys):

@@ -150,6 +150,8 @@ def test_vertices_of_round_trips_mask_of(vertices):
     mask = spantree.graph.mask_of(vertices)
     assert spantree.graph.vertices_of(mask) == sorted(vertices)
     assert spantree.graph.mask_of(spantree.graph.vertices_of(mask)) == mask
+    for n in (300, 301, 304):
+        assert spantree.graph.packed_mask(n, vertices) == mask
 
 
 def test_constructors_produce_valid_graphs():
@@ -205,6 +207,12 @@ def test_parse_edge_list_vertex_cap(monkeypatch):
     assert parse_edge_list("5 1\n4 5\n").n == 5
     with pytest.raises(EdgeListParseError, match="exceeds the limit of 5 vertices"):
         parse_edge_list("6 1\n4 5\n")
+
+
+def test_parsed_edges_are_sorted_whatever_the_file_order():
+    text = "4 3\n3 4\n1 2\n2 3\n"
+    assert spantree.graph._parse_bulk(text) is not None
+    assert parse_edge_list(text).edges() == ((1, 2), (2, 3), (3, 4))
 
 
 def test_parse_edge_list_comments_and_blanks():
@@ -303,6 +311,9 @@ def test_bulk_and_line_parsers_agree(text):
         assert g._neighbors == expected._neighbors
         assert hash(g) == hash(expected)
         assert g._masks is None
+        # the bulk path's kept pairs, sorted, are the edges rebuilt from
+        # the line parser's neighbor sets
+        assert g.edges() == expected.edges()
 
 
 _MALFORMED = {

@@ -174,6 +174,46 @@ def test_roles_are_sound_on_random_instances():
         co.check(g)
 
 
+def _reference_roles(g, order, u_set):
+    """derive_roles by its definition: each later vertex's earlier
+    neighbors are none, or exactly the earlier U-vertices."""
+    roles = []
+    for i, v in enumerate(order):
+        earlier = set(order[:i])
+        lower = g.neighbors(v) & earlier
+        if i == 0:
+            roles.append("initial")
+        elif not lower:
+            roles.append("isolated")
+        elif lower == earlier & u_set:
+            roles.append("u_dominating")
+        else:
+            return None
+    return roles
+
+
+def test_derive_roles_matches_the_definition_on_random_orders():
+    # valid orders come from the peel, invalid ones mostly from shuffling
+    # them or from a random U
+    rng = random.Random(22)
+    valid = 0
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        if rng.random() < 0.5:
+            g, u = random_u_threshold_instance(rng, n)
+        else:
+            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+            u = frozenset(v for v in g.vertices if rng.random() < 0.6)
+        co = u_threshold_order(g, u)
+        order = list(co.order if co is not None else g.vertices)
+        if co is None or rng.random() < 0.5:
+            rng.shuffle(order)
+        expected = _reference_roles(g, order, u)
+        assert derive_roles(g, order, u) == expected, (g, order, u)
+        valid += expected is not None
+    assert 150 < valid < 450, valid
+
+
 # -- the U-search -------------------------------------------------------------
 
 
@@ -547,6 +587,40 @@ def test_route_tries_the_cheap_recognizers_before_the_u_search():
     family, co = route(SPECIAL26)
     assert family == "special-2-threshold"
     co.check(SPECIAL26)
+
+
+@st.composite
+def _shuffled_u_threshold_members(draw):
+    """A random U-threshold graph on up to 40 vertices, with up to three
+    isolated vertices added and every label shuffled."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g, _ = random_u_threshold_instance(rng, draw(st.integers(1, 37)))
+    extra = draw(st.integers(0, 3))
+    perm = draw(st.permutations(range(1, g.n + extra + 1)))
+    return relabeled(Graph(g.n + extra, g.edges()), list(perm))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shuffled_u_threshold_members())
+def test_two_k2_screen_never_fires_on_a_member(g):
+    assert spantree.recognition._two_k2_screen(g) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(max_n=12))
+def test_two_k2_screen_names_an_induced_2k2(g):
+    found = spantree.recognition._two_k2_screen(g)
+    if found is not None:
+        assert induced_pattern(g, found, "threshold") == "2K2", (g, found)
+        assert route(g) is None
+
+
+def test_two_k2_screen_turns_a_long_path_away_before_any_mask(monkeypatch):
+    n = 20_000
+    g = Graph(n, [(v, v + 1) for v in range(1, n)])
+    monkeypatch.setattr(Graph, "neighbor_masks", lambda self: pytest.fail("masks built"))
+    assert spantree.recognition._two_k2_screen(g) == (2, 3, 5, 6)
+    assert route(g) is None
 
 
 def test_last_u_dominating_vertex():
