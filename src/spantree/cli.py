@@ -3,8 +3,9 @@ fastest applicable method, and emit weighted enumerators.
 
 Exit codes: 0 success, 1 stdout was closed before the output was written,
 2 malformed input or inapplicable request, 3 the oracle's edge guard
-refused to run, 4 an internal check failed (an inexact division, an
-inconsistent order or witness, or a non-triangular perturbation).
+refused to run or memory ran out, 4 an internal check failed (an inexact
+division, an inconsistent order or witness, or a non-triangular
+perturbation).
 """
 
 from __future__ import annotations
@@ -367,6 +368,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except CapabilityExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except SpantreeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

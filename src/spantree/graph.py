@@ -49,12 +49,12 @@ class Graph:
     package so worked examples keep their positional labels.
 
     The neighbor bitmasks take O(n^2) bits on a sparse graph, so they are
-    built on first use, and only by Ferrers recognition, the U-search over
-    U other than V and the forbidden-subgraph scans.  Routing a count walks
-    neighbor sets and degrees alone up to those searches, and a one-edge
-    2K2 screen turns most sparse non-members away before them.  A graph
-    read by the bulk parser keeps the edge pairs it validated, so
-    ``edges`` only sorts them.
+    built on first use, and only by the U-search over U other than V and
+    the forbidden-subgraph scans.  Routing a count walks neighbor sets and
+    degrees alone up to the U-search: a one-edge 2K2 screen turns most
+    sparse non-members away, and threshold and Ferrers members are
+    answered, before it.  A graph read by the bulk parser keeps the edge
+    pairs it validated, so ``edges`` only sorts them.
     """
 
     __slots__ = ("n", "_neighbors", "_masks", "_pairs")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, islice, permutations
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Mapping
 
 from .errors import OrderInconsistencyError
 from .graph import Graph, PartitionShape, induced_subgraph, mask_of, packed_mask, vertices_of
@@ -350,29 +350,26 @@ def _witness_keys(family: str) -> Mapping[tuple[int, ...], str]:
     return MappingProxyType(keys)
 
 
-def _bipartition(g: Graph) -> tuple[int, int]:
-    """The color classes of a connected bipartite graph as vertex masks,
-    vertex 1's first, from one breadth-first walk of vertex 1's component:
-    the graph is connected when the walk reaches every vertex, and
-    bipartite when no layer has an edge inside it.  Raises ValueError
-    otherwise, naming connectivity first."""
-    masks = g.neighbor_masks()
-    sides, odd, layer = [0, 0], 0, 0
-    seen = frontier = g.full_mask() & 1
+def _bipartition(g: Graph) -> tuple[set[int], set[int]]:
+    """The color classes of a connected bipartite graph as vertex sets,
+    vertex 1's first, from one breadth-first walk of vertex 1's component
+    on neighbor sets, O(n + m): the graph is connected when the walk
+    reaches every vertex, and bipartite when no layer has an edge inside
+    it.  Raises ValueError otherwise, naming connectivity first."""
+    nbrs = g._neighbors
+    sides: tuple[set[int], set[int]] = (set(), set())
+    odd, layer, frontier = False, 0, set(g.vertices[:1])
     while frontier:
-        sides[layer & 1] |= frontier
-        reach = 0
-        for v in vertices_of(frontier):
-            reach |= masks[v]
-            odd |= masks[v] & frontier
-        frontier = reach & ~seen
-        seen |= frontier
+        sides[layer & 1].update(frontier)
+        reach = set().union(*map(nbrs.__getitem__, frontier))
+        odd = odd or not reach.isdisjoint(frontier)
+        frontier = reach.difference(*sides)
         layer += 1
-    if seen != g.full_mask():
+    if len(sides[0]) + len(sides[1]) != g.n:
         raise ValueError("ferrers obstruction check needs a connected graph")
     if odd:
         raise ValueError("ferrers obstruction check needs a bipartite graph")
-    return sides[0], sides[1]
+    return sides
 
 
 def _first_alternating_four(
@@ -423,7 +420,7 @@ def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
     if family == FAMILY_THRESHOLD:
         return _first_alternating_four(g, lambda a: full)
     if family == FAMILY_FERRERS:
-        side, other = _bipartition(g)
+        side, other = (packed_mask(g.n, s) for s in _bipartition(g))
         return _first_alternating_four(g, lambda a: side if side >> (a - 1) & 1 else other)
 
     @cache
@@ -474,58 +471,35 @@ class FerrersStructure:
         return ConstructionOrder(self.traversal, cols, (ROLE_INITIAL, *roles[1:]))
 
 
-def _inclusion_chain(
-    vs: Iterable[int], masks: Sequence[int]
-) -> tuple[list[int], tuple[int, int] | None]:
-    """The vertices sorted by decreasing mask size, then label, and the
-    first consecutive pair (x, y) with masks[y] not inside masks[x], which
-    are then incomparable; the pair is None when the masks form a chain
-    under inclusion."""
-    ordered = sorted(vs, key=lambda v: (-masks[v].bit_count(), v))
-    for x, y in zip(ordered, ordered[1:]):
-        if masks[y] & ~masks[x]:
-            return ordered, (x, y)
-    return ordered, None
-
-
 def ferrers_structure(g: Graph) -> FerrersStructure | None:
-    """Recognize a connected bipartite graph whose two sides both have nested
-    neighborhoods, and return its staircase presentation.
+    """Recognize a Ferrers graph, a connected bipartite graph in which each
+    row, taken by degree, meets a prefix of the columns, taken by degree,
+    and return that staircase; None when g is no Ferrers graph.
 
-    The orientation is canonical: the larger side becomes the rows; on a tie
-    the lexicographically larger shape wins, and if both orientations give
-    the same shape the side containing vertex 1 becomes the rows.  The shape
-    of the conjugate orientation is the conjugate partition.  Returns None
-    when g is no such graph; a staircase that fails its own check raises
-    OrderInconsistencyError.
+    Each side is sorted by decreasing degree, then label.  The orientation
+    is canonical: the larger side becomes the rows; on a tie the
+    lexicographically larger shape wins, and if both orientations give the
+    same shape the side containing vertex 1 becomes the rows.  The shape of
+    the conjugate orientation is the conjugate partition, and a staircase in
+    one orientation is one in the other, so only the chosen one is checked,
+    on neighbor sets and degrees alone: O(n log n + m).
     """
     if g.n < 2:
         return None
     try:
-        a, b = _bipartition(g)
+        sides = _bipartition(g)
     except ValueError:
         return None
-    masks = g.neighbor_masks()
-    sorted_a, bad_a = _inclusion_chain(vertices_of(a), masks)
-    sorted_b, bad_b = _inclusion_chain(vertices_of(b), masks)
-    if bad_a or bad_b:
-        return None
+    degree = list(map(len, g._neighbors))
+    a, b = (sorted(side, key=lambda v: (-degree[v], v)) for side in sides)
 
     def shape_of(rows: list[int]) -> tuple[int, ...]:
-        return tuple(g.degree(v) for v in rows)
+        return tuple(degree[v] for v in rows)
 
-    rows, cols = max(
-        (sorted_a, sorted_b),
-        (sorted_b, sorted_a),
-        key=lambda rc: (len(rc[0]), shape_of(rc[0]), 1 in rc[0]),
-    )
-
+    rows, cols = max((a, b), (b, a), key=lambda rc: (len(rc[0]), shape_of(rc[0]), 1 in rc[0]))
     shape = PartitionShape(shape_of(rows))
-    # connectivity plus nesting makes this a staircase; verify anyway, and
-    # fail loudly, since None would send a Ferrers graph to the U-search
-    for r, part in zip(rows, shape.parts):
-        if g.neighbors(r) != frozenset(cols[:part]):
-            raise OrderInconsistencyError(f"row {r} is not adjacent to the first {part} columns")
+    if any(g._neighbors[r] != frozenset(cols[:part]) for r, part in zip(rows, shape.parts)):
+        return None
 
     # one backward walk over the rows, shortest first: the columns up to a
     # row's last one, then the row
@@ -569,10 +543,11 @@ def route(g: Graph) -> tuple[Family, ConstructionOrder] | None:
     none of them.
 
     The one-edge 2K2 screen goes first and turns a graph it catches away
-    in O(n + m), before anything builds a mask.  Threshold graphs get
-    U = V by a peel on degrees, Ferrers graphs their staircase traversal
-    with U the columns, anything else the U-search, O(n^2) mask
-    operations.  Every step is polynomial, so no input is refused.
+    in O(n + m).  Threshold graphs get U = V by a peel on degrees, Ferrers
+    graphs their staircase traversal with U the columns, both on neighbor
+    sets; anything else the U-search, O(n^2) mask operations and the only
+    step that builds masks.  Every step is polynomial, so no input is
+    refused.
     """
     if _two_k2_screen(g) is not None:
         return None

@@ -151,12 +151,18 @@ def test_text_output_lists_no_edges(capsys, monkeypatch):
     [
         (lambda n: [(v, v + 1) for v in range(1, n)], "blocks"),
         (lambda n: [(v, n) for v in range(1, n)], "formula:threshold"),
+        (
+            lambda n: [(1, c) for c in range(n // 2 + 1, n + 1)]
+            + [(r, n) for r in range(2, n // 2 + 1)],
+            "formula:ferrers",
+        ),
     ],
-    ids=["path", "star-hub-n"],
+    ids=["path", "star-hub-n", "double-star-column-n"],
 )
 def test_count_long_sparse_inputs_build_no_masks(capsys, monkeypatch, tmp_path, edges, method):
-    # a path and a star whose hub has the highest label: every neighbor
-    # bitmask would take n bits, so none may be built
+    # a path, a star whose hub has the highest label and a double star (rows
+    # 1..n/2, row 1 joined to every column, the full column labelled n):
+    # every neighbor bitmask would take n bits, so none may be built
     n = 20_000
     path = tmp_path / "g.txt"
     # edges written highest first: the echo must sort them
@@ -544,22 +550,15 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: peeling produced an order")
 
 
-def test_staircase_self_check_exit_code(capsys, monkeypatch):
-    # columns out of degree order break the staircase: recognition says so
-    # rather than pass a Ferrers graph on to the U-search
-    from spantree.recognition import _inclusion_chain
+def test_out_of_memory_exit_code(capsys, monkeypatch):
+    # running out of memory is a refusal with one error line, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
 
-    def misordered(vs, masks):
-        ordered, bad = _inclusion_chain(vs, masks)
-        if len(ordered) == 3:  # the columns of shape 3,2,2,1, degrees 4,3,1
-            ordered[:2] = ordered[1::-1]
-        return ordered, bad
-
-    monkeypatch.setattr("spantree.recognition._inclusion_chain", misordered)
-    code, out, err = run(capsys, "count", fixture("ferrers3221.txt"))
-    assert code == 4
-    assert out == ""
-    assert err.startswith("internal error: row ")
+    monkeypatch.setattr(spantree.cli, "reduce_and_route", exhausted)
+    for cmd in ("count", "weighted"):
+        code, out, err = run(capsys, cmd, fixture("ferrers3221.txt"))
+        assert (code, out, err) == (3, "", "error: out of memory\n"), cmd
 
 
 def test_negative_oracle_limit_exit_2(capsys, monkeypatch):

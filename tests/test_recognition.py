@@ -9,14 +9,17 @@ from spantree import (
     ConstructionOrder,
     Graph,
     OrderInconsistencyError,
+    PartitionShape,
     blocks,
     complete,
     complete_multipartite,
+    ferrers_count,
     ferrers_graph,
     ferrers_structure,
     forbidden_witness,
     induced_subgraph,
     route,
+    special_2_threshold_count,
     special_2_threshold_order,
     threshold_order,
     u_threshold_order,
@@ -415,6 +418,15 @@ def test_four_vertex_witnesses_are_the_first_subsets():
             expected = first_subset_witness(graph, family)
             assert (None if w is None else (w.pattern_name, w.vertices)) == expected
             hits[family] += expected is not None
+        if len(cases) == 2 and n > 1:
+            # the staircase test recognizes exactly the 2K2-free h (a single
+            # vertex has no staircase), and each row meets exactly the first
+            # `part` columns
+            fs = ferrers_structure(h)
+            assert (fs is None) == (first_subset_witness(h, "ferrers") is not None), h
+            if fs is not None:
+                for r, part in zip(fs.row_order, fs.shape.parts):
+                    assert h.neighbors(r) == frozenset(fs.col_order[:part]), (h, r)
     assert min(hits.values()) > 20
 
 
@@ -621,6 +633,18 @@ def test_two_k2_screen_turns_a_long_path_away_before_any_mask(monkeypatch):
     monkeypatch.setattr(Graph, "neighbor_masks", lambda self: pytest.fail("masks built"))
     assert spantree.recognition._two_k2_screen(g) == (2, 3, 5, 6)
     assert route(g) is None
+
+
+def test_ferrers_member_routes_before_any_mask(monkeypatch):
+    # a shuffled staircase with 2,000 vertices and many trees
+    shape = PartitionShape((1000,) + (2,) * 500 + (1,) * 499)
+    perm = list(range(1, 2001))
+    random.Random(23).shuffle(perm)
+    g = relabeled(ferrers_graph(shape), perm)
+    monkeypatch.setattr(Graph, "neighbor_masks", lambda self: pytest.fail("masks built"))
+    family, co = route(g)
+    assert family == "ferrers"
+    assert special_2_threshold_count(g, co) == ferrers_count(shape) > 1
 
 
 def test_last_u_dominating_vertex():

@@ -25,6 +25,7 @@ def test_trace_tables_resolve_and_run(capsys):
     try:
         for argv in (
             ["count", path],
+            ["count", str(FIXTURES / "ferrers3221.txt")],
             ["weighted", path],
             ["classify", path],
             ["count", path, "--method", "perturbation"],
