@@ -4,8 +4,7 @@ edge-list text format used by the CLI."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EdgeListParseError
 
@@ -152,17 +151,17 @@ class Graph:
         return f"Graph({self.n}, {list(self.edges())!r})"
 
 
-@dataclass(frozen=True)
-class PartitionShape:
+class PartitionShape(NamedTuple("PartitionShape", [("parts", tuple[int, ...])])):
     """A weakly decreasing sequence of positive integers.
 
     Generates staircase-shaped bipartite graphs via :func:`ferrers_graph`;
-    ``parts[i]`` is the number of boxes in row i+1 of the diagram.
+    ``parts[i]`` is the number of boxes in row i+1 of the diagram.  Every
+    construction checks the parts, ``_make`` and ``_replace`` included.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int]):
+    def __new__(cls, parts: Iterable[int]) -> PartitionShape:
         parts = tuple(parts)
         if not parts:
             raise ValueError("shape must have at least one part")
@@ -171,7 +170,9 @@ class PartitionShape:
                 raise ValueError(f"parts must be positive, got {p}")
             if i and parts[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
-        object.__setattr__(self, "parts", parts)
+        return super().__new__(cls, parts)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def rows(self) -> int:

@@ -16,8 +16,7 @@ another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Collection, Generic, Sequence, TypeVar
+from typing import Callable, Collection, NamedTuple, Sequence, TypeVar
 
 from .errors import ExactnessError
 from .graph import Graph
@@ -180,8 +179,7 @@ def laplacian(g: Graph) -> list[list[int]]:
     return _laplacian_rows(g, g.vertices, INTEGERS)
 
 
-@dataclass(frozen=True)
-class Ring(Generic[T]):
+class Ring(NamedTuple):
     """The ring of a count: ``weight(v)`` is w(v), ``weight_sum`` and
     ``weight_product`` add and multiply w over distinct vertices, ``div``
     divides exactly by a nonzero int or raises ExactnessError, ``det`` is

@@ -163,6 +163,9 @@ class MultiPoly:
         return self.nvars == other.nvars and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it hashes as that int
+        if not any(map(any, self._terms)):
+            return hash(self.substitute_all_ones())
         return hash((self.nvars, frozenset(self._terms.items())))
 
     def terms(self) -> tuple[tuple[ExponentVector, int], ...]:

@@ -18,11 +18,10 @@ is how its witness is found, with no subset enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations, islice, permutations
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Literal, Mapping
+from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .errors import OrderInconsistencyError
 from .graph import Graph, PartitionShape, induced_subgraph, mask_of, packed_mask, vertices_of
@@ -40,8 +39,7 @@ FAMILY_FERRERS = "ferrers"
 Family = Literal["threshold", "special-2-threshold", "ferrers"]
 
 
-@dataclass(frozen=True)
-class ConstructionOrder:
+class ConstructionOrder(NamedTuple):
     """A vertex ordering together with the subset U and per-vertex roles.
 
     ``roles[i]`` describes ``order[i]``: the first vertex is "initial", later
@@ -322,8 +320,7 @@ FAMILY_PATTERNS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class ForbiddenWitness:
+class ForbiddenWitness(NamedTuple):
     """A vertex subset of the input inducing one of the fixed obstruction
     patterns."""
 
@@ -447,8 +444,7 @@ def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
 # Ferrers recognition
 
 
-@dataclass(frozen=True)
-class FerrersStructure:
+class FerrersStructure(NamedTuple):
     """Staircase presentation of a connected bipartite graph with nested
     neighborhoods on both sides.
 

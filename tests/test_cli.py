@@ -119,6 +119,23 @@ def test_count_verify_exits_4_when_the_oracle_disagrees(capsys, monkeypatch):
     assert err == "internal error: oracle disagrees: method formula:threshold gave 9, oracle 8\n"
 
 
+@pytest.mark.parametrize("method", ["oracle", "auto"])
+def test_count_verify_runs_the_oracle_once(capsys, monkeypatch, method):
+    # an oracle answer is its own check, so no method counts the subsets twice
+    calls, oracle = [], spantree.cli.oracle_count
+    monkeypatch.setattr(
+        spantree.cli, "oracle_count", lambda *a, **k: calls.append(a) or oracle(*a, **k)
+    )
+    argv = ("count", fixture("house_with_tail.txt"), "--method", method, "--verify")
+    code, out, err = run(capsys, *argv)
+    assert (code, err, len(calls)) == (0, "", 1)
+    assert out.endswith("\noracle check: 11 ok\n")
+    # over the edge limit the guard still refuses before any output
+    monkeypatch.setenv("SPANTREE_ORACLE_LIMIT", "3")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and err.startswith("error: oracle enumeration over 7 edges")
+
+
 def test_count_complete_needs_a_vertex(capsys):
     assert run(capsys, "count", "--complete", "0") == (2, "", "error: --complete needs n >= 1\n")
 

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -417,14 +416,14 @@ def test_one_formula_rejects_tampered_orders(ring):
         for i, j in combinations(range(g.n), 2):
             order = list(co.order)
             order[i], order[j] = order[j], order[i]
-            swapped = replace(co, order=tuple(order))
+            swapped = co._replace(order=tuple(order))
             if derive_roles(g, order, co.u_set) == list(co.roles):
                 assert formula(g, swapped) == expected  # still a valid order
             else:
                 tampered.append(swapped)
         for i in range(1, g.n):
             flipped = "isolated" if co.roles[i] == "u_dominating" else "u_dominating"
-            tampered.append(replace(co, roles=co.roles[:i] + (flipped,) + co.roles[i + 1 :]))
+            tampered.append(co._replace(roles=co.roles[:i] + (flipped,) + co.roles[i + 1 :]))
         assert len(tampered) > g.n
         for bad in tampered:
             with pytest.raises(ValueError):

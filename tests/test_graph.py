@@ -84,12 +84,14 @@ def test_ferrers_graph_degree_invariants(shape):
 
 
 def test_partition_shape_validation():
-    with pytest.raises(ValueError):
-        PartitionShape(())
-    with pytest.raises(ValueError):
-        PartitionShape((2, 3))
-    with pytest.raises(ValueError):
-        PartitionShape((2, 0))
+    # every way to build a named tuple checks the parts
+    shape = PartitionShape((2, 1))
+    replace, make = (lambda p: shape._replace(parts=p)), (lambda p: PartitionShape._make([p]))
+    for parts in [(), (2, 3), (2, 0)]:
+        for build in (PartitionShape, replace, make):
+            with pytest.raises(ValueError):
+                build(parts)
+    assert shape._replace(parts=(3, 3)) == PartitionShape._make([(3, 3)]) == PartitionShape((3, 3))
 
 
 def test_conjugate_examples():

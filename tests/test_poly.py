@@ -55,6 +55,16 @@ def test_additive_identity_and_int_mixing():
     assert (p * 0).is_zero()
 
 
+@pytest.mark.parametrize("value", [0, 3, -7])
+def test_a_constant_hashes_as_the_int_it_equals(value):
+    for nvars in (0, 2):
+        const = MultiPoly.const(nvars, value)
+        assert const == value and hash(const) == hash(value)
+        assert len({const, value}) == 1
+    assert len({MultiPoly.zero(3), 0}) == 1
+    assert len({x(1) + value, value}) == 2
+
+
 def test_variable_count_mismatch():
     with pytest.raises(ValueError):
         MultiPoly.variable(2, 1) + MultiPoly.variable(3, 1)

@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import spantree
@@ -19,10 +22,9 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
-def test_package_starts_no_processes_or_threads():
-    # every count runs in the calling thread, so resource use is bounded by
-    # the one process
-    banned = {"multiprocessing", "concurrent", "threading", "subprocess"}
+def _imports_of(banned: set[str]) -> list[str]:
+    """"file:line module" for each import, in a package module, of a module
+    whose top-level package is in ``banned``."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -33,7 +35,33 @@ def test_package_starts_no_processes_or_threads():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] in banned]
+    return found
+
+
+def test_package_starts_no_processes_or_threads():
+    # every count runs in the calling thread, so resource use is bounded by
+    # the one process
+    found = _imports_of({"multiprocessing", "concurrent", "threading", "subprocess"})
     assert not found, found
+
+
+def test_package_imports_no_dataclasses():
+    # dataclasses loads inspect, dis, ast and tokenize and execs the methods
+    # of each class, on every start of the CLI; the value classes are named
+    # tuples instead
+    found = _imports_of({"dataclasses"})
+    assert not found, found
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    # a fresh process, as each `spantree` call is: what the package imports
+    # at start-up is paid by every call
+    probe = "import sys, spantree.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout == "[]\n", proc.stderr
 
 
 def _dead_imports(source: str) -> list[str]:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import combinations, permutations
 from math import prod
 
@@ -176,12 +175,12 @@ def test_perturbation_builders_agree_across_rings():
         for i in range(g.n - 1):
             order = list(co.order)
             order[i], order[i + 1] = order[i + 1], order[i]
-            orders.append(replace(co, order=tuple(order)))
+            orders.append(co._replace(order=tuple(order)))
         for i in range(1, g.n):
             flipped = "isolated" if co.roles[i] == "u_dominating" else "u_dominating"
-            orders.append(replace(co, roles=co.roles[:i] + (flipped,) + co.roles[i + 1 :]))
+            orders.append(co._replace(roles=co.roles[:i] + (flipped,) + co.roles[i + 1 :]))
         for v in g.vertices:
-            orders.append(replace(co, u_set=co.u_set ^ {v}))
+            orders.append(co._replace(u_set=co.u_set ^ {v}))
         for k, order in enumerate(orders):
             plain = _build_outcome(build_perturbation, g, order)
             weighted = _build_outcome(weighted_build_perturbation, g, order)
