@@ -119,7 +119,10 @@ def _emit(as_json: bool, lines: Callable[[dict], list[str]], **fields) -> None:
     """Print the payload of ``fields`` as JSON, or else ``lines(payload)``.
     Each key of ``_NULLABLE`` left out is null; a construction order is
     written as its order, U and roles, and a polynomial as its text.  The
-    print is flushed, so a closed stdout raises inside ``main``."""
+    print is flushed, so a closed stdout raises inside ``main``.  The
+    payload holds fresh dicts and lists and the package's tuples, none of
+    which can contain itself, so the encoder skips its cycle check: the
+    bytes are the same."""
     payload = dict.fromkeys(_NULLABLE) | fields
     if co := payload["construction_order"]:
         payload["construction_order"] = dict(
@@ -128,7 +131,10 @@ def _emit(as_json: bool, lines: Callable[[dict], list[str]], **fields) -> None:
     with _unlimited_int_str():
         if payload["polynomial"] is not None:
             payload["polynomial"] = str(payload["polynomial"])
-        text = json.dumps(payload, sort_keys=True) if as_json else "\n".join(lines(payload))
+        if as_json:
+            text = json.dumps(payload, sort_keys=True, check_circular=False)
+        else:
+            text = "\n".join(lines(payload))
         print(text, flush=True)
 
 
@@ -160,6 +166,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         try:
             w = None if member else forbidden_witness(g, family)
         except ValueError:
+            if family != FAMILY_FERRERS:
+                raise
             w = None  # ferrers on a graph that is not connected bipartite
         if w is not None:
             witnesses.append(

@@ -3,6 +3,7 @@ edge-list text format used by the CLI."""
 
 from __future__ import annotations
 
+import json
 import re
 from typing import Iterable, NamedTuple
 
@@ -381,13 +382,23 @@ def _parse_bulk(text: str) -> Graph | None:
     Python's regex engine keeps backtracking state for every repetition,
     about 440 bytes a line.)  Once every pair has u < v, a duplicate edge
     is the only way the neighbor sets can hold fewer than 2m entries.
+
+    The fields are decoded by ``json.loads`` once each space and line end
+    becomes a comma.  JSON reads that array only when exactly one comma
+    separates consecutive digit runs (a tab is JSON whitespace, so it may
+    sit beside that comma), and then its ints are exactly the tokens.  A
+    tab alone between two fields, two spaces, a blank line or a leading
+    zero makes it invalid, and those texts are split and read by ``int()``.
     """
     if _BULK_LINE.sub("", text).strip(" \t\n"):
         return None
     try:
-        ints = list(map(int, text.split()))
-    except ValueError:  # a field past int()'s digit limit
-        return None
+        ints = json.loads("[" + text.strip(" \t\n").replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:
+        try:
+            ints = list(map(int, text.split()))
+        except ValueError:  # a field past int()'s digit limit
+            return None
     if not ints:
         return None
     n, m = ints[0], ints[1]

@@ -160,13 +160,22 @@ class MultiPoly:
             other = MultiPoly.const(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        if self.nvars == other.nvars:
+            return self._terms == other._terms
+        # each constant equals its int, so constants compare by value
+        # whatever their variable counts, and equality stays transitive
+        return self._is_const() and other._is_const() and (
+            self.substitute_all_ones() == other.substitute_all_ones()
+        )
 
     def __hash__(self) -> int:
         # a constant equals its int, so it hashes as that int
-        if not any(map(any, self._terms)):
+        if self._is_const():
             return hash(self.substitute_all_ones())
         return hash((self.nvars, frozenset(self._terms.items())))
+
+    def _is_const(self) -> bool:
+        return not any(map(any, self._terms))
 
     def terms(self) -> tuple[tuple[ExponentVector, int], ...]:
         """Terms in graded-lex descending order."""

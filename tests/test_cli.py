@@ -377,6 +377,23 @@ def test_classify_five_cycle(capsys):
     assert payload["construction_order"] is None
 
 
+@pytest.mark.parametrize("family", ["threshold", "special-2-threshold"])
+def test_classify_does_not_drop_a_failing_witness(capsys, monkeypatch, family):
+    # only the ferrers scan has a precondition to skip; any other
+    # family's error ends the command before it prints
+    real = spantree.cli.forbidden_witness
+
+    def planted(g, fam):
+        if fam == family:
+            raise ValueError("planted witness failure")
+        return real(g, fam)
+
+    monkeypatch.setattr(spantree.cli, "forbidden_witness", planted)
+    code, out, err = run(capsys, "classify", fixture("c5.txt"), "--json")
+    assert code != 0 and out == ""
+    assert "planted witness failure" in err
+
+
 def test_classify_ferrers_fixture(capsys):
     payload = run_json(capsys, "classify", fixture("ferrers3221.txt"), "--json")
     cls = payload["classification"]

@@ -386,6 +386,49 @@ def test_well_formed_text_skips_the_line_parser(monkeypatch):
         assert parse_edge_list(text) == g
 
 
+# Well-formed texts the bulk path reads, by the decoder that reads them:
+# JSON takes single spaces and single line ends, with tabs beside them;
+# any other blank layout or a leading zero makes the comma-joined text
+# invalid JSON, and the fields are then read by int().
+_DECODE_PATHS = {
+    "canonical": ("4 3\n1 2\n2 3\n3 4\n", "json"),
+    "tab-beside-a-space": ("4 3\n1 \t2\n2\t 3\n3 4\n", "json"),
+    "leading-zero": ("4 3\n01 2\n2 3\n3 4\n", "int"),
+    "tab": ("4 3\n1\t2\n2 3\n3 4\n", "int"),
+    "blank-run": ("4 3\n1  2\n2 3\n3 4\n", "int"),
+    "blank-line": ("4 3\n1 2\n\n2 3\n3 4\n", "int"),
+    "trailing-blanks": ("4 3  \n1 2 \n2 3\n3 4\n", "int"),
+}
+
+
+@pytest.mark.parametrize("case", _DECODE_PATHS)
+def test_bulk_decode_paths(case, monkeypatch):
+    text, path = _DECODE_PATHS[case]
+    expected = _line_parser(text)
+    decoded = []
+    loads = spantree.graph.json.loads
+
+    def spy(s):
+        try:
+            ints = loads(s)
+        except ValueError:
+            decoded.append("int")
+            raise
+        decoded.append("json")
+        return ints
+
+    def refuse(text, source):
+        raise AssertionError("line parser called")
+
+    monkeypatch.setattr(spantree.graph.json, "loads", spy)
+    monkeypatch.setattr(spantree.graph, "_parse_lines", refuse)
+    g = spantree.graph._parse_bulk(text)
+    assert decoded == [path]
+    assert g == expected and g.edges() == expected.edges()
+    assert g._neighbors == expected._neighbors
+    assert parse_edge_list(text) == expected
+
+
 def test_parse_edge_list_at_the_vertex_limit():
     # the largest header allowed: a 100,000-vertex path and an edgeless graph
     n = spantree.graph.MAX_PARSED_VERTICES

@@ -65,6 +65,28 @@ def test_a_constant_hashes_as_the_int_it_equals(value):
     assert len({x(1) + value, value}) == 2
 
 
+def test_constants_of_any_variable_count_are_equal_by_value():
+    # equality is transitive through the int, so the set's size does not
+    # depend on the order its members are added in
+    assert len({MultiPoly.const(2, 3), 3, MultiPoly.const(5, 3)}) == 1
+    assert len({3, MultiPoly.const(2, 3), MultiPoly.const(5, 3)}) == 1
+    assert MultiPoly.const(2, 3) == MultiPoly.const(5, 3)
+    assert MultiPoly.zero(1) == MultiPoly.zero(4)
+    assert MultiPoly.const(2, 3) != MultiPoly.const(5, 4)
+    assert MultiPoly.variable(2, 1) != MultiPoly.variable(3, 1)
+
+
+def test_equal_values_hash_equal():
+    rng = random.Random(41)
+    values = [v for v in range(-3, 4)]
+    values += [MultiPoly.const(nvars, c) for nvars in range(4) for c in range(-3, 4)]
+    values += [random_poly(rng, nvars, max_coeff=2) for nvars in range(1, 4) for _ in range(40)]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert b == a and hash(a) == hash(b), (a, b)
+
+
 def test_variable_count_mismatch():
     with pytest.raises(ValueError):
         MultiPoly.variable(2, 1) + MultiPoly.variable(3, 1)
