@@ -151,28 +151,30 @@ def cmd_classify(args: argparse.Namespace) -> int:
     """Family memberships plus certificates: a construction order or
     staircase for each family the graph is in, a forbidden induced subgraph
     for each it is not.  Every step is polynomial, so no graph is refused.
+    The special 2-threshold witness is asked for first, and the U-search
+    runs only when there is none, so a non-member is settled by one search.
     The U-search tries U = V first, so the graph is threshold exactly when
     the U it finds is V, and the special order is then the threshold
-    order."""
+    order; threshold graphs are special 2-threshold, so a special witness
+    also makes the graph no threshold graph."""
     g, source = _load_graph(args.file, args.json)
-    fs, co = ferrers_structure(g), special_2_threshold_order(g)
+    fs = ferrers_structure(g)
+    special = forbidden_witness(g, FAMILY_SPECIAL_2_THRESHOLD)
+    co = None if special else special_2_threshold_order(g)
     threshold = co is not None and len(co.u_set) == g.n
-    witnesses = []
-    for family, member in (
-        (FAMILY_THRESHOLD, threshold),
-        (FAMILY_SPECIAL_2_THRESHOLD, co),
-        (FAMILY_FERRERS, fs),
-    ):
-        try:
-            w = None if member else forbidden_witness(g, family)
-        except ValueError:
-            if family != FAMILY_FERRERS:
-                raise
-            w = None  # ferrers on a graph that is not connected bipartite
-        if w is not None:
-            witnesses.append(
-                {"family": family, "pattern": w.pattern_name, "vertices": list(w.vertices)}
-            )
+    try:
+        ferrers = None if fs else forbidden_witness(g, FAMILY_FERRERS)
+    except ValueError:  # a graph that is not connected bipartite
+        ferrers = None
+    witnesses = [
+        {"family": family, "pattern": w.pattern_name, "vertices": list(w.vertices)}
+        for family, w in (
+            (FAMILY_THRESHOLD, None if threshold else forbidden_witness(g, FAMILY_THRESHOLD)),
+            (FAMILY_SPECIAL_2_THRESHOLD, special),
+            (FAMILY_FERRERS, ferrers),
+        )
+        if w is not None
+    ]
 
     def lines(payload: dict) -> list[str]:
         cls, order = payload["classification"], payload["construction_order"]

@@ -10,36 +10,6 @@ from typing import Iterable, NamedTuple
 from .errors import EdgeListParseError
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    """Pack a collection of 1-indexed vertices into a bitmask (bit v-1 set)."""
-    m = 0
-    for v in vertices:
-        m |= 1 << (v - 1)
-    return m
-
-
-def packed_mask(n: int, vertices: Iterable[int]) -> int:
-    """``mask_of(vertices)`` for vertices in 1..n, in O(n) however many
-    there are: the bits are set in an array of n bits, read as one int,
-    where ``mask_of`` builds a new int per vertex."""
-    bits = bytearray((n + 7) // 8)
-    for v in vertices:
-        bits[(v - 1) >> 3] |= 1 << ((v - 1) & 7)
-    return int.from_bytes(bits, "little")
-
-
-def vertices_of(mask: int) -> list[int]:
-    """Unpack a bitmask into an ascending list of 1-indexed vertices: one
-    step per set bit, highest first, each step shortening the mask."""
-    out = []
-    while mask:
-        v = mask.bit_length()
-        out.append(v)
-        mask ^= 1 << (v - 1)
-    out.reverse()
-    return out
-
-
 class Graph:
     """Simple undirected graph on vertices 1..n.
 
@@ -48,16 +18,14 @@ class Graph:
     mutation return new graphs.  Vertices are 1-indexed throughout the
     package so worked examples keep their positional labels.
 
-    The neighbor bitmasks take O(n^2) bits on a sparse graph, so they are
-    built on first use, and only by the U-search over U other than V and
-    the forbidden-subgraph scans.  Routing a count walks neighbor sets and
-    degrees alone up to the U-search: a one-edge 2K2 screen turns most
-    sparse non-members away, and threshold and Ferrers members are
-    answered, before it.  A graph read by the bulk parser keeps the edge
-    pairs it validated, so ``edges`` only sorts them.
+    Adjacency is one frozenset of neighbors per vertex, and nothing else:
+    recognition, routing and the witness scans all read these sets, so a
+    graph takes O(n + m) space whatever its labels.  A graph read by the
+    bulk parser keeps the edge pairs it validated, so ``edges`` only sorts
+    them.
     """
 
-    __slots__ = ("n", "_neighbors", "_masks", "_pairs")
+    __slots__ = ("n", "_neighbors", "_pairs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -72,7 +40,6 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._neighbors = tuple(frozenset(s) for s in adj)
-        self._masks: tuple[int, ...] | None = None
         self._pairs: tuple[list[int], list[int]] | None = None
 
     @classmethod
@@ -86,7 +53,6 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g._neighbors = neighbors
-        g._masks = None
         g._pairs = pairs
         return g
 
@@ -126,19 +92,6 @@ class Graph:
         self.check_vertex(u)
         self.check_vertex(v)
         return v in self._neighbors[u]
-
-    def neighbor_mask(self, v: int) -> int:
-        self.check_vertex(v)
-        return self.neighbor_masks()[v]
-
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Entry v is the bitmask of v's neighbors (entry 0 is unused)."""
-        if self._masks is None:
-            self._masks = tuple(mask_of(s) for s in self._neighbors)
-        return self._masks
-
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -356,10 +309,11 @@ def parse_edge_list(text: str, *, source: str = "<input>") -> Graph:
     Duplicate or loop edges, and any deviation from the format, raise
     :class:`EdgeListParseError`.
 
-    A well-formed text with only '\\n' line ends, no comment and fields
-    separated by spaces or tabs is read in bulk; that path accepts a subset
-    of what the line parser accepts and builds the same graph.  Every other
-    text goes to the line parser, which words every error.
+    A well-formed text whose lines each join two fields by one space (tabs
+    may sit beside it), with '\\n' line ends and no blank line, comment or
+    leading zero, is read in bulk; that path accepts a subset of what the
+    line parser accepts and builds the same graph.  Every other text goes
+    to the line parser, which words every error.
     """
     g = _parse_bulk(text)
     return g if g is not None else _parse_lines(text, source)
@@ -387,18 +341,16 @@ def _parse_bulk(text: str) -> Graph | None:
     becomes a comma.  JSON reads that array only when exactly one comma
     separates consecutive digit runs (a tab is JSON whitespace, so it may
     sit beside that comma), and then its ints are exactly the tokens.  A
-    tab alone between two fields, two spaces, a blank line or a leading
-    zero makes it invalid, and those texts are split and read by ``int()``.
+    tab alone between two fields, two spaces, a blank line, a leading zero
+    or a field past ``int()``'s digit limit makes it invalid, and those
+    texts are left to the line parser.
     """
     if _BULK_LINE.sub("", text).strip(" \t\n"):
         return None
     try:
         ints = json.loads("[" + text.strip(" \t\n").replace(" ", ",").replace("\n", ",") + "]")
     except ValueError:
-        try:
-            ints = list(map(int, text.split()))
-        except ValueError:  # a field past int()'s digit limit
-            return None
+        return None
     if not ints:
         return None
     n, m = ints[0], ints[1]

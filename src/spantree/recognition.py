@@ -14,17 +14,22 @@ and each deletion then shifts whole buckets, O(1) work per step.
 Special 2-threshold graphs are hereditary, so a non-member shrinks to a
 minimal non-member, which is one of the family's forbidden patterns: that
 is how its witness is found, with no subset enumeration.
+
+Everything here reads the graph's neighbor sets, restricted to a vertex
+subset where one is searched; bitmasks appear only as the keys of the
+forbidden patterns, which have at most six vertices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cache
-from itertools import chain, combinations, islice, permutations
+from itertools import combinations, islice, permutations
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import OrderInconsistencyError
-from .graph import Graph, PartitionShape, induced_subgraph, mask_of, packed_mask, vertices_of
+from .graph import Graph, PartitionShape, induced_subgraph
 
 Role = Literal["initial", "isolated", "u_dominating"]
 
@@ -108,68 +113,64 @@ def derive_roles(
     return roles
 
 
-def _peel(g: Graph, w_mask: int, u_mask: int) -> tuple[list[int] | None, int]:
-    """Greedy elimination on the vertices of w_mask.
+def _peel(
+    adj: Mapping[int, frozenset[int]], u: frozenset[int]
+) -> tuple[list[int] | None, frozenset[int]]:
+    """Greedy elimination on the vertex set W of ``adj``, which maps each
+    vertex of W, in ascending order, to its neighbors in W.
 
     Repeatedly deletes a vertex whose remaining neighborhood is empty or
-    exactly the remaining U-part.  Returns (order, 0) on success with the
-    deletions reversed into a construction order, or (None, stuck) where
-    stuck is the vertex mask on which no deletion was possible.
+    exactly the remaining U-part.  Returns (order, frozenset()) on success
+    with the deletions reversed into a construction order, or (None, stuck)
+    where stuck is the vertex set on which no deletion was possible.
 
     Among the candidates the highest-labeled one is deleted, which makes
     low labels appear earliest in the resulting order.
 
-    Nothing is re-scanned: one peel takes |W| popcounts, then O(1) work per
-    deletion.  A deletable vertex touches nothing left or exactly the other
-    U-vertices left, so deleting it shifts whole classes of counts at once:
-    a U-dominating U-vertex takes one from every U-vertex's count inside U,
-    a U-dominating vertex outside U one from every U-vertex's count outside
-    U, and the counts of vertices outside U never change (one with a
-    neighbor outside U can never go).  So the vertices are bucketed once by
-    their counts, each bucket ascending, and each step reads four buckets:
-    U-vertices with no neighbors left, U-vertices with none outside U and
-    k - 1 inside, and the others with 0 or k neighbors, k the U-vertices
-    left.  The highest candidate ends one of them.
-
-    With U = W = V (the threshold peel) both counts of a vertex are its
-    degree, so no mask is built or read, and the stuck set is packed once
-    rather than by an n-bit operation per deletion: O(n) in all.
+    Nothing is re-scanned: one peel takes one pass over the neighbor sets,
+    then O(1) work per deletion.  A deletable vertex touches nothing left
+    or exactly the other U-vertices left, so deleting it shifts whole
+    classes of counts at once: a U-dominating U-vertex takes one from every
+    U-vertex's count inside U, a U-dominating vertex outside U one from
+    every U-vertex's count outside U, and the counts of vertices outside U
+    never change (one with a neighbor outside U can never go).  So the
+    vertices are bucketed once by their counts, each bucket ascending, and
+    each step reads four buckets: U-vertices with no neighbors left,
+    U-vertices with none outside U and k - 1 inside, and the others with 0
+    or k neighbors, k the U-vertices left.  The highest candidate ends one
+    of them.  The counts outside U are taken only when W has a vertex
+    outside U, so the threshold peel (U = W = V) buckets by degree: O(n).
     """
-    in_u, out_u = w_mask & u_mask, w_mask & ~u_mask
-    k = stride = in_u.bit_count()
+    outside = adj.keys() - u
+    k = stride = len(adj) - len(outside)
     # U-vertices keyed by their counts as out * k + in (in < k); the others,
     # unless they have a neighbor outside U, by their count inside
     u_buckets: dict[int, list[int]] = {}
     other_buckets: dict[int, list[int]] = {}
-    if w_mask == u_mask == g.full_mask():
-        for v in g.vertices:
-            u_buckets.setdefault(len(g._neighbors[v]), []).append(v)
-    else:
-        masks = g.neighbor_masks()
-        for v in vertices_of(in_u):
-            nb = masks[v]
-            key = (nb & out_u).bit_count() * k + (nb & in_u).bit_count()
-            u_buckets.setdefault(key, []).append(v)
-        for v in vertices_of(out_u):
-            nb = masks[v]
-            if not nb & out_u:
-                other_buckets.setdefault((nb & in_u).bit_count(), []).append(v)
+    for v, nb in adj.items():
+        if v not in u:
+            if nb.isdisjoint(outside):
+                other_buckets.setdefault(len(nb), []).append(v)
+        elif outside and (o := len(nb & outside)):
+            u_buckets.setdefault(o * (k - 1) + len(nb), []).append(v)
+        else:
+            u_buckets.setdefault(len(nb), []).append(v)
     base = 0  # the key of a U-vertex with no neighbors left
     empty: list[int] = []
     removed: list[int] = []
-    for _ in range(w_mask.bit_count()):
+    for _ in range(len(adj)):
         buckets = (
             u_buckets.get(base, empty),
-            u_buckets.get(base + k - 1, empty) if k > 1 else empty,
+            u_buckets.get(base + k - 1, empty),
             other_buckets.get(0, empty),
-            other_buckets.get(k, empty) if k else empty,
+            other_buckets.get(k, empty),
         )
         v = 0
         for i, bucket in enumerate(buckets):
             if bucket and bucket[-1] > v:
                 v, chosen = bucket[-1], i
         if not v:
-            return None, w_mask & ~packed_mask(g.n, removed)
+            return None, frozenset(adj).difference(removed)
         buckets[chosen].pop()
         removed.append(v)
         if chosen < 2:  # a U-vertex, U-dominating if chosen is 1
@@ -178,7 +179,13 @@ def _peel(g: Graph, w_mask: int, u_mask: int) -> tuple[list[int] | None, int]:
         elif chosen == 3:
             base += stride
     removed.reverse()
-    return removed, 0
+    return removed, frozenset()
+
+
+def _adjacency(g: Graph) -> dict[int, frozenset[int]]:
+    """The whole graph as ``_peel`` reads it: each vertex, ascending, to
+    its neighbor set."""
+    return dict(zip(g.vertices, g._neighbors[1:]))
 
 
 def _checked_order(
@@ -202,7 +209,7 @@ def u_threshold_order(g: Graph, u: Iterable[int]) -> ConstructionOrder | None:
     u_set = frozenset(u)
     for v in u_set:
         g.check_vertex(v)
-    order, _ = _peel(g, g.full_mask(), packed_mask(g.n, u_set))
+    order, _ = _peel(_adjacency(g), u_set)
     if order is None:
         return None
     return _checked_order(g, order, u_set)
@@ -213,27 +220,29 @@ def threshold_order(g: Graph) -> ConstructionOrder | None:
     return u_threshold_order(g, g.vertices)
 
 
-def _u_candidates(g: Graph, w: int) -> Iterator[int]:
-    """The U candidates of the subgraph induced on the vertex mask w, lazily
-    and without repeats: w itself, then N(x) and N(x) + x within w, each
-    plus the isolated vertices, for every vertex x of w.  Only those whose
-    complement in w is independent are yielded, as a valid U has one."""
-    masks = g.neighbor_masks()
-    vs = vertices_of(w)
-    isolated = mask_of(v for v in vs if masks[v] & w == 0)
-    seen: set[int] = set()
-    for u in chain((w,), (masks[x] & w | isolated | bit for x in vs for bit in (0, 1 << (x - 1)))):
-        if u in seen:
-            continue
-        seen.add(u)
-        rest = left = w & ~u
-        while left:  # stop at the first complement vertex with a neighbor there
-            v = left.bit_length()
-            if masks[v] & rest:
-                break
-            left ^= 1 << (v - 1)
-        else:
-            yield u
+def _u_candidates(adj: Mapping[int, frozenset[int]]) -> Iterator[frozenset[int]]:
+    """The U candidates of the subgraph ``adj`` (as ``_peel`` reads it),
+    lazily and without repeats: its vertex set W, then N(x) and N(x) + x,
+    each plus the isolated vertices, for every vertex x.  Only those whose
+    complement in W is independent are yielded, as a valid U has one.  The
+    complement is never built: the vertices are walked from the highest
+    label, those in U skipped, up to the first with a neighbor outside U,
+    which drops the candidate."""
+    w = frozenset(adj)
+    yield w  # its complement is empty
+    seen = {w}
+    top_down = list(reversed(adj))
+    isolated = frozenset(v for v in top_down if not adj[v])
+    for x, nb in adj.items():
+        nb = nb | isolated if isolated else nb
+        for u in (nb, nb | {x}):
+            for v in top_down:
+                if v not in u and not adj[v] <= u:
+                    break
+            else:
+                if u not in seen:
+                    seen.add(u)
+                    yield u
 
 
 def special_2_threshold_order(g: Graph) -> ConstructionOrder | None:
@@ -247,25 +256,25 @@ def special_2_threshold_order(g: Graph) -> ConstructionOrder | None:
     isolated vertex can always join U (move it to the end of the order), so
     the U with the smallest complement, lexicographically first among those,
     contains all of them.  That U is used, found among at most 2n + 1
-    candidates with one peel of n popcounts each: O(n^2) mask operations in
-    all.  U = V, the one candidate with an empty complement, goes first,
-    before the others are built.
+    candidates with one O(n + m) peel each.  U = V, the one candidate with
+    an empty complement, goes first, before the others are built.
     """
-    full = g.full_mask()
+    adj = _adjacency(g)
+    full = frozenset(adj)
 
-    def complement_first(u_mask: int) -> tuple[int, list[int]]:
-        rest = vertices_of(full & ~u_mask)
+    def complement_first(u: frozenset[int]) -> tuple[int, list[int]]:
+        rest = sorted(full - u)
         return len(rest), rest
 
-    def candidates() -> Iterator[int]:
+    def candidates() -> Iterator[frozenset[int]]:
         yield full
         # _u_candidates yields V first
-        yield from sorted(islice(_u_candidates(g, full), 1, None), key=complement_first)
+        yield from sorted(islice(_u_candidates(adj), 1, None), key=complement_first)
 
-    for u_mask in candidates():
-        order, _ = _peel(g, full, u_mask)
+    for u in candidates():
+        order, _ = _peel(adj, u)
         if order is not None:
-            return _checked_order(g, order, frozenset(vertices_of(u_mask)))
+            return _checked_order(g, order, u)
     return None
 
 
@@ -274,7 +283,12 @@ def special_2_threshold_order(g: Graph) -> ConstructionOrder | None:
 
 
 def _pattern(n: int, edges: list[tuple[int, int]]) -> tuple[int, ...]:
-    return Graph(n, edges).neighbor_masks()[1:]
+    """Entry i is the bitmask of vertex i + 1's neighbors (bit j - 1 for j)."""
+    masks = [0] * n
+    for u, v in edges:
+        masks[u - 1] |= 1 << (v - 1)
+        masks[v - 1] |= 1 << (u - 1)
+    return tuple(masks)
 
 
 #: Adjacency masks of the fixed obstruction patterns, on vertices 1..k.
@@ -370,24 +384,34 @@ def _bipartition(g: Graph) -> tuple[set[int], set[int]]:
 
 
 def _first_alternating_four(
-    g: Graph, partners: Callable[[int], int]
+    g: Graph, partners: Callable[[int], Sequence[int]]
 ) -> ForbiddenWitness | None:
     """First 4-subset, lexicographically, with edges a-b, y-z and non-edges
     b-y, z-a: a 2K2, P4 or C4.  Its corners a and y are opposite; b is any
     neighbor of a outside N[y], z any of y outside N[a].  So the first such
     subset has the smallest a with a partner y above it, and for each y the
-    smallest b and z: O(n^2) mask operations.  ``partners(a)`` masks the y
-    to try; a's color class in a bipartite graph yields exactly the 2K2s."""
-    full = g.full_mask()
+    smallest b and z, each found by walking a sorted neighbor list from
+    just above a up to the first fit.  ``partners(a)`` is an ascending
+    sequence holding the y to try, those above a; a's color class in a
+    bipartite graph yields exactly the 2K2s."""
+    nbrs = g._neighbors
+    ascending = list(map(sorted, nbrs))
     for a in g.vertices:
-        above, na = full >> a << a, g.neighbor_mask(a)
-        quads = []
-        for y in vertices_of(partners(a) & above):
-            ny = g.neighbor_mask(y)
-            b, z = na & ~ny & ~(1 << (y - 1)) & above, ny & ~na & above
-            if b and z:
-                b, z = (b & -b).bit_length(), (z & -z).bit_length()
-                quads.append(tuple(sorted((a, y, b, z))))
+        na, mine, quads = nbrs[a], ascending[a], []
+        mine = mine[bisect_right(mine, a):]
+        ys = partners(a)
+        for y in islice(ys, bisect_right(ys, a), None):
+            ny = nbrs[y]
+            for b in mine:
+                if b not in ny and b != y:
+                    break
+            else:
+                continue
+            theirs = ascending[y]
+            for z in islice(theirs, bisect_right(theirs, a), None):
+                if z not in na:
+                    quads.append(tuple(sorted((a, y, b, z))))
+                    break
         if quads:
             quad = min(quads)
             edges = sum(g.has_edge(u, v) for u, v in combinations(quad, 2))
@@ -398,43 +422,51 @@ def _first_alternating_four(
 def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
     """An induced obstruction for the family, or None when the graph is
     clean.  Threshold and ferrers patterns have four vertices: the witness
-    is the first such subset, by size and then lexicographically, found in
-    O(n^2) mask operations.  The ferrers family is only defined on connected
-    bipartite inputs and rejects others.
+    is the first such subset, by size and then lexicographically, found by
+    walking neighbor lists.  The ferrers family is only defined on
+    connected bipartite inputs and rejects others.
 
     A special 2-threshold non-member is shrunk to a minimal non-member:
     chunks of vertices, highest labels first, are deleted whenever what is
     left is still a non-member, the chunk halving after each pass.  The
     class is hereditary, so the last pass, one vertex at a time, leaves a
-    minimal one, which is one of the family's patterns.  Each trial is an
-    unsorted U-search of O(n^2) mask operations, a few per halving; the
-    whole graph is searched only when no chunk can go.  A result that
-    induces no pattern raises OrderInconsistencyError.
+    minimal one, which is one of the family's patterns.  Each trial is the
+    2K2 screen and then an unsorted U-search on the neighbor sets within
+    what is left, a few trials per halving; the whole graph is searched
+    only when no chunk can go.  A result that induces no pattern raises
+    OrderInconsistencyError.
     """
     if family not in FAMILY_PATTERNS:
         raise ValueError(f"unknown family {family!r}")
-    full = g.full_mask()
     if family == FAMILY_THRESHOLD:
-        return _first_alternating_four(g, lambda a: full)
+        return _first_alternating_four(g, lambda a: g.vertices)
     if family == FAMILY_FERRERS:
-        side, other = (packed_mask(g.n, s) for s in _bipartition(g))
-        return _first_alternating_four(g, lambda a: side if side >> (a - 1) & 1 else other)
+        sides = _bipartition(g)
+        ordered = [sorted(side) for side in sides]
+        return _first_alternating_four(g, lambda a: ordered[a in sides[1]])
+
+    nbrs = g._neighbors
 
     @cache
-    def member(w: int) -> bool:
-        return any(_peel(g, w, u)[0] is not None for u in _u_candidates(g, w))
+    def member(w: frozenset[int]) -> bool:
+        adj = {v: nbrs[v] & w for v in sorted(w)}
+        return _two_k2_screen(adj) is None and any(
+            _peel(adj, u)[0] is not None for u in _u_candidates(adj)
+        )
 
-    w, size = full, max(g.n, 2)
+    w = full = g.vertex_set()
+    size = max(g.n, 2)
     while size > 1:
         size = (size + 1) // 2
-        vs = vertices_of(w)
+        vs = sorted(w)
         for top in range(len(vs), 0, -size):
-            if not member(trial := w & ~mask_of(vs[max(top - size, 0):top])):
+            if not member(trial := w.difference(vs[max(top - size, 0):top])):
                 w = trial
         if w == full and member(full):  # nothing went, so g may be a member
             return None
-    subset = tuple(vertices_of(w))
-    name = _witness_keys(family).get(induced_subgraph(g, subset)[0].neighbor_masks()[1:])
+    subset = tuple(sorted(w))
+    induced = induced_subgraph(g, subset)[0]._neighbors[1:]
+    name = _witness_keys(family).get(tuple(sum(1 << (j - 1) for j in nb) for nb in induced))
     if name is None:
         raise OrderInconsistencyError(f"shrinking left {subset}, which induces no {family} pattern")
     return ForbiddenWitness(name, subset)
@@ -511,8 +543,9 @@ def ferrers_structure(g: Graph) -> FerrersStructure | None:
 # Routing
 
 
-def _two_k2_screen(g: Graph) -> tuple[int, int, int, int] | None:
-    """An induced 2K2 found from one edge, or None.
+def _two_k2_screen(adj: Mapping[int, frozenset[int]]) -> tuple[int, int, int, int] | None:
+    """An induced 2K2 found from one edge of the graph ``adj`` (as ``_peel``
+    reads it), or None.
 
     Take a vertex u of highest degree (lowest label on ties) and v its
     neighbor of highest degree (lowest label on ties).  An edge x-y with
@@ -520,16 +553,16 @@ def _two_k2_screen(g: Graph) -> tuple[int, int, int, int] | None:
     induce 2K2, which every family excludes: the result is (u, v, x, y)
     for the first such edge, or None when there is none, always for a
     member.  O(n + m), on neighbor sets and degrees alone."""
-    nbrs = g._neighbors
-    degree = list(map(len, nbrs))
-    u = max(g.vertices, key=degree.__getitem__, default=0)
-    if not nbrs[u]:
+    degrees = list(map(len, adj.values()))
+    top = max(degrees, default=0)
+    if not top:
         return None
-    v = max(nbrs[u], key=lambda x: (degree[x], -x))
-    covered = nbrs[u] | nbrs[v]
-    for x in g.vertices:
-        if x not in covered and not nbrs[x] <= covered:
-            return u, v, x, min(nbrs[x] - covered)
+    u = list(adj)[degrees.index(top)]
+    v = max(sorted(adj[u]), key=lambda x: len(adj[x]))
+    covered = adj[u] | adj[v]
+    for x in sorted(adj.keys() - covered):
+        if not adj[x] <= covered:
+            return u, v, x, min(adj[x] - covered)
     return None
 
 
@@ -540,12 +573,11 @@ def route(g: Graph) -> tuple[Family, ConstructionOrder] | None:
 
     The one-edge 2K2 screen goes first and turns a graph it catches away
     in O(n + m).  Threshold graphs get U = V by a peel on degrees, Ferrers
-    graphs their staircase traversal with U the columns, both on neighbor
-    sets; anything else the U-search, O(n^2) mask operations and the only
-    step that builds masks.  Every step is polynomial, so no input is
-    refused.
+    graphs their staircase traversal with U the columns; anything else the
+    U-search, at most 2n + 1 peels of O(n + m).  Every step reads neighbor
+    sets and is polynomial, so no input is refused.
     """
-    if _two_k2_screen(g) is not None:
+    if _two_k2_screen(_adjacency(g)) is not None:
         return None
     co = threshold_order(g)
     if co is not None:

@@ -21,7 +21,6 @@ from spantree import (
     threshold_order,
     u_threshold_order,
 )
-from spantree.graph import mask_of, vertices_of
 from spantree.recognition import FAMILY_PATTERNS, PATTERNS, derive_roles
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -76,6 +75,26 @@ def assert_simple(g: Graph) -> None:
             assert v in g.neighbors(w)
 
 
+def mask_of(vertices: Iterable[int]) -> int:
+    """Pack a collection of 1-indexed vertices into a bitmask (bit v-1 set)."""
+    m = 0
+    for v in vertices:
+        m |= 1 << (v - 1)
+    return m
+
+
+def vertices_of(mask: int) -> list[int]:
+    """Unpack a bitmask into an ascending list of 1-indexed vertices."""
+    return [v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1]
+
+
+def neighbor_masks(g: Graph) -> tuple[int, ...]:
+    """Entry v is the bitmask of v's neighbors (entry 0 is unused): the
+    references below keep their own adjacency format, which the package
+    does not use."""
+    return tuple(mask_of(g.neighbors(v)) if v else 0 for v in range(g.n + 1))
+
+
 def scan_peel(
     g: Graph,
     w_mask: int,
@@ -91,7 +110,7 @@ def scan_peel(
     highest-labeled candidate.
     """
     w = w_mask
-    masks = g.neighbor_masks()
+    masks = neighbor_masks(g)
     removed: list[int] = []
     while w:
         candidates = [
@@ -115,7 +134,7 @@ def scan_order(
     """The construction order ``scan_peel`` finds on all of g for the
     subset u, choosing with ``tie_break``, or None when the peel is stuck."""
     u_set = frozenset(u)
-    order, _ = scan_peel(g, g.full_mask(), mask_of(u_set), tie_break)
+    order, _ = scan_peel(g, mask_of(g.vertices), mask_of(u_set), tie_break)
     if order is None:
         return None
     return ConstructionOrder(tuple(order), u_set, tuple(derive_roles(g, order, u_set)))

@@ -50,6 +50,7 @@ from sample_graphs import (
     atlas_graphs,
     first_subset_witness,
     merris_count,
+    neighbor_masks,
     partitions_up_to,
     random_graph,
     random_u_threshold_instance,
@@ -164,7 +165,7 @@ def _triangular_orders(g: Graph):
     prefix failing that is pruned; which vertices came first and which of
     them are in B is all a later vertex sees, so a state with no
     completion is remembered and never grown again."""
-    nbrs = g.neighbor_masks()
+    nbrs = neighbor_masks(g)
     full = (1 << g.n) - 1
     dead = set()
 
@@ -196,7 +197,7 @@ def _confirm_triangular(g: Graph, order: tuple[int, ...], b_mask: int) -> None:
     """Build the permuted L + a b^T of a found order and check it."""
     lap = laplacian(g)
     rows = [[lap[u - 1][v - 1] for v in order] for u in order]
-    nbrs, seen, a = g.neighbor_masks(), 0, []
+    nbrs, seen, a = neighbor_masks(g), 0, []
     for v in order:
         a.append(int(nbrs[v] & seen != 0))
         seen |= 1 << (v - 1)

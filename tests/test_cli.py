@@ -26,7 +26,7 @@ import spantree.cli
 import spantree.recognition
 from spantree.cli import main
 from spantree.graph import MAX_PARSED_VERTICES
-from sample_graphs import FIXTURES, SPECIAL26
+from sample_graphs import FIXTURES, SPECIAL26, induced_pattern
 
 FAMILY_FIXTURES = {
     "k4.txt": 16,
@@ -176,15 +176,18 @@ def test_text_output_lists_no_edges(capsys, monkeypatch):
     ],
     ids=["path", "star-hub-n", "double-star-column-n"],
 )
-def test_count_long_sparse_inputs_build_no_masks(capsys, monkeypatch, tmp_path, edges, method):
+def test_count_long_sparse_inputs_skip_the_u_search(capsys, monkeypatch, tmp_path, edges, method):
     # a path, a star whose hub has the highest label and a double star (rows
     # 1..n/2, row 1 joined to every column, the full column labelled n):
-    # every neighbor bitmask would take n bits, so none may be built
+    # each is settled by the 2K2 screen, the threshold peel or the
+    # staircase, in O(n + m), before the U-search
     n = 20_000
     path = tmp_path / "g.txt"
     # edges written highest first: the echo must sort them
     path.write_text(f"{n} {n - 1}\n" + "".join(f"{u} {v}\n" for u, v in reversed(edges(n))))
-    monkeypatch.setattr(Graph, "neighbor_masks", lambda self: pytest.fail("masks built"))
+    monkeypatch.setattr(
+        spantree.recognition, "special_2_threshold_order", lambda g: pytest.fail("U-search ran")
+    )
     payload = run_json(capsys, "count", str(path), "--json")
     assert (payload["count"], payload["method"]) == (1, method)
     g = parse_edge_list(path.read_text())
@@ -392,6 +395,62 @@ def test_classify_does_not_drop_a_failing_witness(capsys, monkeypatch, family):
     code, out, err = run(capsys, "classify", fixture("c5.txt"), "--json")
     assert code != 0 and out == ""
     assert "planted witness failure" in err
+
+
+def test_classify_searches_for_an_order_only_on_members(capsys, monkeypatch):
+    # the special witness comes first, so a non-member is settled by the
+    # shrink alone and a member runs the U-search once
+    real, calls = spantree.cli.special_2_threshold_order, []
+    monkeypatch.setattr(
+        spantree.cli, "special_2_threshold_order", lambda g: calls.append(g) or real(g)
+    )
+    for name in ("c5.txt", "two_k2.txt", "house_with_tail.txt", "k23.txt", "k4.txt"):
+        payload = run_json(capsys, "classify", fixture(name), "--json")
+        member = payload["classification"]["special_2_threshold"]
+        assert len(calls) == member, name
+        calls.clear()
+
+
+#: 20,000-vertex inputs for classify: edges and (threshold, special
+#: 2-threshold, ferrers) memberships.
+_LONG_CLASSIFY = {
+    "path": (lambda n: [(v, v + 1) for v in range(1, n)], (False, False, False)),
+    "star-hub-n": (lambda n: [(v, n) for v in range(1, n)], (True, True, True)),
+    "double-star-column-n": (
+        lambda n: [(1, c) for c in range(n // 2 + 1, n + 1)]
+        + [(r, n) for r in range(2, n // 2 + 1)],
+        (False, True, True),
+    ),
+    # a hub labelled n joined to both ends of every matching edge
+    "windmill": (
+        lambda n: [(v, v + 1) for v in range(1, n - 1, 2)] + [(v, n) for v in range(1, n)],
+        (False, False, False),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _LONG_CLASSIFY)
+def test_classify_long_inputs(capsys, tmp_path, case):
+    edges, expected = _LONG_CLASSIFY[case]
+    n = 20_001 if case == "windmill" else 20_000
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(Graph(n, edges(n))))
+    payload = run_json(capsys, "classify", str(path), "--json")
+    cls = payload["classification"]
+    assert (cls["threshold"], cls["special_2_threshold"], cls["ferrers"]) == expected
+    g = parse_edge_list(path.read_text())
+    for w in payload["witnesses"]:
+        assert induced_pattern(g, tuple(w["vertices"]), w["family"]) == w["pattern"], w
+    # of the inputs outside the ferrers family only the path is connected
+    # and bipartite, which a ferrers witness needs
+    assert [w["family"] for w in payload["witnesses"]] == [
+        family
+        for family, member in zip(("threshold", "special-2-threshold", "ferrers"), expected)
+        if not member and (family != "ferrers" or case == "path")
+    ]
+    if expected[1]:
+        raw = payload["construction_order"]
+        ConstructionOrder(tuple(raw["order"]), frozenset(raw["u_set"]), tuple(raw["roles"])).check(g)
 
 
 def test_classify_ferrers_fixture(capsys):

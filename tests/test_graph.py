@@ -16,7 +16,15 @@ from spantree import (
     parse_edge_list,
 )
 import spantree.graph
-from sample_graphs import FIXTURES, HOUSE_TAIL, K4, assert_simple, partitions_up_to
+from sample_graphs import (
+    FIXTURES,
+    HOUSE_TAIL,
+    K4,
+    assert_simple,
+    mask_of,
+    partitions_up_to,
+    vertices_of,
+)
 
 
 def test_graph_rejects_loops_and_bad_vertices():
@@ -149,11 +157,11 @@ def test_induced_subgraph_composes():
 @settings(max_examples=200, deadline=None)
 @given(st.sets(st.integers(1, 300)))
 def test_vertices_of_round_trips_mask_of(vertices):
-    mask = spantree.graph.mask_of(vertices)
-    assert spantree.graph.vertices_of(mask) == sorted(vertices)
-    assert spantree.graph.mask_of(spantree.graph.vertices_of(mask)) == mask
-    for n in (300, 301, 304):
-        assert spantree.graph.packed_mask(n, vertices) == mask
+    # the bitmask helpers of the test references (the package keeps no
+    # bitmask of a vertex set)
+    mask = mask_of(vertices)
+    assert vertices_of(mask) == sorted(vertices)
+    assert mask_of(vertices_of(mask)) == mask
 
 
 def test_constructors_produce_valid_graphs():
@@ -312,7 +320,6 @@ def test_bulk_and_line_parsers_agree(text):
         assert g == expected
         assert g._neighbors == expected._neighbors
         assert hash(g) == hash(expected)
-        assert g._masks is None
         # the bulk path's kept pairs, sorted, are the edges rebuilt from
         # the line parser's neighbor sets
         assert g.edges() == expected.edges()
@@ -376,28 +383,30 @@ def test_malformed_edge_lists_keep_their_messages(case):
 
 
 def test_well_formed_text_skips_the_line_parser(monkeypatch):
+    # text that JSON decodes once its spaces and line ends are commas; the
+    # layouts it does not decode are in _DECODE_PATHS
     def refuse(text, source):
         raise AssertionError("line parser called")
 
-    texts = ["3 2\n1 2\n2 3\n", "\n 3\t2 \n\n01 2\n2   3", "1 0", "4 1\n\t\n1 4\n  \n"]
+    texts = ["3 2\n1 2\n2 3\n", "\n 3 \t2\n1 2\n2\t 3 ", "1 0", "4 1\n1 \t4\n\n"]
     expected = [_line_parser(text) for text in texts]
     monkeypatch.setattr(spantree.graph, "_parse_lines", refuse)
     for text, g in zip(texts, expected):
         assert parse_edge_list(text) == g
 
 
-# Well-formed texts the bulk path reads, by the decoder that reads them:
-# JSON takes single spaces and single line ends, with tabs beside them;
-# any other blank layout or a leading zero makes the comma-joined text
-# invalid JSON, and the fields are then read by int().
+# Well-formed texts, by the parser that reads them: JSON takes single
+# spaces and single line ends, with tabs beside them; any other blank
+# layout or a leading zero makes the comma-joined text invalid JSON, and
+# the bulk path then declines, leaving the text to the line parser.
 _DECODE_PATHS = {
     "canonical": ("4 3\n1 2\n2 3\n3 4\n", "json"),
     "tab-beside-a-space": ("4 3\n1 \t2\n2\t 3\n3 4\n", "json"),
-    "leading-zero": ("4 3\n01 2\n2 3\n3 4\n", "int"),
-    "tab": ("4 3\n1\t2\n2 3\n3 4\n", "int"),
-    "blank-run": ("4 3\n1  2\n2 3\n3 4\n", "int"),
-    "blank-line": ("4 3\n1 2\n\n2 3\n3 4\n", "int"),
-    "trailing-blanks": ("4 3  \n1 2 \n2 3\n3 4\n", "int"),
+    "leading-zero": ("4 3\n01 2\n2 3\n3 4\n", "lines"),
+    "tab": ("4 3\n1\t2\n2 3\n3 4\n", "lines"),
+    "blank-run": ("4 3\n1  2\n2 3\n3 4\n", "lines"),
+    "blank-line": ("4 3\n1 2\n\n2 3\n3 4\n", "lines"),
+    "trailing-blanks": ("4 3  \n1 2 \n2 3\n3 4\n", "lines"),
 }
 
 
@@ -406,27 +415,35 @@ def test_bulk_decode_paths(case, monkeypatch):
     text, path = _DECODE_PATHS[case]
     expected = _line_parser(text)
     decoded = []
-    loads = spantree.graph.json.loads
+    loads, parse_lines = spantree.graph.json.loads, spantree.graph._parse_lines
 
     def spy(s):
         try:
             ints = loads(s)
         except ValueError:
-            decoded.append("int")
+            decoded.append("invalid")
             raise
         decoded.append("json")
         return ints
 
-    def refuse(text, source):
-        raise AssertionError("line parser called")
+    def lines(text, source):
+        decoded.append("lines")
+        return parse_lines(text, source)
 
     monkeypatch.setattr(spantree.graph.json, "loads", spy)
-    monkeypatch.setattr(spantree.graph, "_parse_lines", refuse)
+    monkeypatch.setattr(spantree.graph, "_parse_lines", lines)
     g = spantree.graph._parse_bulk(text)
-    assert decoded == [path]
+    if path == "json":
+        assert decoded == ["json"]
+        assert g == expected and g.edges() == expected.edges()
+        assert g._neighbors == expected._neighbors
+    else:
+        assert decoded == ["invalid"] and g is None
+    decoded.clear()
+    g = parse_edge_list(text)
+    assert decoded == (["json"] if path == "json" else ["invalid", "lines"])
     assert g == expected and g.edges() == expected.edges()
     assert g._neighbors == expected._neighbors
-    assert parse_edge_list(text) == expected
 
 
 def test_parse_edge_list_at_the_vertex_limit():

@@ -25,8 +25,7 @@ from spantree import (
     u_threshold_order,
 )
 import spantree.recognition
-from spantree.graph import mask_of, vertices_of
-from spantree.recognition import FAMILY_PATTERNS, PATTERNS, derive_roles
+from spantree.recognition import FAMILY_PATTERNS, PATTERNS, _adjacency, derive_roles
 from sample_graphs import (
     C5,
     FERRERS3221,
@@ -43,6 +42,7 @@ from sample_graphs import (
     first_subset_witness,
     independent_complement_search,
     induced_pattern,
+    mask_of,
     partitions_up_to,
     random_graph,
     random_u_threshold_instance,
@@ -51,6 +51,7 @@ from sample_graphs import (
     scan_peel,
     small_graphs,
     threshold_graph_from_bits,
+    vertices_of,
 )
 
 
@@ -114,13 +115,12 @@ def test_u_threshold_obstruction():
     # vertex of the subgraph induced on W is isolated or U-dominating there
     for u in (frozenset(), frozenset({1, 2}), frozenset({1, 2, 3, 4})):
         assert u_threshold_order(TWO_K2, u) is None
-        order, stuck_mask = spantree.recognition._peel(TWO_K2, TWO_K2.full_mask(), mask_of(u))
-        stuck = frozenset(vertices_of(stuck_mask))
+        order, stuck = spantree.recognition._peel(_adjacency(TWO_K2), u)
         assert order is None and stuck
         for v in stuck:
             inside = TWO_K2.neighbors(v) & stuck
             assert inside and inside != (stuck - {v}) & u
-    assert spantree.recognition._peel(SPECIAL5, SPECIAL5.full_mask(), mask_of(SPECIAL5_U))[1] == 0
+    assert spantree.recognition._peel(_adjacency(SPECIAL5), SPECIAL5_U)[1] == frozenset()
 
 
 @st.composite
@@ -143,17 +143,23 @@ def peel_instances(draw, max_n=12):
     perm = draw(st.permutations(range(1, n + 1)))
     g = relabeled(Graph(n, edges), list(perm))
     u = mask_of(perm[v - 1] for v in g.vertices if in_u[v - 1])
-    w = draw(st.one_of(st.just(g.full_mask()), st.integers(0, g.full_mask())))
+    full = mask_of(g.vertices)
+    w = draw(st.one_of(st.just(full), st.integers(0, full)))
     return g, w, u
 
 
 @settings(max_examples=400, deadline=None)
 @given(peel_instances())
 def test_peel_matches_the_scan_reference(instance):
-    # the scan deletes by definition; the counters must delete the same
-    # vertices in the same order and stop on the same stuck set
+    # the scan deletes by definition, on masks; the counters, on neighbor
+    # sets within W, must delete the same vertices in the same order and
+    # stop on the same stuck set
     g, w, u = instance
-    assert spantree.recognition._peel(g, w, u) == scan_peel(g, w, u)
+    adj = {v: g.neighbors(v) & frozenset(vertices_of(w)) for v in vertices_of(w)}
+    order, stuck = scan_peel(g, w, u)
+    assert spantree.recognition._peel(adj, frozenset(vertices_of(u))) == (
+        order, frozenset(vertices_of(stuck))
+    )
 
 
 def test_greedy_confluence_under_random_tie_breaks():
@@ -288,14 +294,14 @@ def test_special_search_peels_only_u_equal_v_on_a_threshold_graph(monkeypatch):
     expected, peels = threshold_order(THRESHOLD5), []
     peel = spantree.recognition._peel
     monkeypatch.setattr(
-        spantree.recognition, "_peel", lambda *args: peels.append(args[1:]) or peel(*args)
+        spantree.recognition, "_peel", lambda *args: peels.append(args) or peel(*args)
     )
     monkeypatch.setattr(
         spantree.recognition, "_u_candidates", lambda *args: pytest.fail("candidates built")
     )
     co = special_2_threshold_order(THRESHOLD5)
     assert co.u_set == THRESHOLD5.vertex_set() and co == expected
-    assert peels == [(THRESHOLD5.full_mask(), THRESHOLD5.full_mask())]
+    assert peels == [(_adjacency(THRESHOLD5), THRESHOLD5.vertex_set())]
 
 
 def test_special_search_has_no_vertex_cap():
@@ -615,33 +621,42 @@ def _shuffled_u_threshold_members(draw):
 @settings(max_examples=300, deadline=None)
 @given(_shuffled_u_threshold_members())
 def test_two_k2_screen_never_fires_on_a_member(g):
-    assert spantree.recognition._two_k2_screen(g) is None
+    assert spantree.recognition._two_k2_screen(_adjacency(g)) is None
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_graphs(max_n=12))
-def test_two_k2_screen_names_an_induced_2k2(g):
-    found = spantree.recognition._two_k2_screen(g)
+@given(small_graphs(max_n=12), st.sets(st.integers(1, 12)))
+def test_two_k2_screen_names_an_induced_2k2(g, dropped):
+    found = spantree.recognition._two_k2_screen(_adjacency(g))
     if found is not None:
         assert induced_pattern(g, found, "threshold") == "2K2", (g, found)
         assert route(g) is None
+    # within a vertex subset too, as the special 2-threshold shrink runs it
+    w = g.vertex_set() - dropped
+    found = spantree.recognition._two_k2_screen({v: g.neighbors(v) & w for v in sorted(w)})
+    if found is not None:
+        assert set(found) <= w and induced_pattern(g, found, "threshold") == "2K2", (g, w, found)
 
 
-def test_two_k2_screen_turns_a_long_path_away_before_any_mask(monkeypatch):
+def test_two_k2_screen_turns_a_long_path_away_before_the_u_search(monkeypatch):
     n = 20_000
     g = Graph(n, [(v, v + 1) for v in range(1, n)])
-    monkeypatch.setattr(Graph, "neighbor_masks", lambda self: pytest.fail("masks built"))
-    assert spantree.recognition._two_k2_screen(g) == (2, 3, 5, 6)
+    monkeypatch.setattr(
+        spantree.recognition, "special_2_threshold_order", lambda g: pytest.fail("U-search ran")
+    )
+    assert spantree.recognition._two_k2_screen(_adjacency(g)) == (2, 3, 5, 6)
     assert route(g) is None
 
 
-def test_ferrers_member_routes_before_any_mask(monkeypatch):
+def test_ferrers_member_routes_before_the_u_search(monkeypatch):
     # a shuffled staircase with 2,000 vertices and many trees
     shape = PartitionShape((1000,) + (2,) * 500 + (1,) * 499)
     perm = list(range(1, 2001))
     random.Random(23).shuffle(perm)
     g = relabeled(ferrers_graph(shape), perm)
-    monkeypatch.setattr(Graph, "neighbor_masks", lambda self: pytest.fail("masks built"))
+    monkeypatch.setattr(
+        spantree.recognition, "special_2_threshold_order", lambda g: pytest.fail("U-search ran")
+    )
     family, co = route(g)
     assert family == "ferrers"
     assert special_2_threshold_count(g, co) == ferrers_count(shape) > 1

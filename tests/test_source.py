@@ -287,3 +287,17 @@ def test_expansion_determinant_is_named_only_by_linalg():
     # Bareiss, the triangular shortcut and the expansion is made in one place
     found = _modules_naming("expansion_determinant")
     assert not found, found
+
+
+def test_graphs_keep_one_adjacency_format():
+    # neighbor sets are the only adjacency of a graph: no n-bit masks, which
+    # take O(n^2) bits on a sparse graph, and no helper to build them
+    assert spantree.Graph.__slots__ == ("n", "_neighbors", "_pairs")
+    names = ("mask_of", "packed_mask", "vertices_of", "neighbor_mask", "full_mask")
+    found = [
+        f"{path.name} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in names
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert not found, found
