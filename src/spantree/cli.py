@@ -50,9 +50,10 @@ from .recognition import (
     FAMILY_FERRERS,
     FAMILY_SPECIAL_2_THRESHOLD,
     FAMILY_THRESHOLD,
+    ForbiddenWitness,
+    _special_2_threshold,
     ferrers_structure,
     forbidden_witness,
-    special_2_threshold_order,
 )
 from .weighted import (
     weighted_count_special_2threshold,
@@ -151,16 +152,16 @@ def cmd_classify(args: argparse.Namespace) -> int:
     """Family memberships plus certificates: a construction order or
     staircase for each family the graph is in, a forbidden induced subgraph
     for each it is not.  Every step is polynomial, so no graph is refused.
-    The special 2-threshold witness is asked for first, and the U-search
-    runs only when there is none, so a non-member is settled by one search.
-    The U-search tries U = V first, so the graph is threshold exactly when
-    the U it finds is V, and the special order is then the threshold
-    order; threshold graphs are special 2-threshold, so a special witness
-    also makes the graph no threshold graph."""
+    One call answers the special 2-threshold family with its certificate:
+    the witness shrink, which ends in the whole graph's U-search when
+    nothing can go.  The U-search tries U = V first, so the graph is
+    threshold exactly when the U it finds is V, and the special order is
+    then the threshold order; threshold graphs are special 2-threshold, so
+    a special witness also makes the graph no threshold graph."""
     g, source = _load_graph(args.file, args.json)
     fs = ferrers_structure(g)
-    special = forbidden_witness(g, FAMILY_SPECIAL_2_THRESHOLD)
-    co = None if special else special_2_threshold_order(g)
+    found = _special_2_threshold(g)
+    special, co = (found, None) if isinstance(found, ForbiddenWitness) else (None, found)
     threshold = co is not None and len(co.u_set) == g.n
     try:
         ferrers = None if fs else forbidden_witness(g, FAMILY_FERRERS)

@@ -216,8 +216,11 @@ def _degree_product(g: Graph, co: ConstructionOrder, ring: Ring[T]) -> T:
     factor is the sum over U.  Both equalities are checked, ExactnessError
     if one fails, and both factors dropped.  A zero factor (an isolated
     vertex) means g is disconnected and counts zero.  Empty D or U means g
-    is edgeless: one for a single vertex, else zero.
+    is edgeless: one for a single vertex, else zero.  The null graph raises
+    ValueError, as the cofactor does.
     """
+    if g.n < 1:
+        raise ValueError("need at least one vertex")
     co.check(g)
     dom = co.u_dominating_vertices()
     if not dom or not co.u_set:

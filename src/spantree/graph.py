@@ -304,8 +304,9 @@ def parse_edge_list(text: str, *, source: str = "<input>") -> Graph:
     """Parse the package's edge-list format.
 
     Line 1 is "n m" with 1 <= n <= MAX_PARSED_VERTICES; each of the
-    following m lines is "u v" with 1 <= u < v <= n.  '#' starts a comment;
-    blank lines are ignored.
+    following m lines is "u v" with 1 <= u < v <= n.  Fields are separated
+    by spaces or tabs, lines end at '\\n', '\\r\\n' or '\\r', '#' starts a
+    comment, and blank lines are ignored.
     Duplicate or loop edges, and any deviation from the format, raise
     :class:`EdgeListParseError`.
 
@@ -369,19 +370,27 @@ def _parse_bulk(text: str) -> Graph | None:
     return Graph._from_neighbors(n, neighbors, (us, vs))
 
 
+#: The line parser's separators: lines end at '\n', '\r\n' or '\r', and
+#: fields are separated by runs of spaces and tabs.  Any other character,
+#: other Unicode whitespace included, stays in its field for the checks.
+_LINE_END = re.compile(r"\r\n?|\n")
+_FIELD_GAP = re.compile(r"[ \t]+")
+
+
 def _parse_lines(text: str, source: str) -> Graph:
     """``parse_edge_list`` line by line, for every text the bulk path
-    declines: comments, other line ends and whitespace, and every error,
-    each raised as :class:`EdgeListParseError` naming its line."""
+    declines: comments, '\\r' line ends, other runs of spaces and tabs,
+    and every error, each raised as :class:`EdgeListParseError` naming its
+    line."""
 
     def fail(lineno: int, msg: str) -> EdgeListParseError:
         return EdgeListParseError(f"{source}:{lineno}: {msg}")
 
     rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        data = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(_LINE_END.split(text), 1):
+        data = raw.split("#", 1)[0].strip(" \t")
         if data:
-            rows.append((lineno, data.split()))
+            rows.append((lineno, _FIELD_GAP.split(data)))
     if not rows:
         raise EdgeListParseError(f"{source}: empty input, expected 'n m' header")
 

@@ -222,27 +222,41 @@ def threshold_order(g: Graph) -> ConstructionOrder | None:
 
 def _u_candidates(adj: Mapping[int, frozenset[int]]) -> Iterator[frozenset[int]]:
     """The U candidates of the subgraph ``adj`` (as ``_peel`` reads it),
-    lazily and without repeats: its vertex set W, then N(x) and N(x) + x,
-    each plus the isolated vertices, for every vertex x.  Only those whose
-    complement in W is independent are yielded, as a valid U has one.  The
-    complement is never built: the vertices are walked from the highest
-    label, those in U skipped, up to the first with a neighbor outside U,
-    which drops the candidate."""
+    without repeats: its vertex set W, then, only if the caller asks for
+    more, N(x) and N(x) + x, each plus the isolated vertices, for every
+    vertex x, by smallest complement in W and then lexicographically first
+    complement.  Only those whose complement is independent are yielded, as
+    a valid U has one.  The complement is taken from the walk that tests
+    it: the vertices are walked from the highest label, those in U skipped
+    and the others kept, up to the first with a neighbor outside U, which
+    drops the candidate; the kept ones, reversed, are the complement,
+    ascending."""
     w = frozenset(adj)
-    yield w  # its complement is empty
-    seen = {w}
+    yield w  # its complement is empty, the smallest key
+    keys: dict[frozenset[int], tuple[int, list[int]]] = {w: (0, [])}
     top_down = list(reversed(adj))
     isolated = frozenset(v for v in top_down if not adj[v])
     for x, nb in adj.items():
         nb = nb | isolated if isolated else nb
-        for u in (nb, nb | {x}):
+        for u in {nb, nb | {x}}.difference(keys):
+            rest = []
             for v in top_down:
-                if v not in u and not adj[v] <= u:
-                    break
+                if v not in u:
+                    if not adj[v] <= u:
+                        break
+                    rest.append(v)
             else:
-                if u not in seen:
-                    seen.add(u)
-                    yield u
+                keys[u] = len(rest), rest[::-1]
+    yield from sorted(keys, key=keys.__getitem__)[1:]
+
+
+def _u_search(adj: Mapping[int, frozenset[int]]) -> tuple[list[int], frozenset[int]] | None:
+    """The first U candidate of ``adj`` that peels, as (order, U), or None
+    when none does: the one search for U in the package."""
+    for u in _u_candidates(adj):
+        if (order := _peel(adj, u)[0]) is not None:
+            return order, u
+    return None
 
 
 def special_2_threshold_order(g: Graph) -> ConstructionOrder | None:
@@ -259,23 +273,8 @@ def special_2_threshold_order(g: Graph) -> ConstructionOrder | None:
     candidates with one O(n + m) peel each.  U = V, the one candidate with
     an empty complement, goes first, before the others are built.
     """
-    adj = _adjacency(g)
-    full = frozenset(adj)
-
-    def complement_first(u: frozenset[int]) -> tuple[int, list[int]]:
-        rest = sorted(full - u)
-        return len(rest), rest
-
-    def candidates() -> Iterator[frozenset[int]]:
-        yield full
-        # _u_candidates yields V first
-        yield from sorted(islice(_u_candidates(adj), 1, None), key=complement_first)
-
-    for u in candidates():
-        order, _ = _peel(adj, u)
-        if order is not None:
-            return _checked_order(g, order, u)
-    return None
+    found = _u_search(_adjacency(g))
+    return None if found is None else _checked_order(g, *found)
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +423,8 @@ def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
     clean.  Threshold and ferrers patterns have four vertices: the witness
     is the first such subset, by size and then lexicographically, found by
     walking neighbor lists.  The ferrers family is only defined on
-    connected bipartite inputs and rejects others.
-
-    A special 2-threshold non-member is shrunk to a minimal non-member:
-    chunks of vertices, highest labels first, are deleted whenever what is
-    left is still a non-member, the chunk halving after each pass.  The
-    class is hereditary, so the last pass, one vertex at a time, leaves a
-    minimal one, which is one of the family's patterns.  Each trial is the
-    2K2 screen and then an unsorted U-search on the neighbor sets within
-    what is left, a few trials per halving; the whole graph is searched
-    only when no chunk can go.  A result that induces no pattern raises
-    OrderInconsistencyError.
+    connected bipartite inputs and rejects others.  A special 2-threshold
+    witness is ``_special_2_threshold``'s.
     """
     if family not in FAMILY_PATTERNS:
         raise ValueError(f"unknown family {family!r}")
@@ -444,15 +434,31 @@ def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
         sides = _bipartition(g)
         ordered = [sorted(side) for side in sides]
         return _first_alternating_four(g, lambda a: ordered[a in sides[1]])
+    found = _special_2_threshold(g)
+    return found if isinstance(found, ForbiddenWitness) else None
 
+
+def _special_2_threshold(g: Graph) -> ConstructionOrder | ForbiddenWitness:
+    """The special 2-threshold answer with its certificate: the
+    construction order ``special_2_threshold_order`` returns for a member,
+    a forbidden pattern for a non-member.
+
+    A non-member is shrunk to a minimal non-member: chunks of vertices,
+    highest labels first, are deleted whenever what is left is still a
+    non-member, the chunk halving after each pass.  The class is
+    hereditary, so the last pass, one vertex at a time, leaves a minimal
+    one, which is one of the family's patterns.  Each trial is the 2K2
+    screen and then the U-search on the neighbor sets within what is left,
+    a few trials per halving; the whole graph is searched only when no
+    chunk can go, and the order found there is the answer.  A result that
+    induces no pattern raises OrderInconsistencyError.
+    """
     nbrs = g._neighbors
 
     @cache
-    def member(w: frozenset[int]) -> bool:
+    def search(w: frozenset[int]) -> tuple[list[int], frozenset[int]] | None:
         adj = {v: nbrs[v] & w for v in sorted(w)}
-        return _two_k2_screen(adj) is None and any(
-            _peel(adj, u)[0] is not None for u in _u_candidates(adj)
-        )
+        return None if _two_k2_screen(adj) else _u_search(adj)
 
     w = full = g.vertex_set()
     size = max(g.n, 2)
@@ -460,12 +466,13 @@ def forbidden_witness(g: Graph, family: Family) -> ForbiddenWitness | None:
         size = (size + 1) // 2
         vs = sorted(w)
         for top in range(len(vs), 0, -size):
-            if not member(trial := w.difference(vs[max(top - size, 0):top])):
+            if not search(trial := w.difference(vs[max(top - size, 0):top])):
                 w = trial
-        if w == full and member(full):  # nothing went, so g may be a member
-            return None
+        if w == full and (found := search(full)):  # nothing went: g may be a member
+            return _checked_order(g, *found)
     subset = tuple(sorted(w))
     induced = induced_subgraph(g, subset)[0]._neighbors[1:]
+    family = FAMILY_SPECIAL_2_THRESHOLD
     name = _witness_keys(family).get(tuple(sum(1 << (j - 1) for j in nb) for nb in induced))
     if name is None:
         raise OrderInconsistencyError(f"shrinking left {subset}, which induces no {family} pattern")

@@ -220,3 +220,7 @@ def test_decomposed_answers_invariant_under_relabeling(g, rng):
     assert reduce_and_route(h, special_2_threshold_count, matrix_tree_count)[:2] == count
     poly, method = weighted_auto(g)
     assert weighted_auto(h) == (poly.lift(g.n, perm), method)
+
+
+def test_the_null_graph_has_no_blocks():
+    assert blocks(Graph(0)) == []

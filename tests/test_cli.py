@@ -296,6 +296,26 @@ def test_integers_are_ascii_digits_only(capsys, tmp_path, monkeypatch, text, arg
     assert message in out.err
 
 
+@pytest.mark.parametrize(
+    "char", ["\u2003", "\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"],
+    ids=["em-space", "no-break-space", "vt", "ff", "fs", "nel", "line-separator"],
+)
+@pytest.mark.parametrize("place", ["separator", "line-end"])
+def test_other_whitespace_separates_nothing(capsys, tmp_path, char, place):
+    # str.split() and splitlines() read these as field gaps or line breaks;
+    # the format has only spaces, tabs and '\n', '\r\n' or '\r', so each
+    # reaches the checks and exits 2 naming its line
+    if place == "separator":
+        text, line = "2 1\n1" + char + "2\n", 2
+    else:
+        text, line = "2 1" + char + "1 2\n", 1
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "count", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}:{line}: ")
+
+
 def test_count_converts_the_count_to_decimal_once(capsys, monkeypatch):
     # --json prints the count through json alone; the text line is built
     # only in text mode
@@ -384,31 +404,41 @@ def test_classify_five_cycle(capsys):
 def test_classify_does_not_drop_a_failing_witness(capsys, monkeypatch, family):
     # only the ferrers scan has a precondition to skip; any other
     # family's error ends the command before it prints
-    real = spantree.cli.forbidden_witness
+    def fail(*args):
+        raise ValueError("planted witness failure")
 
-    def planted(g, fam):
-        if fam == family:
-            raise ValueError("planted witness failure")
-        return real(g, fam)
-
-    monkeypatch.setattr(spantree.cli, "forbidden_witness", planted)
+    if family == "special-2-threshold":
+        # one call answers this family, witness or order
+        monkeypatch.setattr(spantree.cli, "_special_2_threshold", fail)
+    else:
+        real = spantree.cli.forbidden_witness
+        monkeypatch.setattr(
+            spantree.cli,
+            "forbidden_witness",
+            lambda g, fam: fail() if fam == family else real(g, fam),
+        )
     code, out, err = run(capsys, "classify", fixture("c5.txt"), "--json")
     assert code != 0 and out == ""
     assert "planted witness failure" in err
 
 
-def test_classify_searches_for_an_order_only_on_members(capsys, monkeypatch):
-    # the special witness comes first, so a non-member is settled by the
-    # shrink alone and a member runs the U-search once
-    real, calls = spantree.cli.special_2_threshold_order, []
-    monkeypatch.setattr(
-        spantree.cli, "special_2_threshold_order", lambda g: calls.append(g) or real(g)
-    )
-    for name in ("c5.txt", "two_k2.txt", "house_with_tail.txt", "k23.txt", "k4.txt"):
-        payload = run_json(capsys, "classify", fixture(name), "--json")
+def test_classify_searches_the_whole_graph_at_most_once(capsys, monkeypatch):
+    # the witness shrink ends in the whole graph's U-search only when no
+    # chunk can go, and hands classify the order it found there: a member
+    # peels U = V on all of V once, a non-member at most once
+    real, members = spantree.recognition._peel, 0
+    for path in sorted(FIXTURES.glob("*.txt")):
+        vertices, whole = parse_edge_list(path.read_text()).vertex_set(), []
+        monkeypatch.setattr(
+            spantree.recognition,
+            "_peel",
+            lambda adj, u: whole.append(adj.keys() == u == vertices) or real(adj, u),
+        )
+        payload = run_json(capsys, "classify", str(path), "--json")
         member = payload["classification"]["special_2_threshold"]
-        assert len(calls) == member, name
-        calls.clear()
+        assert member <= sum(whole) <= 1, path.name
+        members += member
+    assert members >= 5
 
 
 #: 20,000-vertex inputs for classify: edges and (threshold, special

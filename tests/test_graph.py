@@ -269,7 +269,8 @@ def _line_parser(text):
 # zero is read, a sign, an underscore or a '#' right after the digits are not.
 _FIELD_EDITS = ("{}",) * 12 + ("0{}", "00{}", "+{}", "-{}", "{}_0", "{}#")
 # Field separators and line ends, the plain ones most often; '\x0b', '\x0c'
-# and '\u2028' are whitespace to str.split() and line breaks to splitlines().
+# and '\u2028' are whitespace to str.split() and line breaks to
+# splitlines(), but neither to the format, so a text using them is refused.
 _SEPARATORS = (" ",) * 4 + ("\t", " \t ", "\x0b", "\x0c", "\u2028")
 _LINE_ENDS = ("\n",) * 6 + ("\r\n", "\x0b", "\x0c", "\u2028")
 
@@ -455,3 +456,9 @@ def test_parse_edge_list_at_the_vertex_limit():
     assert path.neighbors(1) == {2} and path.neighbors(n) == {n - 1}
     empty = parse_edge_list(f"{n} 0\n")
     assert (empty.n, empty.edge_count) == (n, 0)
+
+
+def test_repr_round_trips_and_equality_refuses_other_types():
+    for g in (Graph(1), HOUSE_TAIL, complete(4)):
+        assert eval(repr(g)) == g
+    assert (Graph(1) == 1) is False

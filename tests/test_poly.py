@@ -164,3 +164,12 @@ def test_lift_renames_variables_into_a_larger_ring():
     for labels in ((1,), (1, 1), (0, 2), (2, 5)):
         with pytest.raises(ValueError):
             p.lift(4, labels)
+
+
+def test_foreign_operands_and_sizes_are_refused():
+    with pytest.raises(ValueError):
+        MultiPoly(-1)
+    one = MultiPoly.const(2, 1)
+    with pytest.raises(TypeError):
+        one + "x"
+    assert (one == "1") is False

@@ -290,17 +290,22 @@ def test_special_search_peels_at_most_2n_plus_1_candidates(monkeypatch):
 
 
 def test_special_search_peels_only_u_equal_v_on_a_threshold_graph(monkeypatch):
-    # U = V comes first, so a threshold graph builds no other candidate
-    expected, peels = threshold_order(THRESHOLD5), []
-    peel = spantree.recognition._peel
+    # U = V comes first, so a threshold graph draws no second candidate
+    expected, peels, drawn = threshold_order(THRESHOLD5), [], []
+    peel, candidates = spantree.recognition._peel, spantree.recognition._u_candidates
+
+    def counted(adj):
+        for u in candidates(adj):
+            drawn.append(u)
+            yield u
+
     monkeypatch.setattr(
         spantree.recognition, "_peel", lambda *args: peels.append(args) or peel(*args)
     )
-    monkeypatch.setattr(
-        spantree.recognition, "_u_candidates", lambda *args: pytest.fail("candidates built")
-    )
+    monkeypatch.setattr(spantree.recognition, "_u_candidates", counted)
     co = special_2_threshold_order(THRESHOLD5)
     assert co.u_set == THRESHOLD5.vertex_set() and co == expected
+    assert drawn == [THRESHOLD5.vertex_set()]
     assert peels == [(_adjacency(THRESHOLD5), THRESHOLD5.vertex_set())]
 
 

@@ -5,9 +5,11 @@ within its edge guard (m <= 24) where it has few enough edge subsets to
 be quick, and the weighted perturbation, whose expansion determinant
 takes seconds on K8 and K9, up to seven vertices."""
 
+import pytest
 from hypothesis import given, settings
 
 from spantree import (
+    Graph,
     matrix_tree_count,
     oracle_count,
     perturbation_count,
@@ -15,6 +17,7 @@ from spantree import (
     reduce_and_route,
     route,
     special_2_threshold_count,
+    special_2_threshold_order,
     weighted_count_special_2threshold,
     weighted_matrix_tree_count,
     weighted_oracle,
@@ -59,3 +62,28 @@ def test_every_weighted_route_agrees(g):
         routes["oracle"] = weighted_oracle(g)
     assert routes == dict.fromkeys(routes, poly)
     assert poly.substitute_all_ones() == matrix_tree_count(g)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["integers", "polynomials"])
+def test_every_route_refuses_the_null_graph(weighted):
+    # the oracle and the cofactor need a vertex, and the formula and the
+    # routing through it agree with them instead of counting zero
+    g = Graph(0)
+    if weighted:
+        formula, cofactor = weighted_count_special_2threshold, weighted_matrix_tree_count
+        perturbation, oracle = weighted_perturbation_count, weighted_oracle
+    else:
+        formula, cofactor = special_2_threshold_count, matrix_tree_count
+        perturbation, oracle = perturbation_count, oracle_count
+    kwargs = {"ring": polynomial_ring(0)} if weighted else {}
+    co = special_2_threshold_order(g)
+    for answer in (
+        lambda: formula(g, co),
+        lambda: reduce_and_route(g, formula, cofactor, **kwargs),
+        lambda: reduce_and_route(g, formula, None, **kwargs),
+        lambda: cofactor(g),
+        lambda: perturbation(g, [], []),
+        lambda: oracle(g),
+    ):
+        with pytest.raises(ValueError):
+            answer()

@@ -33,6 +33,7 @@ from spantree import (
     weighted_oracle,
     weighted_perturbation_count,
 )
+import spantree.counting
 from spantree.linalg import INTEGERS, _laplacian_rows, exact_int_div, polynomial_ring
 from sample_graphs import (
     FERRERS3221,
@@ -476,3 +477,13 @@ _entries = st.one_of(st.just(0), st.integers(-9, 9))
 def test_expansion_determinant_matches_bareiss(rows):
     expected = fraction_free_determinant(rows, zero=0, one=1, exact_div=exact_int_div)
     assert expansion_determinant(rows, zero=0, one=1) == expected
+
+
+def test_perturbations_refuse_rows_that_are_not_triangular(monkeypatch):
+    # every valid order gives triangular rows, so the check is reached only
+    # with the triangularity test forced to fail
+    co = threshold_order(THRESHOLD5)
+    monkeypatch.setattr(spantree.counting, "is_upper_triangular", lambda rows: False)
+    for build in (build_perturbation, weighted_build_perturbation):
+        with pytest.raises(TriangularityError):
+            build(THRESHOLD5, co)
