@@ -250,10 +250,13 @@ def _u_candidates(adj: Mapping[int, frozenset[int]]) -> Iterator[frozenset[int]]
     yield from sorted(keys, key=keys.__getitem__)[1:]
 
 
-def _u_search(adj: Mapping[int, frozenset[int]]) -> tuple[list[int], frozenset[int]] | None:
-    """The first U candidate of ``adj`` that peels, as (order, U), or None
-    when none does: the one search for U in the package."""
-    for u in _u_candidates(adj):
+def _u_search(
+    adj: Mapping[int, frozenset[int]], candidates: Iterable[frozenset[int]]
+) -> tuple[list[int], frozenset[int]] | None:
+    """The first of ``candidates``, U candidates of ``adj`` as
+    ``_u_candidates`` yields them, that peels, as (order, U), or None when
+    none does: the one search for U in the package."""
+    for u in candidates:
         if (order := _peel(adj, u)[0]) is not None:
             return order, u
     return None
@@ -273,7 +276,8 @@ def special_2_threshold_order(g: Graph) -> ConstructionOrder | None:
     candidates with one O(n + m) peel each.  U = V, the one candidate with
     an empty complement, goes first, before the others are built.
     """
-    found = _u_search(_adjacency(g))
+    adj = _adjacency(g)
+    found = _u_search(adj, _u_candidates(adj))
     return None if found is None else _checked_order(g, *found)
 
 
@@ -458,7 +462,7 @@ def _special_2_threshold(g: Graph) -> ConstructionOrder | ForbiddenWitness:
     @cache
     def search(w: frozenset[int]) -> tuple[list[int], frozenset[int]] | None:
         adj = {v: nbrs[v] & w for v in sorted(w)}
-        return None if _two_k2_screen(adj) else _u_search(adj)
+        return None if _two_k2_screen(adj) else _u_search(adj, _u_candidates(adj))
 
     w = full = g.vertex_set()
     size = max(g.n, 2)
@@ -581,10 +585,13 @@ def route(g: Graph) -> tuple[Family, ConstructionOrder] | None:
     The one-edge 2K2 screen goes first and turns a graph it catches away
     in O(n + m).  Threshold graphs get U = V by a peel on degrees, Ferrers
     graphs their staircase traversal with U the columns; anything else the
-    U-search, at most 2n + 1 peels of O(n + m).  Every step reads neighbor
-    sets and is polynomial, so no input is refused.
+    U-search, at most 2n + 1 peels of O(n + m).  U = V is the U-search's
+    first candidate, which the threshold peel has already tried, so the
+    search goes on from the second.  Every step reads neighbor sets and is
+    polynomial, so no input is refused.
     """
-    if _two_k2_screen(_adjacency(g)) is not None:
+    adj = _adjacency(g)
+    if _two_k2_screen(adj) is not None:
         return None
     co = threshold_order(g)
     if co is not None:
@@ -592,5 +599,5 @@ def route(g: Graph) -> tuple[Family, ConstructionOrder] | None:
     fs = ferrers_structure(g)
     if fs is not None:
         return FAMILY_FERRERS, fs.construction_order()
-    co = special_2_threshold_order(g)
-    return None if co is None else (FAMILY_SPECIAL_2_THRESHOLD, co)
+    found = _u_search(adj, islice(_u_candidates(adj), 1, None))
+    return None if found is None else (FAMILY_SPECIAL_2_THRESHOLD, _checked_order(g, *found))

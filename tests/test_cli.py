@@ -185,9 +185,7 @@ def test_count_long_sparse_inputs_skip_the_u_search(capsys, monkeypatch, tmp_pat
     path = tmp_path / "g.txt"
     # edges written highest first: the echo must sort them
     path.write_text(f"{n} {n - 1}\n" + "".join(f"{u} {v}\n" for u, v in reversed(edges(n))))
-    monkeypatch.setattr(
-        spantree.recognition, "special_2_threshold_order", lambda g: pytest.fail("U-search ran")
-    )
+    monkeypatch.setattr(spantree.recognition, "_u_search", lambda *a: pytest.fail("U-search ran"))
     payload = run_json(capsys, "count", str(path), "--json")
     assert (payload["count"], payload["method"]) == (1, method)
     g = parse_edge_list(path.read_text())

@@ -612,6 +612,20 @@ def test_route_tries_the_cheap_recognizers_before_the_u_search():
     co.check(SPECIAL26)
 
 
+@pytest.mark.parametrize("g", [SPECIAL5, SPECIAL26, UTHRESHOLD8], ids=["s5", "s26", "u8"])
+def test_route_peels_u_equal_v_once(monkeypatch, g):
+    # the threshold peel is the U-search's first candidate, so a graph that
+    # fails it goes on to the U-search without peeling U = V again
+    peel, peeled = spantree.recognition._peel, []
+    monkeypatch.setattr(
+        spantree.recognition, "_peel", lambda adj, u: peeled.append(u) or peel(adj, u)
+    )
+    routed = route(g)
+    assert peeled.count(g.vertex_set()) == 1 and len(peeled) > 1
+    monkeypatch.undo()
+    assert routed == ("special-2-threshold", special_2_threshold_order(g))
+
+
 @st.composite
 def _shuffled_u_threshold_members(draw):
     """A random U-threshold graph on up to 40 vertices, with up to three
@@ -646,9 +660,7 @@ def test_two_k2_screen_names_an_induced_2k2(g, dropped):
 def test_two_k2_screen_turns_a_long_path_away_before_the_u_search(monkeypatch):
     n = 20_000
     g = Graph(n, [(v, v + 1) for v in range(1, n)])
-    monkeypatch.setattr(
-        spantree.recognition, "special_2_threshold_order", lambda g: pytest.fail("U-search ran")
-    )
+    monkeypatch.setattr(spantree.recognition, "_u_search", lambda *a: pytest.fail("U-search ran"))
     assert spantree.recognition._two_k2_screen(_adjacency(g)) == (2, 3, 5, 6)
     assert route(g) is None
 
@@ -659,9 +671,7 @@ def test_ferrers_member_routes_before_the_u_search(monkeypatch):
     perm = list(range(1, 2001))
     random.Random(23).shuffle(perm)
     g = relabeled(ferrers_graph(shape), perm)
-    monkeypatch.setattr(
-        spantree.recognition, "special_2_threshold_order", lambda g: pytest.fail("U-search ran")
-    )
+    monkeypatch.setattr(spantree.recognition, "_u_search", lambda *a: pytest.fail("U-search ran"))
     family, co = route(g)
     assert family == "ferrers"
     assert special_2_threshold_count(g, co) == ferrers_count(shape) > 1

@@ -199,6 +199,10 @@ PUBLIC_WITHOUT_CALLER = {
     # the paper's weighted Ferrers formula, which perfbench/spans.py patches;
     # its one call in the package is to itself, from a structure to its shape
     "weighted_count_ferrers",
+    # the special 2-threshold recognizer, which perfbench/spans.py patches;
+    # route and classify run its U-search themselves, route from the
+    # second candidate on, after the threshold peel has tried U = V
+    "special_2_threshold_order",
 }
 
 
