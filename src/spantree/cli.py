@@ -99,6 +99,9 @@ def _parse_parts(raw: str, flag: str) -> list[int]:
 #: Payload keys that a command leaves null unless it answers them.
 _NULLABLE = ("classification", "method", "count", "polynomial", "witnesses", "construction_order")
 
+#: The ``--method`` choices of ``count`` and ``weighted``.
+_METHODS = ("auto", "formula", "matrix-tree", "perturbation", "oracle")
+
 
 @contextmanager
 def _unlimited_int_str() -> Iterator[None]:
@@ -340,11 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count spanning trees")
     p_count.add_argument("file", nargs="?", help="edge-list file")
-    p_count.add_argument(
-        "--method",
-        choices=["auto", "formula", "matrix-tree", "perturbation", "oracle"],
-        default="auto",
-    )
+    p_count.add_argument("--method", choices=_METHODS, default="auto")
     p_count.add_argument("--verify", action="store_true", help="cross-check with the oracle")
     p_count.add_argument("--json", action="store_true")
     p_count.add_argument("--complete", type=_int_argument, metavar="N")
@@ -354,11 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_weighted = sub.add_parser("weighted", help="weighted enumerator polynomial")
     p_weighted.add_argument("file", help="edge-list file")
-    p_weighted.add_argument(
-        "--method",
-        choices=["auto", "formula", "matrix-tree", "perturbation", "oracle"],
-        default="auto",
-    )
+    p_weighted.add_argument("--method", choices=_METHODS, default="auto")
     p_weighted.add_argument("--json", action="store_true")
     p_weighted.set_defaults(func=cmd_weighted)
 

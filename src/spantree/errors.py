@@ -6,7 +6,10 @@ class SpantreeError(Exception):
 
 
 class EdgeListParseError(SpantreeError):
-    """Malformed edge-list text: bad header, out-of-range, loop, or duplicate edge."""
+    """Input the CLI cannot read: malformed edge-list text (bad header,
+    out-of-range, loop or duplicate edge), an unreadable file, a bad
+    ``--ferrers`` or ``--multipartite`` list, or a bad
+    ``SPANTREE_ORACLE_LIMIT``."""
 
 
 class CapabilityExceededError(SpantreeError):
@@ -30,7 +33,7 @@ class TriangularityError(SpantreeError):
 
 
 class OrderInconsistencyError(SpantreeError):
-    """A recognizer contradicted itself: vertex classes that do not compare
-    consistently, a peeled order that breaks the construction condition, or
-    a shrunk non-member that induces no forbidden pattern.
+    """A recognizer contradicted itself: a peeled order that breaks the
+    construction condition, or a shrunk non-member that induces no
+    forbidden pattern.
     """

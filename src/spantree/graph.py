@@ -171,18 +171,14 @@ def _part_sizes(sizes: Iterable[int]) -> list[int]:
 
 def complete_multipartite(sizes: Iterable[int]) -> Graph:
     """Vertices grouped contiguously by part, in input order; two vertices
-    form an edge iff they lie in different parts."""
+    form an edge iff they lie in different parts.  Each part is joined to
+    the later ones, so the build is O(n + m) even with no edges."""
     sizes = _part_sizes(sizes)
     n = sum(sizes)
-    part = []
-    for i, s in enumerate(sizes):
-        part.extend([i] * s)
-    edges = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if part[u - 1] != part[v - 1]
-    ]
+    edges, end = [], 0
+    for s in sizes:
+        edges += [(u, v) for u in range(end + 1, end + s + 1) for v in range(end + s + 1, n + 1)]
+        end += s
     return Graph(n, edges)
 
 

@@ -32,6 +32,14 @@ def exact_int_div(num: int, den: int) -> int:
     return q
 
 
+def _square_size(rows: Sequence[Sequence[object]]) -> int:
+    """The row count of a square matrix; ValueError on ragged or non-square rows."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    return n
+
+
 def fraction_free_determinant(
     rows: Sequence[Sequence[T]],
     *,
@@ -63,12 +71,10 @@ def fraction_free_determinant(
     Entries must support ``*``, ``-``, ``+`` and ``==`` and be falsy
     exactly when zero.  The 0x0 determinant is one (empty product).
     """
-    n = len(rows)
+    n = _square_size(rows)
     if n == 0:
         return one
     a = [list(r) for r in rows]
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix must be square")
     prev, k = one, 0
     if all(tuple(row) == column for row, column in zip(a, zip(*a))):
         while k + 1 < n:
@@ -124,9 +130,7 @@ def expansion_determinant(rows: Sequence[Sequence[T]], *, zero: T, one: T) -> T:
     Entries must support ``*``, ``+`` and ``-`` and be falsy exactly when
     zero.  The 0x0 determinant is one.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
+    n = _square_size(rows)
     partial = {0: one}
     for column in zip(*rows):
         grown: dict[int, T] = {}
@@ -162,9 +166,7 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
 def is_upper_triangular(rows: Sequence[Sequence[T]]) -> bool:
     """True when no entry strictly below the diagonal is nonzero, over any
     ring; raises ValueError on ragged or non-square rows."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
+    n = _square_size(rows)
     return not any(rows[i][j] for i in range(1, n) for j in range(i))
 
 

@@ -21,7 +21,11 @@ def _order_key(exps: ExponentVector) -> tuple[int, ExponentVector]:
 
 
 class MultiPoly:
-    """A polynomial in variables x1..xn over the integers."""
+    """A polynomial in variables x1..xn over the integers.
+
+    ``+``, ``-`` and ``*`` take, on either side, a MultiPoly in the same
+    variables or an int; a MultiPoly in other variables raises ValueError
+    and any other operand TypeError."""
 
     __slots__ = ("nvars", "_terms")
 
@@ -81,14 +85,12 @@ class MultiPoly:
             return other
         if isinstance(other, int):
             return MultiPoly.const(self.nvars, other)
-        return NotImplemented  # type: ignore[return-value]
+        raise TypeError(f"MultiPoly operand must be a MultiPoly or an int, got {other!r}")
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         terms = dict(self._terms)
         for exps, coeff in other._terms.items():
             terms[exps] = terms.get(exps, 0) + coeff
@@ -100,15 +102,10 @@ class MultiPoly:
         return MultiPoly._of(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         terms: dict[ExponentVector, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():

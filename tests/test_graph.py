@@ -67,6 +67,25 @@ def test_complete_multipartite():
         complete_multipartite([2, 0])
 
 
+def test_complete_multipartite_joins_exactly_the_pairs_in_different_parts():
+    # parts are built one by one against the later parts; check against
+    # every vertex pair
+    rng = random.Random(30)
+    for _ in range(300):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 5))]
+        part = [i for i, s in enumerate(sizes) for _ in range(s)]
+        n = len(part)
+        pairs = [
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(u + 1, n + 1)
+            if part[u - 1] != part[v - 1]
+        ]
+        g = complete_multipartite(sizes)
+        assert g == Graph(n, pairs), sizes
+        assert g.edges() == tuple(pairs), sizes
+
+
 def test_ferrers_graph_labeling_and_degrees():
     g = ferrers_graph((3, 2, 2, 1))
     assert g.n == 7

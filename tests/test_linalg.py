@@ -44,11 +44,18 @@ def naive_determinant(m: list[list[int]]) -> int:
 
 
 def test_ragged_and_non_square_rows_are_rejected():
-    for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1], []]):
-        with pytest.raises(ValueError):
-            determinant(rows)
-        with pytest.raises(ValueError):
-            is_upper_triangular(rows)
+    checks = (
+        determinant,
+        lambda rows: linalg.fraction_free_determinant(
+            rows, zero=0, one=1, exact_div=linalg.exact_int_div
+        ),
+        lambda rows: linalg.expansion_determinant(rows, zero=0, one=1),
+        is_upper_triangular,
+    )
+    for rows in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1], []], [[1, 2]], [[]]):
+        for check in checks:
+            with pytest.raises(ValueError, match="^matrix must be square$"):
+                check(rows)
 
 
 @pytest.mark.parametrize("ring", [INTEGERS, polynomial_ring(2)], ids=["int", "poly"])
@@ -97,6 +104,7 @@ def test_minor_determinant_golden():
 
 def test_determinant_special_cases():
     assert determinant([]) == 1
+    assert linalg.expansion_determinant([], zero=0, one=1) == 1
     assert determinant([[0]]) == 0
     assert determinant([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
     with pytest.raises(ValueError):

@@ -87,9 +87,27 @@ def test_equal_values_hash_equal():
                 assert b == a and hash(a) == hash(b), (a, b)
 
 
+@pytest.mark.parametrize("foreign", ["x", 1.0, None], ids=["str", "float", "None"])
+def test_operands_other_than_polys_and_ints_raise_type_error(foreign):
+    p = x(1) + 2
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(p, foreign)
+        with pytest.raises(TypeError):
+            op(foreign, p)
+
+
+def test_int_operands_on_either_side_keep_their_values():
+    p = x(1) * 3 + x(2)
+    assert 1 + p == p + 1 == MultiPoly(3, {(1, 0, 0): 3, (0, 1, 0): 1, (0, 0, 0): 1})
+    assert p - 1 == MultiPoly(3, {(1, 0, 0): 3, (0, 1, 0): 1, (0, 0, 0): -1})
+    assert 2 * p == p * 2 == MultiPoly(3, {(1, 0, 0): 6, (0, 1, 0): 2})
+
+
 def test_variable_count_mismatch():
-    with pytest.raises(ValueError):
-        MultiPoly.variable(2, 1) + MultiPoly.variable(3, 1)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError):
+            op(MultiPoly.variable(2, 1), MultiPoly.variable(3, 1))
     with pytest.raises(ValueError):
         MultiPoly.variable(2, 3)
 

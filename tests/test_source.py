@@ -97,7 +97,7 @@ def test_package_modules_have_no_dead_imports():
 
 
 def _repeated_runs(sources: dict[str, str]) -> list[list[str]]:
-    """Runs of three consecutive statements of one block (a body, orelse
+    """Runs of two consecutive statements of one block (a body, orelse
     or finalbody) that occur more than once across ``sources`` (file name to
     text), compared by ``ast.dump``: names and constants count, line numbers
     do not.  One sorted list of "file:line" places per repeated run."""
@@ -108,26 +108,21 @@ def _repeated_runs(sources: dict[str, str]) -> list[list[str]]:
                 block = getattr(node, field, None)
                 if not isinstance(block, list):
                     continue
-                for i in range(len(block) - 2):
-                    key = "\n".join(ast.dump(s) for s in block[i : i + 3])
+                for i in range(len(block) - 1):
+                    key = "\n".join(ast.dump(s) for s in block[i : i + 2])
                     places.setdefault(key, []).append(f"{name}:{block[i].lineno}")
     return sorted(sorted(found) for found in places.values() if len(found) > 1)
 
 
 def test_repeated_run_check_catches_a_planted_copy():
-    guard = (
-        "    xs = list(xs)\n"
-        "    if not xs:\n"
-        "        raise ValueError('empty')\n"
-        "    if any(x < 1 for x in xs):\n"
-        "        raise ValueError(xs)\n"
-    )
-    first = "def f(xs):\n" + guard + "    return sum(xs)\n"
+    guard = "    n = len(xs)\n    if n < 1:\n        raise ValueError('empty')\n"
+    first = "def f(xs):\n" + guard + "    return n\n"
     second = "def g(xs):\n    ys = 1\n" + guard + "    return ys\n"
     assert _repeated_runs({"a.py": first, "b.py": second}) == [["a.py:2", "b.py:3"]]
-    # two equal statements in a row are no run, and another constant no copy
-    for edit in (("ValueError(xs)", "ValueError(0)"), ("'empty'", "'none'")):
-        assert _repeated_runs({"a.py": first, "b.py": second.replace(*edit)}) == []
+    # one repeated statement is no run, and another constant no copy
+    one = "def g(xs):\n    n = len(xs)\n    return n\n"
+    assert _repeated_runs({"a.py": first, "b.py": one}) == []
+    assert _repeated_runs({"a.py": first, "b.py": second.replace("< 1", "< 2")}) == []
 
 
 def test_package_repeats_no_statement_run():

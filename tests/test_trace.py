@@ -19,14 +19,16 @@ def _spans_module():
 
 def test_trace_tables_resolve_and_run(capsys):
     # the house block of house_with_tail takes the integer Bareiss cofactor
-    path = str(FIXTURES / "house_with_tail.txt")
-    tracer = _spans_module().Tracer()
+    path, ferrers = str(FIXTURES / "house_with_tail.txt"), str(FIXTURES / "ferrers3221.txt")
+    spans = _spans_module()
+    tracer = spans.Tracer()
     tracer.install()
     try:
         for argv in (
             ["count", path],
-            ["count", str(FIXTURES / "ferrers3221.txt")],
+            ["count", ferrers],
             ["weighted", path],
+            ["weighted", ferrers],
             ["classify", path],
             ["count", path, "--method", "perturbation"],
             ["weighted", path, "--method", "perturbation"],
@@ -35,6 +37,12 @@ def test_trace_tables_resolve_and_run(capsys):
     finally:
         tracer.uninstall()
     capsys.readouterr()
+    # every traced name records, so a change that routes around one fails
+    # here rather than zeroing its per-layer metric; nothing reaches the
+    # three left out (ROADMAP item 1)
+    names = {rec[0] for rec in spans.FUNCTIONS} | {rec[0] for rec in spans.METHODS}
+    unreached = {"linalg.laplacian", "recognition.usearch", "weighted.laplacian"}
+    assert {rec[3] for rec in tracer.spans} == names - unreached
     notes = [rec[6] for rec in tracer.spans if rec[3] == "linalg.bareiss"]
     assert any(note["ring"] == "int" for note in notes), notes
     # the weighted perturbation divides its determinant by the integer n^2
