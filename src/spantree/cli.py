@@ -39,6 +39,7 @@ from .graph import (
     MAX_PARSED_VERTICES,
     Graph,
     PartitionShape,
+    _edges_json,
     complete,
     complete_multipartite,
     ferrers_graph,
@@ -77,14 +78,16 @@ def _oracle_limit() -> int:
 
 def _load_graph(path: str, as_json: bool) -> tuple[Graph, dict | None]:
     """The graph in the edge-list file at ``path`` and, for JSON output, the
-    payload's ``"input"`` echo of it; text output prints no echo."""
+    payload's ``"input"`` echo of it, whose ``"edges"`` is the sorted edge
+    array already encoded as JSON text (``_emit`` places it); text output
+    prints no echo."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise EdgeListParseError(f"cannot read {path}: {exc}")
     g = parse_edge_list(text, source=path)
-    return g, ({"path": path, "vertices": g.n, "edges": g.edges()} if as_json else None)
+    return g, ({"path": path, "vertices": g.n, "edges": _edges_json(g, text)} if as_json else None)
 
 
 def _parse_parts(raw: str, flag: str) -> list[int]:
@@ -101,6 +104,12 @@ _NULLABLE = ("classification", "method", "count", "polynomial", "witnesses", "co
 
 #: The ``--method`` choices of ``count`` and ``weighted``.
 _METHODS = ("auto", "formula", "matrix-tree", "perturbation", "oracle")
+
+#: Holds the place of the pre-encoded edge array while a payload is encoded.
+#: It encodes as ``"\u0000"``, and the escape ``\u0000`` stands only for a
+#: NUL, which no other string of a payload holds: the package's names hold
+#: none, and ``open`` refuses a path with one before anything is parsed.
+_EDGES_SLOT = "\0"
 
 
 @contextmanager
@@ -126,7 +135,9 @@ def _emit(as_json: bool, lines: Callable[[dict], list[str]], **fields) -> None:
     print is flushed, so a closed stdout raises inside ``main``.  The
     payload holds fresh dicts and lists and the package's tuples, none of
     which can contain itself, so the encoder skips its cycle check: the
-    bytes are the same."""
+    bytes are the same.  An ``"input"`` echo's ``"edges"`` is JSON text
+    already (``_load_graph``): the payload is encoded with ``_EDGES_SLOT``
+    in its place, and the slot's encoding, found once, is replaced by it."""
     payload = dict.fromkeys(_NULLABLE) | fields
     if co := payload["construction_order"]:
         payload["construction_order"] = dict(
@@ -136,7 +147,12 @@ def _emit(as_json: bool, lines: Callable[[dict], list[str]], **fields) -> None:
         if payload["polynomial"] is not None:
             payload["polynomial"] = str(payload["polynomial"])
         if as_json:
+            edges = payload["input"].get("edges")
+            if edges is not None:
+                payload["input"] = payload["input"] | {"edges": _EDGES_SLOT}
             text = json.dumps(payload, sort_keys=True, check_circular=False)
+            if edges is not None:
+                text = text.replace(json.dumps(_EDGES_SLOT), edges, 1)
         else:
             text = "\n".join(lines(payload))
         print(text, flush=True)

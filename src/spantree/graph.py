@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import repeat
+from operator import add, mul
 from typing import Iterable, NamedTuple
 
 from .errors import EdgeListParseError
@@ -21,8 +23,9 @@ class Graph:
     Adjacency is one frozenset of neighbors per vertex, and nothing else:
     recognition, routing and the witness scans all read these sets, so a
     graph takes O(n + m) space whatever its labels.  A graph read by the
-    bulk parser keeps the edge pairs it validated, so ``edges`` only sorts
-    them.
+    bulk parser keeps the edge pairs it validated, in the text's order, so
+    ``edges`` only sorts them, and when the text lists them sorted the
+    CLI's JSON echo of them is written from the text (``_edges_json``).
     """
 
     __slots__ = ("n", "_neighbors", "_pairs")
@@ -316,10 +319,9 @@ def parse_edge_list(text: str, *, source: str = "<input>") -> Graph:
     return g if g is not None else _parse_lines(text, source)
 
 
-#: A whole line of two ASCII digit runs, separated and surrounded by spaces
-#: or tabs, with its line end.  Anchored at line starts, so a search spends
-#: O(1) on any other position and no digit or blank run is rescanned.
-_BULK_LINE = re.compile(r"^[ \t]*[0-9]+[ \t]+[0-9]+[ \t]*(?:\n|\Z)", re.MULTILINE)
+#: Deletes the ASCII digits and tabs of a text: what is left of a text
+#: whose every line joins two fields by one space is one space a line.
+_DIGITS_AND_TABS = str.maketrans("", "", "0123456789\t")
 
 
 def _parse_bulk(text: str) -> Graph | None:
@@ -327,28 +329,26 @@ def _parse_bulk(text: str) -> Graph | None:
     run on whole lists; None for any text not proved well formed here,
     which the line parser then reads or rejects.
 
-    Removing every ``_BULK_LINE`` must leave only blanks: then every
-    non-blank line holds two digit runs, and the tokens pair up line by
-    line.  (A fullmatch of the repeated line pattern would do the same, but
-    Python's regex engine keeps backtracking state for every repetition,
-    about 440 bytes a line.)  Once every pair has u < v, a duplicate edge
-    is the only way the neighbor sets can hold fewer than 2m entries.
-
-    The fields are decoded by ``json.loads`` once each space and line end
-    becomes a comma.  JSON reads that array only when exactly one comma
-    separates consecutive digit runs (a tab is JSON whitespace, so it may
-    sit beside that comma), and then its ints are exactly the tokens.  A
-    tab alone between two fields, two spaces, a blank line, a leading zero
-    or a field past ``int()``'s digit limit makes it invalid, and those
-    texts are left to the line parser.
+    The body is the text without its leading and trailing blanks and line
+    ends.  Deleting its digits and tabs must leave one space on each line
+    and nothing else but the line ends: then each line holds one space and
+    otherwise only digits and tabs.  The fields are decoded by
+    ``json.loads`` once each space and line end becomes a comma.  JSON
+    reads that array only when every comma sits between two digit runs (a
+    tab is JSON whitespace, so it may sit beside the comma), and then its
+    ints are exactly the tokens, two a line.  A tab alone between two
+    fields, two spaces, a blank line or a '\\r' fails the first test; a
+    leading zero, an empty field or a field past ``int()``'s digit limit
+    fails the decode.  Those texts are left to the line parser.  Once every
+    pair has u < v, a duplicate edge is the only way the neighbor sets can
+    hold fewer than 2m entries.
     """
-    if _BULK_LINE.sub("", text).strip(" \t\n"):
+    body = text.strip(" \t\n")
+    if body.translate(_DIGITS_AND_TABS) != " \n" * body.count("\n") + " ":
         return None
     try:
-        ints = json.loads("[" + text.strip(" \t\n").replace(" ", ",").replace("\n", ",") + "]")
+        ints = json.loads("[" + body.replace(" ", ",").replace("\n", ",") + "]")
     except ValueError:
-        return None
-    if not ints:
         return None
     n, m = ints[0], ints[1]
     if not (1 <= n <= MAX_PARSED_VERTICES and len(ints) == 2 * m + 2):
@@ -364,6 +364,26 @@ def _parse_bulk(text: str) -> Graph | None:
     if sum(map(len, neighbors)) != 2 * m:
         return None
     return Graph._from_neighbors(n, neighbors, (us, vs))
+
+
+def _edges_json(g: Graph, text: str) -> str:
+    """``json.dumps(g.edges())`` for the graph g that ``parse_edge_list``
+    read from ``text``.  When the bulk parser read it (only it keeps the
+    pairs), its body holds no tab and its pairs come sorted, each edge line
+    is ``u v`` in canonical digits and the lines are that array's items in
+    order: the array is then the text after the header with each space
+    made ", " and each line end "], [".  The pairs are sorted when their
+    keys u(n + 1) + v are (v <= n), strictly so since no pair repeats.
+    Every other graph is encoded from its sorted edges."""
+    if g._pairs is not None and "\t" not in (body := text.strip(" \t\n")):
+        us, vs = g._pairs
+        keys = list(map(add, map(mul, us, repeat(g.n + 1)), vs))
+        ascending = keys == sorted(keys)
+        del keys  # one int per edge: freed before the array's text is built
+        if ascending:
+            edges = body.partition("\n")[2]
+            return "[[" + edges.replace(" ", ", ").replace("\n", "], [") + "]]" if edges else "[]"
+    return json.dumps(g.edges())
 
 
 #: The line parser's separators: lines end at '\n', '\r\n' or '\r', and

@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from spantree import (
     ConstructionOrder,
@@ -756,3 +757,67 @@ def test_json_schema_keys(capsys):
         payload = json.loads(out)
         for key in ("input", "classification", "method", "count", "polynomial", "witnesses", "construction_order"):
             assert key in payload, (argv[0], key)
+
+
+def _assert_echoes(capsys, path, g):
+    """``count``, ``classify`` and ``weighted --json`` on the file at
+    ``path`` echo g's sorted edges, in the bytes ``json.dumps`` writes for
+    the whole payload."""
+    for command in ("count", "classify", "weighted"):
+        code, out, err = run(capsys, command, str(path), "--json")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["input"]["edges"] == [list(e) for e in g.edges()]
+        assert payload["input"]["path"] == str(path)
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
+
+
+@st.composite
+def _written_graph(draw):
+    """A graph on at most 9 vertices and an edge-list text of it: lines
+    sorted or shuffled, one space, a tab beside a space or a tab between
+    fields, '\\n' or '\\r\\n' line ends, perhaps a comment line, perhaps
+    no final line end."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        edges.sort()
+    sep = draw(st.sampled_from((" ", " \t", "\t ", "\t")))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    lines = [f"{n}{sep}{len(edges)}", *(f"{u}{sep}{v}" for u, v in edges)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# a comment")
+    return Graph(n, edges), end.join(lines) + draw(st.sampled_from((end, "")))
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_written_graph())
+@example((Graph(1), "1 0\n"))
+@example((Graph(4), "4 0"))
+@example((Graph(3, [(1, 2), (2, 3)]), "3 2\n2 3\n1 2\n"))
+def test_json_edge_echo_is_the_sorted_edges_in_any_layout(capsys, tmp_path, written):
+    g, text = written
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    _assert_echoes(capsys, path, g)
+
+
+def test_json_edge_echo_leaves_a_path_that_looks_like_json_alone(capsys, tmp_path):
+    # the echo is placed at "input"."edges" only: a path spelling that key,
+    # an empty array, a NUL escape, quotes, a backslash or a non-ASCII
+    # letter is written as any other path is
+    g = Graph(4, [(1, 2), (1, 3), (2, 4)])
+    for name in ('"edges": [] "input"', "q\"u'o\\te", "\\u0000\"", "caf\u00e9"):
+        for layout, text in (("sorted", format_edge_list(g)), ("shuffled", "4 3\n2 4\n1 2\n1 3\n")):
+            path = tmp_path / f"{name} {layout}.txt"
+            path.write_text(text, encoding="utf-8")
+            _assert_echoes(capsys, path, g)
+
+
+def test_a_path_holding_a_nul_is_refused_before_any_output(capsys):
+    # so no string of a payload holds the NUL of the edge echo's slot
+    code, out, err = run(capsys, "count", "g\0.txt", "--json")
+    assert (code, out) == (2, "") and err.startswith("error: ")

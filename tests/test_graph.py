@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -345,6 +346,20 @@ def test_bulk_and_line_parsers_agree(text):
         assert g.edges() == expected.edges()
 
 
+#: The layout the bulk path reads, once the text's leading and trailing
+#: blanks and line ends are stripped: lines of two canonical numbers joined
+#: by one space, with tabs beside either number.
+_BULK_SHAPE = re.compile(r"(?:\t*(?:0|[1-9][0-9]*)\t* \t*(?:0|[1-9][0-9]*)\t*(?:\n|\Z))+")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_format_text())
+def test_bulk_path_reads_exactly_the_well_formed_texts_of_its_layout(text):
+    shaped = _BULK_SHAPE.fullmatch(text.strip(" \t\n")) is not None
+    well_formed = isinstance(_parse_outcome(_line_parser, text), Graph)
+    assert (spantree.graph._parse_bulk(text) is not None) == (shaped and well_formed)
+
+
 _MALFORMED = {
     "duplicate-written-v-u": (
         "3 2\n1 2\n2 1\n",
@@ -380,7 +395,7 @@ _MALFORMED = {
         "3 1\n1 " + "2" * 100_000 + "\n",
         "g.txt:2: edge line must be two integers, got '1 " + "2" * 100_000 + "'",
     ),
-    # a line start anchors the bulk pattern, so this digit run is scanned once
+    # one field: the bulk path's shape check declines it before any decode
     "huge-single-field": (
         "2" * 100_000 + "\n",
         "g.txt:1: header must be 'n m', got '" + "2" * 100_000 + "'",
@@ -415,25 +430,35 @@ def test_well_formed_text_skips_the_line_parser(monkeypatch):
         assert parse_edge_list(text) == g
 
 
-# Well-formed texts, by the parser that reads them: JSON takes single
-# spaces and single line ends, with tabs beside them; any other blank
-# layout or a leading zero makes the comma-joined text invalid JSON, and
-# the bulk path then declines, leaving the text to the line parser.
+# Texts by the step that settles them.  The shape check passes a body
+# whose every line joins two fields by one space, with tabs beside it, and
+# JSON then decodes the comma-joined fields unless one is not a canonical
+# number ("invalid"); any other blank layout or a '\r' is declined before
+# the decode.  Every text the bulk path leaves goes to the line parser.
 _DECODE_PATHS = {
     "canonical": ("4 3\n1 2\n2 3\n3 4\n", "json"),
     "tab-beside-a-space": ("4 3\n1 \t2\n2\t 3\n3 4\n", "json"),
-    "leading-zero": ("4 3\n01 2\n2 3\n3 4\n", "lines"),
-    "tab": ("4 3\n1\t2\n2 3\n3 4\n", "lines"),
-    "blank-run": ("4 3\n1  2\n2 3\n3 4\n", "lines"),
-    "blank-line": ("4 3\n1 2\n\n2 3\n3 4\n", "lines"),
-    "trailing-blanks": ("4 3  \n1 2 \n2 3\n3 4\n", "lines"),
+    "leading-zero": ("4 3\n01 2\n2 3\n3 4\n", "invalid"),
+    "tab-then-space": ("4 1\n1\t2 3\n", "invalid"),
+    "tab": ("4 3\n1\t2\n2 3\n3 4\n", "declined"),
+    "blank-run": ("4 3\n1  2\n2 3\n3 4\n", "declined"),
+    "blank-line": ("4 3\n1 2\n\n2 3\n3 4\n", "declined"),
+    "trailing-blanks": ("4 3  \n1 2 \n2 3\n3 4\n", "declined"),
+    "carriage-return": ("4 3\r\n1 2\r\n2 3\r\n3 4\r\n", "declined"),
+}
+
+#: What ``_parse_bulk`` and then ``parse_edge_list`` record, by path.
+_DECODE_RECORDS = {
+    "json": (["json"], ["json"]),
+    "invalid": (["invalid"], ["invalid", "lines"]),
+    "declined": ([], ["lines"]),
 }
 
 
 @pytest.mark.parametrize("case", _DECODE_PATHS)
 def test_bulk_decode_paths(case, monkeypatch):
     text, path = _DECODE_PATHS[case]
-    expected = _line_parser(text)
+    expected = _parse_outcome(_line_parser, text)
     decoded = []
     loads, parse_lines = spantree.graph.json.loads, spantree.graph._parse_lines
 
@@ -452,18 +477,51 @@ def test_bulk_decode_paths(case, monkeypatch):
 
     monkeypatch.setattr(spantree.graph.json, "loads", spy)
     monkeypatch.setattr(spantree.graph, "_parse_lines", lines)
+    bulk_records, parse_records = _DECODE_RECORDS[path]
     g = spantree.graph._parse_bulk(text)
+    assert decoded == bulk_records
     if path == "json":
-        assert decoded == ["json"]
         assert g == expected and g.edges() == expected.edges()
         assert g._neighbors == expected._neighbors
     else:
-        assert decoded == ["invalid"] and g is None
+        assert g is None
     decoded.clear()
+    g = _parse_outcome(parse_edge_list, text)
+    assert decoded == parse_records
+    assert g == expected
+    if isinstance(expected, Graph):
+        assert g.edges() == expected.edges()
+        assert g._neighbors == expected._neighbors
+
+
+def test_the_package_s_own_layout_takes_the_fast_echo(monkeypatch):
+    # format_edge_list writes sorted "u v" lines, so the JSON edge array is
+    # written from the text and no edge tuple is built
+    graphs = [Graph(1), Graph(5), HOUSE_TAIL, K4, complete_multipartite([2, 3, 1])]
+    texts = [format_edge_list(g) for g in graphs]
+    expected = [json.dumps(g.edges()) for g in graphs]
+    parsed = [parse_edge_list(text) for text in texts]
+
+    def refuse(self):
+        raise AssertionError("edges() called")
+
+    monkeypatch.setattr(Graph, "edges", refuse)
+    for g, text, array in zip(parsed, texts, expected):
+        assert spantree.graph._edges_json(g, text) == array
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "4 3\n2 4\n1 2\n1 3\n",  # unsorted lines
+        "4 3\n1 \t2\n1 3\n2 4\n",  # a tab beside a space
+        "4 3\r\n1 2\r\n1 3\r\n2 4\r\n",  # read by the line parser
+        "4 3 # c\n1 2\n1 3\n2 4",  # a comment
+    ],
+)
+def test_other_layouts_echo_the_sorted_edges(text):
     g = parse_edge_list(text)
-    assert decoded == (["json"] if path == "json" else ["invalid", "lines"])
-    assert g == expected and g.edges() == expected.edges()
-    assert g._neighbors == expected._neighbors
+    assert spantree.graph._edges_json(g, text) == "[[1, 2], [1, 3], [2, 4]]"
 
 
 def test_parse_edge_list_at_the_vertex_limit():
