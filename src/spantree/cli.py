@@ -277,21 +277,22 @@ def cmd_count(args: argparse.Namespace) -> int:
             f"{chosen[0]} is counted by its formula; --method {args.method} does not apply"
         )
 
-    # a family flag's graph is built only if --verify asks for it and its
-    # size passes the oracle's guard
+    # the graph's size is taken only if --verify asks for it, and a family
+    # flag's graph is built only once that size passes the oracle's guard
     if args.complete is not None:
         n = args.complete
         if n < 1:
             raise ValueError("--complete needs n >= 1")
         _check_family_size("--complete", n)
         fields = {"count": multipartite_count([1] * n), "method": "formula:complete"}
-        graph, size = (lambda: complete(n)), (n, n * (n - 1) // 2)
+        graph, size = (lambda: complete(n)), (lambda: (n, n * (n - 1) // 2))
         source = {"family": "complete", "n": n}
     elif args.ferrers is not None:
         shape = PartitionShape(_parse_parts(args.ferrers, "--ferrers"))
         _check_family_size("--ferrers", shape.rows + shape.parts[0])
         fields = {"count": ferrers_count(shape), "method": "formula:ferrers"}
-        graph, size = (lambda: ferrers_graph(shape)), (shape.rows + shape.cols, shape.total)
+        graph = lambda: ferrers_graph(shape)
+        size = lambda: (shape.rows + shape.cols, shape.total)
         source = {"family": "ferrers", "shape": list(shape.parts)}
     elif args.multipartite is not None:
         sizes = _parse_parts(args.multipartite, "--multipartite")
@@ -302,11 +303,11 @@ def cmd_count(args: argparse.Namespace) -> int:
             "method": "formula:bipartite" if len(sizes) == 2 else "formula:multipartite",
         }
         graph = lambda: complete_multipartite(sizes)
-        size = n, (n * n - sum(s * s for s in sizes)) // 2
+        size = lambda: (n, (n * n - sum(s * s for s in sizes)) // 2)
         source = {"family": "multipartite", "sizes": sizes}
     else:
         g, source = _load_graph(args.file, args.json)
-        graph, size = (lambda: g), (g.n, g.edge_count)
+        graph, size = (lambda: g), (lambda: (g.n, g.edge_count))
         routes = (special_2_threshold_count, matrix_tree_count, perturbation_count,
                   lambda g: oracle_count(g, max_edges=_oracle_limit()))
         fields = _answer(g, args.method, INTEGERS, routes, "count")
@@ -314,7 +315,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     verified = None
     if args.verify:
         limit = _oracle_limit()
-        _oracle_guard(*size, limit)
+        _oracle_guard(*size(), limit)
         verified = fields["count"]  # an oracle answer is its own check
         if args.method != "oracle":
             verified = oracle_count(graph(), max_edges=limit)

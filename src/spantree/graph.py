@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import repeat
-from operator import add, mul
 from typing import Iterable, NamedTuple
 
 from .errors import EdgeListParseError
@@ -23,9 +21,9 @@ class Graph:
     Adjacency is one frozenset of neighbors per vertex, and nothing else:
     recognition, routing and the witness scans all read these sets, so a
     graph takes O(n + m) space whatever its labels.  A graph read by the
-    bulk parser keeps the edge pairs it validated, in the text's order, so
-    ``edges`` only sorts them, and when the text lists them sorted the
-    CLI's JSON echo of them is written from the text (``_edges_json``).
+    bulk parser from a text that lists its edges strictly ascending keeps
+    those pairs, so ``edges`` returns them unsorted and the CLI's JSON
+    echo of them is written from the text (``_edges_json``).
     """
 
     __slots__ = ("n", "_neighbors", "_pairs")
@@ -47,12 +45,15 @@ class Graph:
 
     @classmethod
     def _from_neighbors(
-        cls, n: int, neighbors: tuple[frozenset[int], ...], pairs: tuple[list[int], list[int]]
+        cls,
+        n: int,
+        neighbors: tuple[frozenset[int], ...],
+        pairs: tuple[list[int], list[int]] | None,
     ) -> Graph:
         """The graph on 1..n whose neighbor sets (entry 0 empty) the caller
-        has already built symmetric and loop-free from its edges, given as
-        the lists (us, vs) of their ends with each u < v and no edge twice:
-        nothing is checked again."""
+        has already built symmetric and loop-free from its edges.  ``pairs``
+        is None or those edges as the lists (us, vs) of their ends, sorted
+        strictly ascending with each u < v: nothing is checked again."""
         g = object.__new__(cls)
         g.n = n
         g._neighbors = neighbors
@@ -68,9 +69,10 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) pairs with u < v, sorted: the parser's pairs
-        when it kept them, else rebuilt from the neighbor sets."""
+        when it kept them (only sorted ones are kept), else rebuilt from
+        the neighbor sets and sorted."""
         if self._pairs is not None:
-            return tuple(sorted(zip(*self._pairs)))
+            return tuple(zip(*self._pairs))
         return tuple(
             sorted((u, v) for u in self.vertices for v in self._neighbors[u] if u < v)
         )
@@ -233,7 +235,8 @@ def blocks(g: Graph) -> list[tuple[Graph, tuple[int, ...]]] | None:
     Each block comes as (subgraph, labels) like ``induced_subgraph``: the
     block relabeled 1..k, labels[i-1] the original vertex i.  A bridge is a
     block with two vertices, one shared K2 for all bridges; a graph with one
-    vertex is one block.  Tarjan's depth-first search runs on an explicit
+    vertex is one block, and a 2-connected graph is its own one block, g
+    itself with labels 1..n.  Tarjan's depth-first search runs on an explicit
     stack, so deep graphs need no recursion, and each block's edges are
     popped off the search's edge stack: O(n + m) in all.
     """
@@ -275,6 +278,8 @@ def blocks(g: Graph) -> list[tuple[Graph, tuple[int, ...]]] | None:
         return None
     if not found:
         return [(Graph(1), (1,))]
+    if len(found) == 1 and len(found[0]) > 1:  # g is 2-connected: its own block
+        return [(g, tuple(g.vertices))]
     return [
         (_K2, tuple(sorted(edges[0])))  # a bridge
         if len(edges) == 1
@@ -325,9 +330,9 @@ _DIGITS_AND_TABS = str.maketrans("", "", "0123456789\t")
 
 
 def _parse_bulk(text: str) -> Graph | None:
-    """The graph in ``text`` read in one tokenizing pass, with every check
-    run on whole lists; None for any text not proved well formed here,
-    which the line parser then reads or rejects.
+    """The graph in ``text`` read in one tokenizing pass and one build
+    loop; None for any text not proved well formed here, which the line
+    parser then reads or rejects.
 
     The body is the text without its leading and trailing blanks and line
     ends.  Deleting its digits and tabs must leave one space on each line
@@ -339,9 +344,16 @@ def _parse_bulk(text: str) -> Graph | None:
     ints are exactly the tokens, two a line.  A tab alone between two
     fields, two spaces, a blank line or a '\\r' fails the first test; a
     leading zero, an empty field or a field past ``int()``'s digit limit
-    fails the decode.  Those texts are left to the line parser.  Once every
-    pair has u < v, a duplicate edge is the only way the neighbor sets can
-    hold fewer than 2m entries.
+    fails the decode.  Those texts are left to the line parser.
+
+    The loop that builds the neighbor lists checks each pair as it goes: a
+    pair with u >= v declines, a label above n declines on its list's
+    IndexError, and a label 0 is the only way list 0 fills, which is
+    checked once after the loop.  Once every pair has 1 <= u < v <= n, a
+    duplicate edge is the only way the neighbor sets can hold fewer than
+    2m entries.  The loop also notes whether the pairs come strictly
+    ascending, u first, then v; the graph keeps them only then, so that
+    ``Graph.edges`` and ``_edges_json`` need no sort.
     """
     body = text.strip(" \t\n")
     if body.translate(_DIGITS_AND_TABS) != " \n" * body.count("\n") + " ":
@@ -354,35 +366,42 @@ def _parse_bulk(text: str) -> Graph | None:
     if not (1 <= n <= MAX_PARSED_VERTICES and len(ints) == 2 * m + 2):
         return None
     us, vs = ints[2::2], ints[3::2]
-    if m and not (min(us) >= 1 and max(vs) <= n and all(map(int.__lt__, us, vs))):
-        return None
     adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in zip(us, vs):
-        adj[u].append(v)
-        adj[v].append(u)
+    ascending, last_u, last_v = True, 0, 0
+    try:
+        for u, v in zip(us, vs):
+            if u >= v:
+                return None
+            adj[u].append(v)
+            adj[v].append(u)
+            if u != last_u:
+                if u < last_u:
+                    ascending = False
+                last_u = u
+            elif v <= last_v:
+                ascending = False
+            last_v = v
+    except IndexError:  # a label above n
+        return None
+    if adj[0]:  # a label 0
+        return None
     neighbors = tuple(map(frozenset, adj))
     if sum(map(len, neighbors)) != 2 * m:
         return None
-    return Graph._from_neighbors(n, neighbors, (us, vs))
+    return Graph._from_neighbors(n, neighbors, (us, vs) if ascending else None)
 
 
 def _edges_json(g: Graph, text: str) -> str:
     """``json.dumps(g.edges())`` for the graph g that ``parse_edge_list``
-    read from ``text``.  When the bulk parser read it (only it keeps the
-    pairs), its body holds no tab and its pairs come sorted, each edge line
-    is ``u v`` in canonical digits and the lines are that array's items in
-    order: the array is then the text after the header with each space
-    made ", " and each line end "], [".  The pairs are sorted when their
-    keys u(n + 1) + v are (v <= n), strictly so since no pair repeats.
-    Every other graph is encoded from its sorted edges."""
+    read from ``text``.  When g kept its pairs, the bulk parser read it
+    from a text that lists them strictly ascending.  If that body also
+    holds no tab, each edge line is ``u v`` in canonical digits and the
+    lines are the array's items in order: the array is then the text after
+    the header with each space made ", " and each line end "], [".  Every
+    other graph is encoded from its sorted edges."""
     if g._pairs is not None and "\t" not in (body := text.strip(" \t\n")):
-        us, vs = g._pairs
-        keys = list(map(add, map(mul, us, repeat(g.n + 1)), vs))
-        ascending = keys == sorted(keys)
-        del keys  # one int per edge: freed before the array's text is built
-        if ascending:
-            edges = body.partition("\n")[2]
-            return "[[" + edges.replace(" ", ", ").replace("\n", "], [") + "]]" if edges else "[]"
+        edges = body.partition("\n")[2]
+        return "[[" + edges.replace(" ", ", ").replace("\n", "], [") + "]]" if edges else "[]"
     return json.dumps(g.edges())
 
 

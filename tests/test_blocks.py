@@ -64,6 +64,8 @@ def test_blocks_of_small_graphs():
     assert found[(2, 3)] == Graph(2, [(1, 2)])
     assert blocks(K4) == [(K4, (1, 2, 3, 4))]
     assert blocks(C5) == [(C5, (1, 2, 3, 4, 5))]
+    # a 2-connected graph is its own one block, not a copy
+    assert blocks(K4)[0][0] is K4 and blocks(C5)[0][0] is C5
     assert blocks(Graph(1)) == [(Graph(1), (1,))]
     assert blocks(TWO_K2) is None
     assert blocks(Graph(3, [(1, 2)])) is None

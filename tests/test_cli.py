@@ -112,6 +112,18 @@ def test_count_verify(capsys):
     assert "oracle check: 8 ok" in out
 
 
+def test_count_takes_the_edge_count_only_under_verify(capsys, monkeypatch):
+    # the edge count sizes the oracle's guard, which only --verify runs
+    reads, edge_count = [], Graph.edge_count
+    counted = property(lambda g: reads.append(g.n) or edge_count.fget(g))
+    monkeypatch.setattr(Graph, "edge_count", counted)
+    path = fixture("threshold5.txt")
+    assert run(capsys, "count", path) == (0, "8 (method: formula:threshold)\n", "")
+    assert reads == []
+    assert run(capsys, "count", path, "--verify")[0] == 0
+    assert reads and set(reads) == {5}
+
+
 def test_count_verify_exits_4_when_the_oracle_disagrees(capsys, monkeypatch):
     formula = spantree.cli.special_2_threshold_count
     monkeypatch.setattr(spantree.cli, "special_2_threshold_count", lambda g, co: formula(g, co) + 1)

@@ -371,6 +371,27 @@ _MALFORMED = {
     "out-of-range": ("3 1\n1 4\n", "g.txt:2: edge 1 4 must satisfy 1 <= u < v <= 3"),
     "reversed": ("3 1\n2 1\n", "g.txt:2: edge 2 1 must satisfy 1 <= u < v <= 3"),
     "vertex-zero": ("3 1\n0 2\n", "g.txt:2: edge 0 2 must satisfy 1 <= u < v <= 3"),
+    # the bulk path checks these inside its build loop, or on list 0 after it
+    "vertex-zero-first": (
+        "3 2\n0 2\n1 3\n",
+        "g.txt:2: edge 0 2 must satisfy 1 <= u < v <= 3",
+    ),
+    "vertex-zero-last": (
+        "3 2\n1 2\n0 3\n",
+        "g.txt:3: edge 0 3 must satisfy 1 <= u < v <= 3",
+    ),
+    "v-is-n-plus-1": ("3 2\n1 2\n2 4\n", "g.txt:3: edge 2 4 must satisfy 1 <= u < v <= 3"),
+    "both-above-n": ("3 2\n1 2\n4 5\n", "g.txt:3: edge 4 5 must satisfy 1 <= u < v <= 3"),
+    # past an index-sized int: the bulk path's list index raises IndexError too
+    "label-past-any-index": (
+        "3 1\n1 100000000000000000000\n",
+        "g.txt:2: edge 1 100000000000000000000 must satisfy 1 <= u < v <= 3",
+    ),
+    "reversed-after-valid": (
+        "3 3\n1 2\n1 3\n3 2\n",
+        "g.txt:4: edge 3 2 must satisfy 1 <= u < v <= 3",
+    ),
+    "duplicate-in-sorted-order": ("3 3\n1 2\n1 3\n1 3\n", "g.txt:4: duplicate edge 1 3"),
     "out-of-range-commented": (
         "# c\n3 1\n2 9  # far\n",
         "g.txt:3: edge 2 9 must satisfy 1 <= u < v <= 3",
@@ -492,6 +513,29 @@ def test_bulk_decode_paths(case, monkeypatch):
     if isinstance(expected, Graph):
         assert g.edges() == expected.edges()
         assert g._neighbors == expected._neighbors
+
+
+@st.composite
+def _written_graph(draw):
+    """A random simple graph on up to 8 vertices, as (n, its edges in the
+    order its text lists them): sorted or shuffled."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, sorted(edges) if draw(st.booleans()) else edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_written_graph())
+def test_bulk_graph_keeps_its_pairs_exactly_when_they_ascend(written):
+    n, edges = written
+    text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    g = spantree.graph._parse_bulk(text)
+    expected = Graph(n, edges)
+    assert g == expected
+    assert (g._pairs is not None) == (edges == sorted(edges))
+    assert g.edges() == expected.edges()
+    assert spantree.graph._edges_json(g, text) == json.dumps(expected.edges())
 
 
 def test_the_package_s_own_layout_takes_the_fast_echo(monkeypatch):
