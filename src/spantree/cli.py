@@ -289,10 +289,11 @@ def cmd_count(args: argparse.Namespace) -> int:
         source = {"family": "complete", "n": n}
     elif args.ferrers is not None:
         shape = PartitionShape(_parse_parts(args.ferrers, "--ferrers"))
-        _check_family_size("--ferrers", shape.rows + shape.parts[0])
+        n = shape.rows + shape.cols
+        _check_family_size("--ferrers", n)
         fields = {"count": ferrers_count(shape), "method": "formula:ferrers"}
         graph = lambda: ferrers_graph(shape)
-        size = lambda: (shape.rows + shape.cols, shape.total)
+        size = lambda: (n, shape.total)
         source = {"family": "ferrers", "shape": list(shape.parts)}
     elif args.multipartite is not None:
         sizes = _parse_parts(args.multipartite, "--multipartite")

@@ -27,7 +27,7 @@ import spantree.cli
 import spantree.recognition
 from spantree.cli import main
 from spantree.graph import MAX_PARSED_VERTICES
-from sample_graphs import FIXTURES, SPECIAL26, induced_pattern
+from sample_graphs import FIXTURES, SPECIAL26
 
 FAMILY_FIXTURES = {
     "k4.txt": 16,
@@ -450,48 +450,6 @@ def test_classify_searches_the_whole_graph_at_most_once(capsys, monkeypatch):
         assert member <= sum(whole) <= 1, path.name
         members += member
     assert members >= 5
-
-
-#: 20,000-vertex inputs for classify: edges and (threshold, special
-#: 2-threshold, ferrers) memberships.
-_LONG_CLASSIFY = {
-    "path": (lambda n: [(v, v + 1) for v in range(1, n)], (False, False, False)),
-    "star-hub-n": (lambda n: [(v, n) for v in range(1, n)], (True, True, True)),
-    "double-star-column-n": (
-        lambda n: [(1, c) for c in range(n // 2 + 1, n + 1)]
-        + [(r, n) for r in range(2, n // 2 + 1)],
-        (False, True, True),
-    ),
-    # a hub labelled n joined to both ends of every matching edge
-    "windmill": (
-        lambda n: [(v, v + 1) for v in range(1, n - 1, 2)] + [(v, n) for v in range(1, n)],
-        (False, False, False),
-    ),
-}
-
-
-@pytest.mark.parametrize("case", _LONG_CLASSIFY)
-def test_classify_long_inputs(capsys, tmp_path, case):
-    edges, expected = _LONG_CLASSIFY[case]
-    n = 20_001 if case == "windmill" else 20_000
-    path = tmp_path / "g.txt"
-    path.write_text(format_edge_list(Graph(n, edges(n))))
-    payload = run_json(capsys, "classify", str(path), "--json")
-    cls = payload["classification"]
-    assert (cls["threshold"], cls["special_2_threshold"], cls["ferrers"]) == expected
-    g = parse_edge_list(path.read_text())
-    for w in payload["witnesses"]:
-        assert induced_pattern(g, tuple(w["vertices"]), w["family"]) == w["pattern"], w
-    # of the inputs outside the ferrers family only the path is connected
-    # and bipartite, which a ferrers witness needs
-    assert [w["family"] for w in payload["witnesses"]] == [
-        family
-        for family, member in zip(("threshold", "special-2-threshold", "ferrers"), expected)
-        if not member and (family != "ferrers" or case == "path")
-    ]
-    if expected[1]:
-        raw = payload["construction_order"]
-        ConstructionOrder(tuple(raw["order"]), frozenset(raw["u_set"]), tuple(raw["roles"])).check(g)
 
 
 def test_classify_ferrers_fixture(capsys):
