@@ -21,12 +21,12 @@ class Graph:
     Adjacency is one frozenset of neighbors per vertex, and nothing else:
     recognition, routing and the witness scans all read these sets, so a
     graph takes O(n + m) space whatever its labels.  A graph read by the
-    bulk parser from a text that lists its edges strictly ascending keeps
-    those pairs, so ``edges`` returns them unsorted and the CLI's JSON
-    echo of them is written from the text (``_edges_json``).
+    bulk parser also notes whether its text lists the edges strictly
+    ascending, one bit, so that the CLI's JSON echo of them can be written
+    from the text (``_edges_json``).
     """
 
-    __slots__ = ("n", "_neighbors", "_pairs")
+    __slots__ = ("n", "_neighbors", "_ascending")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -41,23 +41,20 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._neighbors = tuple(frozenset(s) for s in adj)
-        self._pairs: tuple[list[int], list[int]] | None = None
+        self._ascending = False
 
     @classmethod
     def _from_neighbors(
-        cls,
-        n: int,
-        neighbors: tuple[frozenset[int], ...],
-        pairs: tuple[list[int], list[int]] | None,
+        cls, n: int, neighbors: tuple[frozenset[int], ...], ascending: bool
     ) -> Graph:
         """The graph on 1..n whose neighbor sets (entry 0 empty) the caller
-        has already built symmetric and loop-free from its edges.  ``pairs``
-        is None or those edges as the lists (us, vs) of their ends, sorted
-        strictly ascending with each u < v: nothing is checked again."""
+        has already built symmetric and loop-free from its edges, and
+        ``ascending`` when the text those edges came from lists them
+        strictly ascending: nothing is checked again."""
         g = object.__new__(cls)
         g.n = n
         g._neighbors = neighbors
-        g._pairs = pairs
+        g._ascending = ascending
         return g
 
     @property
@@ -68,11 +65,8 @@ class Graph:
         return frozenset(self.vertices)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """All edges as (u, v) pairs with u < v, sorted: the parser's pairs
-        when it kept them (only sorted ones are kept), else rebuilt from
-        the neighbor sets and sorted."""
-        if self._pairs is not None:
-            return tuple(zip(*self._pairs))
+        """All edges as (u, v) pairs with u < v, sorted, rebuilt from the
+        neighbor sets."""
         return tuple(
             sorted((u, v) for u in self.vertices for v in self._neighbors[u] if u < v)
         )
@@ -351,9 +345,10 @@ def _parse_bulk(text: str) -> Graph | None:
     IndexError, and a label 0 is the only way list 0 fills, which is
     checked once after the loop.  Once every pair has 1 <= u < v <= n, a
     duplicate edge is the only way the neighbor sets can hold fewer than
-    2m entries.  The loop also notes whether the pairs come strictly
-    ascending, u first, then v; the graph keeps them only then, so that
-    ``Graph.edges`` and ``_edges_json`` need no sort.
+    2m entries.  The loop reads the decoded array through one iterator,
+    two items a pair, and notes whether the pairs come strictly ascending,
+    u first, then v; the graph keeps that one bit, so that ``_edges_json``
+    needs no sort, and no list of endpoints outlives the parse.
     """
     body = text.strip(" \t\n")
     if body.translate(_DIGITS_AND_TABS) != " \n" * body.count("\n") + " ":
@@ -362,14 +357,14 @@ def _parse_bulk(text: str) -> Graph | None:
         ints = json.loads("[" + body.replace(" ", ",").replace("\n", ",") + "]")
     except ValueError:
         return None
-    n, m = ints[0], ints[1]
+    items = iter(ints)
+    n, m = next(items), next(items)
     if not (1 <= n <= MAX_PARSED_VERTICES and len(ints) == 2 * m + 2):
         return None
-    us, vs = ints[2::2], ints[3::2]
     adj: list[list[int]] = [[] for _ in range(n + 1)]
     ascending, last_u, last_v = True, 0, 0
     try:
-        for u, v in zip(us, vs):
+        for u, v in zip(items, items):
             if u >= v:
                 return None
             adj[u].append(v)
@@ -388,18 +383,18 @@ def _parse_bulk(text: str) -> Graph | None:
     neighbors = tuple(map(frozenset, adj))
     if sum(map(len, neighbors)) != 2 * m:
         return None
-    return Graph._from_neighbors(n, neighbors, (us, vs) if ascending else None)
+    return Graph._from_neighbors(n, neighbors, ascending)
 
 
 def _edges_json(g: Graph, text: str) -> str:
     """``json.dumps(g.edges())`` for the graph g that ``parse_edge_list``
-    read from ``text``.  When g kept its pairs, the bulk parser read it
-    from a text that lists them strictly ascending.  If that body also
+    read from ``text``.  When g is ``_ascending``, the bulk parser read it
+    from a text that lists its edges strictly ascending.  If that body also
     holds no tab, each edge line is ``u v`` in canonical digits and the
     lines are the array's items in order: the array is then the text after
     the header with each space made ", " and each line end "], [".  Every
     other graph is encoded from its sorted edges."""
-    if g._pairs is not None and "\t" not in (body := text.strip(" \t\n")):
+    if g._ascending and "\t" not in (body := text.strip(" \t\n")):
         edges = body.partition("\n")[2]
         return "[[" + edges.replace(" ", ", ").replace("\n", "], [") + "]]" if edges else "[]"
     return json.dumps(g.edges())

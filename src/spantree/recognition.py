@@ -250,13 +250,12 @@ def _u_candidates(adj: Mapping[int, frozenset[int]]) -> Iterator[frozenset[int]]
     yield from sorted(keys, key=keys.__getitem__)[1:]
 
 
-def _u_search(
-    adj: Mapping[int, frozenset[int]], candidates: Iterable[frozenset[int]]
-) -> tuple[list[int], frozenset[int]] | None:
-    """The first of ``candidates``, U candidates of ``adj`` as
-    ``_u_candidates`` yields them, that peels, as (order, U), or None when
-    none does: the one search for U in the package."""
-    for u in candidates:
+def _u_search(adj: Mapping[int, frozenset[int]]) -> tuple[list[int], frozenset[int]] | None:
+    """The first U candidate of the subgraph ``adj`` (as ``_peel`` reads
+    it), in the order ``_u_candidates`` yields them, that peels, as
+    (order, U), or None when none does: the one search for U in the
+    package."""
+    for u in _u_candidates(adj):
         if (order := _peel(adj, u)[0]) is not None:
             return order, u
     return None
@@ -276,8 +275,7 @@ def special_2_threshold_order(g: Graph) -> ConstructionOrder | None:
     candidates with one O(n + m) peel each.  U = V, the one candidate with
     an empty complement, goes first, before the others are built.
     """
-    adj = _adjacency(g)
-    found = _u_search(adj, _u_candidates(adj))
+    found = _u_search(_adjacency(g))
     return None if found is None else _checked_order(g, *found)
 
 
@@ -346,14 +344,14 @@ class ForbiddenWitness(NamedTuple):
 
 
 @cache
-def _witness_keys(family: str) -> Mapping[tuple[int, ...], str]:
-    """Every relabeling of the family's patterns as the neighbor masks of an
-    induced subgraph, mapped to the pattern name.  A vertex subset induces a
-    pattern exactly when its masks are a key; patterns of one size are
-    pairwise non-isomorphic, so no key names two.  Built on first use, not
-    at import, and read-only since it is shared."""
+def _witness_keys() -> Mapping[tuple[int, ...], str]:
+    """Every relabeling of the special 2-threshold patterns as the neighbor
+    masks of an induced subgraph, mapped to the pattern name.  A vertex
+    subset induces a pattern exactly when its masks are a key; patterns of
+    one size are pairwise non-isomorphic, so no key names two.  Built on
+    first use, not at import, and read-only since it is shared."""
     keys: dict[tuple[int, ...], str] = {}
-    for name in FAMILY_PATTERNS[family]:
+    for name in FAMILY_PATTERNS[FAMILY_SPECIAL_2_THRESHOLD]:
         masks = PATTERNS[name]
         k = len(masks)
         for perm in permutations(range(k)):
@@ -462,7 +460,7 @@ def _special_2_threshold(g: Graph) -> ConstructionOrder | ForbiddenWitness:
     @cache
     def search(w: frozenset[int]) -> tuple[list[int], frozenset[int]] | None:
         adj = {v: nbrs[v] & w for v in sorted(w)}
-        return None if _two_k2_screen(adj) else _u_search(adj, _u_candidates(adj))
+        return None if _two_k2_screen(adj) else _u_search(adj)
 
     w = full = g.vertex_set()
     size = max(g.n, 2)
@@ -477,7 +475,7 @@ def _special_2_threshold(g: Graph) -> ConstructionOrder | ForbiddenWitness:
     subset = tuple(sorted(w))
     induced = induced_subgraph(g, subset)[0]._neighbors[1:]
     family = FAMILY_SPECIAL_2_THRESHOLD
-    name = _witness_keys(family).get(tuple(sum(1 << (j - 1) for j in nb) for nb in induced))
+    name = _witness_keys().get(tuple(sum(1 << (j - 1) for j in nb) for nb in induced))
     if name is None:
         raise OrderInconsistencyError(f"shrinking left {subset}, which induces no {family} pattern")
     return ForbiddenWitness(name, subset)
@@ -584,14 +582,13 @@ def route(g: Graph) -> tuple[Family, ConstructionOrder] | None:
 
     The one-edge 2K2 screen goes first and turns a graph it catches away
     in O(n + m).  Threshold graphs get U = V by a peel on degrees, Ferrers
-    graphs their staircase traversal with U the columns; anything else the
-    U-search, at most 2n + 1 peels of O(n + m).  U = V is the U-search's
-    first candidate, which the threshold peel has already tried, so the
-    search goes on from the second.  Every step reads neighbor sets and is
+    graphs their staircase traversal with U the columns; anything else
+    ``special_2_threshold_order``, whose U-search takes at most 2n + 1
+    peels of O(n + m).  Its first candidate, U = V, is the threshold peel
+    again, which fails again.  Every step reads neighbor sets and is
     polynomial, so no input is refused.
     """
-    adj = _adjacency(g)
-    if _two_k2_screen(adj) is not None:
+    if _two_k2_screen(_adjacency(g)) is not None:
         return None
     co = threshold_order(g)
     if co is not None:
@@ -599,5 +596,5 @@ def route(g: Graph) -> tuple[Family, ConstructionOrder] | None:
     fs = ferrers_structure(g)
     if fs is not None:
         return FAMILY_FERRERS, fs.construction_order()
-    found = _u_search(adj, islice(_u_candidates(adj), 1, None))
-    return None if found is None else (FAMILY_SPECIAL_2_THRESHOLD, _checked_order(g, *found))
+    co = special_2_threshold_order(g)
+    return None if co is None else (FAMILY_SPECIAL_2_THRESHOLD, co)

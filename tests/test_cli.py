@@ -505,7 +505,7 @@ def test_classify_exits_4_when_the_shrink_names_no_pattern(capsys, monkeypatch):
     monkeypatch.setattr(
         spantree.recognition,
         "_witness_keys",
-        lambda family: {k: name for k, name in keys(family).items() if name != "2K2"},
+        lambda: {k: name for k, name in keys().items() if name != "2K2"},
     )
     code, out, err = run(capsys, "classify", fixture("two_k2.txt"))
     assert (code, out) == (4, "")
@@ -546,6 +546,15 @@ def test_count_prints_counts_past_4300_digits(capsys):
     code, out, _ = run(capsys, "count", "--complete", "3000", "--json")
     assert (code, sys.get_int_max_str_digits()) == (0, limit)
     assert f'"count": {expected.split()[0]},' in out
+
+
+def test_count_prints_where_the_digit_limit_cannot_be_lifted(capsys, monkeypatch):
+    # CPython 3.10 before 3.10.7 has no set_int_max_str_digits: the count
+    # prints as it is, and the limit is neither read nor changed
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert run(capsys, "count", "--complete", "5") == (0, "125 (method: formula:complete)\n", "")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_closed_stdout_exits_1_quietly():

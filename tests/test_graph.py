@@ -533,7 +533,7 @@ def test_bulk_graph_keeps_its_pairs_exactly_when_they_ascend(written):
     g = spantree.graph._parse_bulk(text)
     expected = Graph(n, edges)
     assert g == expected
-    assert (g._pairs is not None) == (edges == sorted(edges))
+    assert g._ascending == (edges == sorted(edges))
     assert g.edges() == expected.edges()
     assert spantree.graph._edges_json(g, text) == json.dumps(expected.edges())
 

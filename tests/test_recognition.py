@@ -613,17 +613,10 @@ def test_route_tries_the_cheap_recognizers_before_the_u_search():
 
 
 @pytest.mark.parametrize("g", [SPECIAL5, SPECIAL26, UTHRESHOLD8], ids=["s5", "s26", "u8"])
-def test_route_peels_u_equal_v_once(monkeypatch, g):
-    # the threshold peel is the U-search's first candidate, so a graph that
-    # fails it goes on to the U-search without peeling U = V again
-    peel, peeled = spantree.recognition._peel, []
-    monkeypatch.setattr(
-        spantree.recognition, "_peel", lambda adj, u: peeled.append(u) or peel(adj, u)
-    )
-    routed = route(g)
-    assert peeled.count(g.vertex_set()) == 1 and len(peeled) > 1
-    monkeypatch.undo()
-    assert routed == ("special-2-threshold", special_2_threshold_order(g))
+def test_route_finds_u_through_special_2_threshold_order(g):
+    # a member that is neither threshold nor Ferrers gets the recognizer's
+    # own order: route has no U-search of its own
+    assert route(g) == ("special-2-threshold", special_2_threshold_order(g))
 
 
 @st.composite

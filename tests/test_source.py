@@ -194,10 +194,6 @@ PUBLIC_WITHOUT_CALLER = {
     # the paper's weighted Ferrers formula, which perfbench/spans.py patches;
     # its one call in the package is to itself, from a structure to its shape
     "weighted_count_ferrers",
-    # the special 2-threshold recognizer, which perfbench/spans.py patches;
-    # route and classify run its U-search themselves, route from the
-    # second candidate on, after the threshold peel has tried U = V
-    "special_2_threshold_order",
 }
 
 
@@ -291,7 +287,7 @@ def test_expansion_determinant_is_named_only_by_linalg():
 def test_graphs_keep_one_adjacency_format():
     # neighbor sets are the only adjacency of a graph: no n-bit masks, which
     # take O(n^2) bits on a sparse graph, and no helper to build them
-    assert spantree.Graph.__slots__ == ("n", "_neighbors", "_pairs")
+    assert spantree.Graph.__slots__ == ("n", "_neighbors", "_ascending")
     names = ("mask_of", "packed_mask", "vertices_of", "neighbor_mask", "full_mask")
     found = [
         f"{path.name} {name}"

@@ -39,9 +39,9 @@ def test_trace_tables_resolve_and_run(capsys):
     capsys.readouterr()
     # every traced name records, so a change that routes around one fails
     # here rather than zeroing its per-layer metric; nothing reaches the
-    # three left out (ROADMAP item 1)
+    # two left out (ROADMAP item 1)
     names = {rec[0] for rec in spans.FUNCTIONS} | {rec[0] for rec in spans.METHODS}
-    unreached = {"linalg.laplacian", "recognition.usearch", "weighted.laplacian"}
+    unreached = {"linalg.laplacian", "weighted.laplacian"}
     assert {rec[3] for rec in tracer.spans} == names - unreached
     notes = [rec[6] for rec in tracer.spans if rec[3] == "linalg.bareiss"]
     assert any(note["ring"] == "int" for note in notes), notes

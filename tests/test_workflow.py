@@ -1,5 +1,7 @@
-"""The CI workflow file is well formed and names only files that exist."""
+"""The CI workflow file is well formed and names only files, benchmark
+workloads and per-layer metrics that exist."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -19,6 +21,21 @@ _MODULE = re.compile(r"\bpython3? -m ([\w.]+)")
 
 def _jobs():
     return yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))["jobs"]
+
+
+def _assigned(path: Path, name: str):
+    """The literal assigned to the module-level ``name`` in the file at
+    ``path``, read without importing it."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def _bench_smoke_matrix():
+    return _jobs()["bench-smoke"]["strategy"]["matrix"]["include"]
 
 
 def _run_steps():
@@ -49,3 +66,18 @@ def test_tier_1_job_runs_the_roadmap_tier_1_command():
     roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
     assert command in [step.get("run") for step in _jobs()["tier-1"]["steps"]]
+
+
+def test_bench_smoke_names_only_known_workloads():
+    workloads = _assigned(ROOT / "perfbench" / "suites.py", "WORKLOADS")
+    named = [row["workload"] for row in _bench_smoke_matrix()]
+    assert named and set(named) <= set(workloads), named
+
+
+def test_bench_smoke_live_metrics_are_per_layer_metrics():
+    # a misspelt name would otherwise surface only as a KeyError in the
+    # job's inline checker
+    per_layer = {name for name, _unit in _assigned(ROOT / "perfbench" / "run.py", "PER_LAYER")}
+    for row in _bench_smoke_matrix():
+        live = row["live"].split()
+        assert live and set(live) <= per_layer, (row["workload"], set(live) - per_layer)
